@@ -18,29 +18,18 @@ import math
 import numpy as np
 
 import sectoria as s
+from sectoria.inequalities import ratio_sum_rhs, real_schur_terms
+from sectoria.linalg import principal_abs_minors
 
 
 def needed_det_exponent(a, b, alpha):
-    n = a.shape[0]
-    dets_a = [abs(s.determinant(s.leading_principal_submatrix(a, k))) for k in range(1, n + 1)]
-    dets_b = [abs(s.determinant(s.leading_principal_submatrix(b, k))) for k in range(1, n + 1)]
-    sum_ba = sum(db / da for da, db in zip(dets_a[:-1], dets_b[:-1]))
-    sum_ab = sum(da / db for da, db in zip(dets_a[:-1], dets_b[:-1]))
-    rhs = (
-        (1.0 + sum_ba) * dets_a[-1]
-        + (1.0 + sum_ab) * dets_b[-1]
-        + (2.0**n - 2 * n) * math.sqrt(dets_a[-1] * dets_b[-1])
-    )
+    rhs = ratio_sum_rhs(principal_abs_minors(a), principal_abs_minors(b), with_sqrt=True)
     base = abs(s.determinant(a + b))
     return math.log(rhs / base) / math.log(1.0 / math.cos(alpha))
 
 
 def needed_loewner_exponent(a, b, alpha, p):
-    lhs = s.cartesian_split(s.schur_complement(a + b, p)).re
-    rhs = (
-        s.cartesian_split(s.schur_complement(a, p)).re
-        + s.cartesian_split(s.schur_complement(b, p)).re
-    )
+    lhs, rhs = real_schur_terms(a, b, p)
     # smallest c with sec^c L >= R: sec^c must cover the top generalized eigenvalue
     w, v = np.linalg.eigh(lhs)
     root_inv = (v * (1.0 / np.sqrt(w))) @ v.conj().T

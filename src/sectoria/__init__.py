@@ -53,7 +53,6 @@ from .inequalities import (
     check_schur_wrongsec,
     check_weak_log_majorization,
     determinant_bound_levels,
-    falsify_schur_wrongsec,
     loewner_report,
     scalar_report,
 )
@@ -89,5 +88,8 @@ from .sector import (
     sector_angle_bisect,
     sectorial_decompose,
 )
+
+# Imported last: the falsifier runs through the check registry of the CLI.
+from .cli import falsify_schur_wrongsec
 
 __version__ = "0.1.0"

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import OmegaPrimeEmptyError
 from .generators import rng_stream
-from .inequalities import DEFAULT_TOL, InequalityReport, scalar_report
+from .inequalities import DEFAULT_TOL, InequalityReport, ratio_sum_rhs, scalar_report
 
 MAX_SUBSET_N = 20
 
@@ -126,15 +126,8 @@ def check_claim2(pair: PositiveSequencePair, tol: float = DEFAULT_TOL) -> Inequa
     >= a_n (1 + sum_s b_s/a_s) + b_n (1 + sum_s a_s/b_s) + (2^n - 2n) sqrt(a_n b_n),
     with the sums over s = 1..n-1."""
     a, b = pair.a, pair.b
-    n = pair.n
     lhs = float(np.prod(a[1:] / a[:-1] + b[1:] / b[:-1]))
-    sum_ba = float(np.sum(b[1:n] / a[1:n]))
-    sum_ab = float(np.sum(a[1:n] / b[1:n]))
-    rhs = (
-        float(a[n]) * (1.0 + sum_ba)
-        + float(b[n]) * (1.0 + sum_ab)
-        + (2.0 ** n - 2.0 * n) * math.sqrt(float(a[n]) * float(b[n]))
-    )
+    rhs = ratio_sum_rhs(a[1:], b[1:], with_sqrt=True)
     return scalar_report("claim2", lhs, rhs, tol)
 
 

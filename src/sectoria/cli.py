@@ -15,7 +15,8 @@ import math
 import os
 import statistics
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -35,23 +36,6 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_PRECONDITION = 2
 EXIT_VIOLATION = 3
-
-PD_PAIR_CHECKS = ("det-superadditivity", "haynsworth", "hartfiel", "schur-pd")
-SECTORIAL_PAIR_CHECKS = ("main1", "main2", "det-step")
-SINGLE_MATRIX_CHECKS = (
-    "lemma-2-4",
-    "lemma-2-5",
-    "lemma-2-6",
-    "claim1",
-    "weak-log-major",
-    "schur-wrongsec",
-)
-ALL_CHECKS = PD_PAIR_CHECKS + SECTORIAL_PAIR_CHECKS + SINGLE_MATRIX_CHECKS + (
-    "corollary-ad",
-    "claim2",
-)
-ALPHA_CHECKS = set(SECTORIAL_PAIR_CHECKS)
-PARTITION_CHECKS = {"schur-pd", "lemma-2-5", "claim1", "main1", "schur-wrongsec"}
 
 
 class UsageError(Exception):
@@ -98,26 +82,91 @@ def write_matrix(path: str, a) -> None:
 
 def _resolve_tol(args) -> float:
     if getattr(args, "tol", None) is not None:
-        return float(args.tol)
-    env = os.environ.get("SECTORIA_TOL")
-    if env is not None:
+        tol, source = float(args.tol), "--tol"
+    else:
+        env = os.environ.get("SECTORIA_TOL")
+        if env is None:
+            return ineq.DEFAULT_TOL
         try:
-            return float(env)
+            tol, source = float(env), "SECTORIA_TOL"
         except ValueError as exc:
             raise UsageError(f"SECTORIA_TOL is not a number: {env!r}") from exc
-    return ineq.DEFAULT_TOL
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise UsageError(f"{source} must be finite and nonnegative, got {tol!r}")
+    return tol
 
 
-def _default_partition(n: int) -> int:
-    return max(n // 2, 1)
+def _block(a: np.ndarray, partition: int | None) -> int:
+    """The leading block size: ``partition`` if given, else n // 2 (at least 1)."""
+    return partition if partition is not None else max(a.shape[0] // 2, 1)
 
 
-def _sequences_from_matrix(m: np.ndarray) -> np.ndarray:
-    """|det A_k| for k = 0..n (with the empty determinant equal to 1)."""
-    dets = [1.0]
-    for k in range(1, m.shape[0] + 1):
-        dets.append(abs(linalg.determinant(linalg.leading_principal_submatrix(m, k))))
-    return np.array(dets)
+def _det_step(a, b, alpha, partition, tol) -> ineq.InequalityReport:
+    """det-step at step ``partition``, or the worst over every k when omitted."""
+    if partition is not None:
+        return ineq.check_det_step(a, b, alpha, partition, tol)
+    reports = [ineq.check_det_step(a, b, alpha, k, tol) for k in range(1, a.shape[0])]
+    return min(reports, key=lambda r: r.slack)
+
+
+class Check(NamedTuple):
+    """A named check: its operand family and ``evaluate(a, b, alpha, partition, tol)``.
+
+    ``b`` is None for the single family, ``a`` is a PositiveSequencePair for the
+    sequence family, and a ``partition`` of None selects the default.
+    """
+
+    family: str
+    evaluate: Callable[..., ineq.InequalityReport]
+
+
+CHECKS = {
+    "det-superadditivity": Check("pd_pair", lambda a, b, alpha, p, tol: ineq.check_det_superadditivity(a, b, tol)),
+    "haynsworth": Check("pd_pair", lambda a, b, alpha, p, tol: ineq.check_haynsworth(a, b, tol)),
+    "hartfiel": Check("pd_pair", lambda a, b, alpha, p, tol: ineq.check_hartfiel(a, b, tol)),
+    "schur-pd": Check("pd_pair", lambda a, b, alpha, p, tol: ineq.check_schur_pd(a, b, _block(a, p), tol)),
+    "main1": Check("sectorial_pair", lambda a, b, alpha, p, tol: ineq.check_main1(a, b, alpha, _block(a, p), tol)),
+    "main2": Check("sectorial_pair", lambda a, b, alpha, p, tol: ineq.check_main2(a, b, alpha, tol)),
+    "det-step": Check("sectorial_pair", _det_step),
+    "lemma-2-4": Check("single", lambda a, b, alpha, p, tol: ineq.check_inverse_real_part(a, tol)),
+    "lemma-2-5": Check("single", lambda a, b, alpha, p, tol: ineq.check_schur_real_part(a, _block(a, p), tol)),
+    "lemma-2-6": Check("single", lambda a, b, alpha, p, tol: ineq.check_ostrowski_taussky_complement(a, tol)),
+    "claim1": Check("single", lambda a, b, alpha, p, tol: ineq.check_claim1(a, _block(a, p), tol)),
+    "weak-log-major": Check("single", lambda a, b, alpha, p, tol: ineq.check_weak_log_majorization(a, tol)),
+    "schur-wrongsec": Check("single", lambda a, b, alpha, p, tol: ineq.check_schur_wrongsec(a, _block(a, p), tol)),
+    "corollary-ad": Check("ad_pair", lambda a, b, alpha, p, tol: ineq.check_corollary_ad(a, b, tol)),
+    "claim2": Check("sequence", lambda pair, _, alpha, p, tol: claim2_mod.check_claim2(pair, tol)),
+}
+
+
+def _pair(gen: Callable[[TrialConfig, int], np.ndarray]):
+    """Draw two operands ``gen(config, seed)`` from substreams (index, 0) and (index, 1)."""
+    return lambda c, i: (gen(c, child_seed(c.seed, i, 0)), gen(c, child_seed(c.seed, i, 1)))
+
+
+# Operand family -> draw(config, trial index) giving the trial's (a, b).
+FAMILIES = {
+    "pd_pair": _pair(lambda c, seed: gen_positive_definite(c.n, seed)),
+    "sectorial_pair": _pair(lambda c, seed: gen_sectorial(c.n, c.alpha, seed)),
+    "ad_pair": _pair(lambda c, seed: gen_accretive_dissipative(c.n, seed)),
+    "single": lambda c, i: (gen_sectorial(c.n, c.alpha, child_seed(c.seed, i)), None),
+    "sequence": lambda c, i: (claim2_mod.random_sequence_pair(c.n, child_seed(c.seed, i)), None),
+}
+
+
+def _lookup(name: str) -> Check:
+    try:
+        return CHECKS[name]
+    except KeyError:
+        raise UsageError(f"unknown check {name!r}; available: {', '.join(CHECKS)}") from None
+
+
+def _minor_sequences(a: np.ndarray, b: np.ndarray) -> claim2_mod.PositiveSequencePair:
+    """claim2's sequences (1, |det A_1|, ..., |det A_n|) from the two operands."""
+    da, db = (np.concatenate(([1.0], linalg.principal_abs_minors(m))) for m in (a, b))
+    if np.any(da[1:] <= 0.0) or np.any(db[1:] <= 0.0):
+        raise SectoriaError("a principal minor is singular; sequences must be positive")
+    return claim2_mod.PositiveSequencePair(da, db)
 
 
 def run_check(
@@ -129,58 +178,16 @@ def run_check(
     tol: float,
 ) -> ineq.InequalityReport:
     """Dispatch a named check against parsed operands."""
-    if name not in ALL_CHECKS:
-        raise UsageError(f"unknown check {name!r}; available: {', '.join(ALL_CHECKS)}")
-    needs_b = name not in SINGLE_MATRIX_CHECKS
-    if needs_b and b is None:
+    family, evaluate = _lookup(name)
+    if family != "single" and b is None:
         raise UsageError(f"check {name!r} requires two matrix files")
-    if not needs_b and b is not None:
+    if family == "single" and b is not None:
         raise UsageError(f"check {name!r} takes a single matrix file")
-    if name in ALPHA_CHECKS and alpha is None:
+    if family == "sectorial_pair" and alpha is None:
         raise UsageError(f"check {name!r} requires --alpha")
-
-    n = a.shape[0]
-    p = partition if partition is not None else _default_partition(n)
-
-    if name == "det-superadditivity":
-        return ineq.check_det_superadditivity(a, b, tol)
-    if name == "haynsworth":
-        return ineq.check_haynsworth(a, b, tol)
-    if name == "hartfiel":
-        return ineq.check_hartfiel(a, b, tol)
-    if name == "schur-pd":
-        return ineq.check_schur_pd(a, b, p, tol)
-    if name == "lemma-2-4":
-        return ineq.check_inverse_real_part(a, tol)
-    if name == "lemma-2-5":
-        return ineq.check_schur_real_part(a, p, tol)
-    if name == "lemma-2-6":
-        return ineq.check_ostrowski_taussky_complement(a, tol)
-    if name == "claim1":
-        return ineq.check_claim1(a, p, tol)
-    if name == "weak-log-major":
-        return ineq.check_weak_log_majorization(a, tol)
-    if name == "schur-wrongsec":
-        return ineq.check_schur_wrongsec(a, p, tol)
-    if name == "main1":
-        return ineq.check_main1(a, b, alpha, p, tol)
-    if name == "main2":
-        return ineq.check_main2(a, b, alpha, tol)
-    if name == "det-step":
-        if partition is not None:
-            return ineq.check_det_step(a, b, alpha, partition, tol)
-        reports = [ineq.check_det_step(a, b, alpha, k, tol) for k in range(1, n)]
-        return min(reports, key=lambda r: r.slack)
-    if name == "corollary-ad":
-        return ineq.check_corollary_ad(a, b, tol)
-    if name == "claim2":
-        da = _sequences_from_matrix(a)
-        db = _sequences_from_matrix(b)
-        if np.any(da[1:] <= 0.0) or np.any(db[1:] <= 0.0):
-            raise SectoriaError("a principal minor is singular; sequences must be positive")
-        pair = claim2_mod.PositiveSequencePair(da, db)
-        return claim2_mod.check_claim2(pair, tol)
-    raise AssertionError(name)
+    if family == "sequence":
+        a, b = _minor_sequences(a, b), None
+    return evaluate(a, b, alpha, partition, tol)
 
 
 @dataclass(frozen=True)
@@ -213,31 +220,13 @@ class SuiteSummary:
         }
 
 
-def _trial_report(name: str, config: TrialConfig, index: int, tol: float) -> ineq.InequalityReport:
-    n, alpha = config.n, config.alpha
-    p = config.partition if config.partition is not None else _default_partition(n)
-    if name == "claim2":
-        pair = claim2_mod.random_sequence_pair(n, child_seed(config.seed, index))
-        return claim2_mod.check_claim2(pair, tol)
-    if name in PD_PAIR_CHECKS:
-        a = gen_positive_definite(n, child_seed(config.seed, index, 0))
-        b = gen_positive_definite(n, child_seed(config.seed, index, 1))
-        return run_check(name, a, b, alpha, p, tol)
-    if name == "corollary-ad":
-        a = gen_accretive_dissipative(n, child_seed(config.seed, index, 0))
-        b = gen_accretive_dissipative(n, child_seed(config.seed, index, 1))
-        return ineq.check_corollary_ad(a, b, tol)
-    if name in SECTORIAL_PAIR_CHECKS:
-        a = gen_sectorial(n, alpha, child_seed(config.seed, index, 0))
-        b = gen_sectorial(n, alpha, child_seed(config.seed, index, 1))
-        if name == "det-step" and config.partition is None:
-            reports = [ineq.check_det_step(a, b, alpha, k, tol) for k in range(1, n)]
-            return min(reports, key=lambda r: r.slack)
-        return run_check(name, a, b, alpha, config.partition, tol)
-    if name in SINGLE_MATRIX_CHECKS:
-        a = gen_sectorial(n, alpha, child_seed(config.seed, index))
-        return run_check(name, a, None, alpha, p, tol)
-    raise UsageError(f"unknown check {name!r}; available: {', '.join(ALL_CHECKS)}")
+def _trial_reports(name: str, config: TrialConfig, tol: float) -> list[ineq.InequalityReport]:
+    family, evaluate = _lookup(name)
+    draw = FAMILIES[family]
+    return [
+        evaluate(*draw(config, i), config.alpha, config.partition, tol)
+        for i in range(config.trials)
+    ]
 
 
 def run_trials(name: str, config: TrialConfig, tol: float) -> SuiteSummary:
@@ -246,7 +235,7 @@ def run_trials(name: str, config: TrialConfig, tol: float) -> SuiteSummary:
     Trials draw from substreams indexed by trial number, so the summary is
     identical no matter how the trials would be scheduled.
     """
-    reports = [_trial_report(name, config, i, tol) for i in range(config.trials)]
+    reports = _trial_reports(name, config, tol)
     slacks = [r.slack for r in reports]
     return SuiteSummary(
         name=name,
@@ -259,6 +248,21 @@ def run_trials(name: str, config: TrialConfig, tol: float) -> SuiteSummary:
         alpha=config.alpha,
         partition=config.partition,
     )
+
+
+def falsify_schur_wrongsec(config: TrialConfig, tol: float = ineq.DEFAULT_TOL) -> ineq.InequalityReport:
+    """Search the trials of a ``schur-wrongsec`` suite for a violation of the
+    uncorrected Schur bound; returns the most negative-slack report.
+
+    Trials are generated on independent substreams indexed by trial number,
+    so the reduction is deterministic regardless of evaluation order; ties
+    keep the lowest trial index.
+    """
+    reports = _trial_reports("schur-wrongsec", config, tol)
+    worst_index = min(range(len(reports)), key=lambda i: reports[i].slack)
+    worst = reports[worst_index]
+    outcome = "no counterexample found" if worst.holds else f"counterexample at trial {worst_index}"
+    return replace(worst, detail=f"{worst.detail} trials={config.trials} {outcome}")
 
 
 def _cmd_angle(args) -> int:
@@ -276,14 +280,16 @@ def _cmd_check(args) -> int:
     tol = _resolve_tol(args)
     a = read_matrix(args.file_a)
     b = read_matrix(args.file_b) if args.file_b is not None else None
+    n = a.shape[0]
+    if args.partition is not None and not 1 <= args.partition <= n - 1:
+        raise UsageError(f"--partition must satisfy 1 <= p <= {n - 1} for n = {n}")
     report = run_check(args.name, a, b, args.alpha, args.partition, tol)
     print(json.dumps(report.to_dict()))
     return EXIT_OK if report.holds else EXIT_VIOLATION
 
 
 def _cmd_trials(args) -> int:
-    if args.name not in ALL_CHECKS:
-        raise UsageError(f"unknown check {args.name!r}; available: {', '.join(ALL_CHECKS)}")
+    _lookup(args.name)
     tol = _resolve_tol(args)
     try:
         config = TrialConfig(
@@ -331,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_angle.set_defaults(func=_cmd_angle)
 
     p_check = sub.add_parser("check", help="run one named inequality check")
-    p_check.add_argument("name", help=f"one of: {', '.join(ALL_CHECKS)}")
+    p_check.add_argument("name", help=f"one of: {', '.join(CHECKS)}")
     p_check.add_argument("file_a", help="matrix JSON file for A")
     p_check.add_argument("file_b", nargs="?", default=None, help="matrix JSON file for B")
     p_check.add_argument("--alpha", type=float, default=None, help="sector half-angle (radians)")
@@ -340,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.set_defaults(func=_cmd_check)
 
     p_trials = sub.add_parser("trials", help="randomized trial suite for one check")
-    p_trials.add_argument("name", help=f"one of: {', '.join(ALL_CHECKS)}")
+    p_trials.add_argument("name", help=f"one of: {', '.join(CHECKS)}")
     p_trials.add_argument("--seed", type=int, default=0)
     p_trials.add_argument("--n", type=int, required=True, help="matrix dimension")
     p_trials.add_argument("--alpha", type=float, default=0.0, help="sector half-angle (radians)")
@@ -358,18 +364,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except MatrixFileError as exc:
+    except (UsageError, MatrixFileError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (SectoriaError, ValueError, IndexError) as exc:

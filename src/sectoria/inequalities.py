@@ -1,5 +1,5 @@
 """Signed-slack checkers for the sectorial determinant and Schur-complement
-inequality family, plus the falsifier for the uncorrected Schur bound.
+inequality family.
 
 Each checker validates its preconditions, evaluates both sides of one
 inequality, and returns an :class:`InequalityReport` whose ``slack`` is
@@ -10,7 +10,7 @@ checks divide the minimum eigenvalue of LHS - RHS by ||LHS||_F.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -22,7 +22,8 @@ from .errors import (
     NotPositiveDefiniteError,
     NotSectorialError,
 )
-from .generators import TrialConfig, child_seed, gen_sectorial
+# Not used here; perfbench/test_perfbench.py traces this binding site.
+from .generators import gen_sectorial  # noqa: F401
 
 DEFAULT_TOL = 1e-8
 # Loewner differences must be Hermitian to this relative level before
@@ -81,11 +82,11 @@ def loewner_report(name: str, lhs: np.ndarray, rhs: np.ndarray, tol: float, deta
 def _require_pd(a, what: str) -> np.ndarray:
     """Validate a Hermitian positive definite operand; returns it symmetrized."""
     m = linalg.as_square_matrix(a)
-    scale = linalg.frobenius(m)
-    if scale == 0.0 or linalg.frobenius(m - m.conj().T) > 1e-10 * scale:
-        raise NotPositiveDefiniteError(f"{what} must be Hermitian positive definite")
-    sym = (m + m.conj().T) / 2.0
-    if float(np.linalg.eigvalsh(sym)[0]) <= sector.PD_RTOL * scale:
+    try:
+        sym = linalg.as_hermitian(m)
+    except ValueError as exc:
+        raise NotPositiveDefiniteError(f"{what} must be Hermitian positive definite") from exc
+    if not linalg.is_positive_definite(sym, linalg.frobenius(m)):
         raise NotPositiveDefiniteError(f"{what} is not positive definite")
     return sym
 
@@ -94,7 +95,7 @@ def _require_accretive(a, what: str):
     """Validate Re A positive definite; returns (A, Re A, Im A)."""
     m = linalg.as_square_matrix(a)
     re, im = linalg.cartesian_split(m)
-    if float(np.linalg.eigvalsh(re)[0]) <= sector.PD_RTOL * linalg.frobenius(m):
+    if not linalg.is_positive_definite(re, linalg.frobenius(m)):
         raise NotAccretiveError(f"real part of {what} is not positive definite")
     return m, re, im
 
@@ -116,17 +117,10 @@ def _require_pair(a: np.ndarray, b: np.ndarray) -> None:
         raise ValueError(f"operands must share a dimension, got {a.shape} and {b.shape}")
 
 
-def _principal_abs_dets(m: np.ndarray) -> np.ndarray:
-    """|det A_k| for k = 1..n."""
-    n = m.shape[0]
-    return np.array(
-        [abs(linalg.determinant(linalg.leading_principal_submatrix(m, k))) for k in range(1, n + 1)]
-    )
-
-
-def _ratio_sum_rhs(da: np.ndarray, db: np.ndarray, with_sqrt: bool) -> float:
+def ratio_sum_rhs(da: np.ndarray, db: np.ndarray, with_sqrt: bool) -> float:
     """(1 + sum db_k/da_k) da_n + (1 + sum da_k/db_k) db_n, optionally plus
-    (2^n - 2n) sqrt(da_n db_n); sums run over k = 1..n-1."""
+    (2^n - 2n) sqrt(da_n db_n); sums run over k = 1..n-1 of the positive
+    sequences da = (da_1..da_n) and db = (db_1..db_n)."""
     n = len(da)
     sum_ba = float(np.sum(db[:-1] / da[:-1]))
     sum_ab = float(np.sum(da[:-1] / db[:-1]))
@@ -150,14 +144,14 @@ def determinant_bound_levels(a, b) -> DeterminantBoundLevels:
     ha = _require_pd(a, "A")
     hb = _require_pd(b, "B")
     _require_pair(ha, hb)
-    da = _principal_abs_dets(ha)
-    db = _principal_abs_dets(hb)
+    da = linalg.principal_abs_minors(ha)
+    db = linalg.principal_abs_minors(hb)
     lhs = abs(linalg.determinant(ha + hb))
     return DeterminantBoundLevels(
         lhs,
         float(da[-1] + db[-1]),
-        _ratio_sum_rhs(da, db, with_sqrt=False),
-        _ratio_sum_rhs(da, db, with_sqrt=True),
+        ratio_sum_rhs(da, db, with_sqrt=False),
+        ratio_sum_rhs(da, db, with_sqrt=True),
     )
 
 
@@ -262,6 +256,16 @@ def check_claim1(a, p: int, tol: float = DEFAULT_TOL) -> InequalityReport:
     return loewner_report("claim1", lhs, rhs, tol, detail=f"alpha={alpha:.9f}")
 
 
+def real_schur_terms(a: np.ndarray, b: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Re((A+B)/(A11+B11)) and Re(A/A11) + Re(B/B11), the two sides of the
+    uncorrected Schur bound."""
+
+    def re_schur(m):
+        return linalg.cartesian_split(schur.schur_complement(m, p)).re
+
+    return re_schur(a + b), re_schur(a) + re_schur(b)
+
+
 def check_main1(a, b, alpha: float, p: int, tol: float = DEFAULT_TOL) -> InequalityReport:
     """sec^2(alpha) Re((A+B)/(A11+B11)) >= Re(A/A11) + Re(B/B11) for A, B
     with numerical range in the alpha sector."""
@@ -270,47 +274,16 @@ def check_main1(a, b, alpha: float, p: int, tol: float = DEFAULT_TOL) -> Inequal
     mb = _require_in_sector(b, alpha, tol, "B")
     _require_pair(ma, mb)
     sec2 = (1.0 / math.cos(alpha)) ** 2
-    lhs = sec2 * linalg.cartesian_split(schur.schur_complement(ma + mb, p)).re
-    rhs = (
-        linalg.cartesian_split(schur.schur_complement(ma, p)).re
-        + linalg.cartesian_split(schur.schur_complement(mb, p)).re
-    )
-    return loewner_report("main1", lhs, rhs, tol)
+    lhs, rhs = real_schur_terms(ma, mb, p)
+    return loewner_report("main1", sec2 * lhs, rhs, tol)
 
 
 def check_schur_wrongsec(a, p: int, tol: float = DEFAULT_TOL) -> InequalityReport:
     """The uncorrected bound Re((A+B)/(A11+B11)) >= Re(A/A11) + Re(B/B11)
     with B = A*; false in general, equality for Hermitian A."""
     m, _, _ = _require_accretive(a, "A")
-    b = m.conj().T
-    lhs = linalg.cartesian_split(schur.schur_complement(m + b, p)).re
-    rhs = (
-        linalg.cartesian_split(schur.schur_complement(m, p)).re
-        + linalg.cartesian_split(schur.schur_complement(b, p)).re
-    )
+    lhs, rhs = real_schur_terms(m, m.conj().T, p)
     return loewner_report("schur-wrongsec", lhs, rhs, tol)
-
-
-def falsify_schur_wrongsec(config: TrialConfig, tol: float = DEFAULT_TOL) -> InequalityReport:
-    """Search seeded sectorial trials (with B = A*) for a violation of the
-    uncorrected Schur bound; returns the most negative-slack report.
-
-    Trials are generated on independent substreams indexed by trial number,
-    so the reduction is deterministic regardless of evaluation order; ties
-    keep the lowest trial index.
-    """
-    p = config.partition if config.partition is not None else max(config.n // 2, 1)
-    worst: InequalityReport | None = None
-    worst_index = -1
-    for i in range(config.trials):
-        a = gen_sectorial(config.n, config.alpha, child_seed(config.seed, i))
-        report = check_schur_wrongsec(a, p, tol)
-        if worst is None or report.slack < worst.slack:
-            worst, worst_index = report, i
-    assert worst is not None
-    outcome = "no counterexample found" if worst.holds else f"counterexample at trial {worst_index}"
-    detail = f"{worst.detail} trials={config.trials} {outcome}"
-    return replace(worst, detail=detail)
 
 
 def check_det_step(a, b, alpha: float, k: int, tol: float = DEFAULT_TOL) -> InequalityReport:
@@ -344,10 +317,10 @@ def check_main2(a, b, alpha: float, tol: float = DEFAULT_TOL) -> InequalityRepor
     mb = _require_in_sector(b, alpha, tol, "B")
     _require_pair(ma, mb)
     n = ma.shape[0]
-    da = _principal_abs_dets(ma)
-    db = _principal_abs_dets(mb)
+    da = linalg.principal_abs_minors(ma)
+    db = linalg.principal_abs_minors(mb)
     lhs = (1.0 / math.cos(alpha)) ** (3 * n - 2) * abs(linalg.determinant(ma + mb))
-    rhs = _ratio_sum_rhs(da, db, with_sqrt=True)
+    rhs = ratio_sum_rhs(da, db, with_sqrt=True)
     detail = f"alpha={alpha:.9f} lhs={lhs:.12e} rhs={rhs:.12e}"
     return scalar_report("main2", lhs, rhs, tol, detail)
 
@@ -361,18 +334,15 @@ def check_corollary_ad(a, b, tol: float = DEFAULT_TOL) -> InequalityReport:
     for m, what in ((ma, "A"), (mb, "B")):
         re, im = linalg.cartesian_split(m)
         scale = linalg.frobenius(m)
-        if (
-            float(np.linalg.eigvalsh(re)[0]) <= sector.PD_RTOL * scale
-            or float(np.linalg.eigvalsh(im)[0]) <= sector.PD_RTOL * scale
-        ):
+        if not (linalg.is_positive_definite(re, scale) and linalg.is_positive_definite(im, scale)):
             raise NotAccretiveDissipativeError(
                 f"{what} must have positive definite real and imaginary parts"
             )
     n = ma.shape[0]
     const = 2.0 ** (1.5 * n - 1.0)
-    da = _principal_abs_dets(ma)
-    db = _principal_abs_dets(mb)
+    da = linalg.principal_abs_minors(ma)
+    db = linalg.principal_abs_minors(mb)
     lhs = const * abs(linalg.determinant(ma + mb))
-    rhs = _ratio_sum_rhs(da, db, with_sqrt=True)
+    rhs = ratio_sum_rhs(da, db, with_sqrt=True)
     detail = f"constant={const!r} lhs={lhs:.12e} rhs={rhs:.12e}"
     return scalar_report("corollary-ad", lhs, rhs, tol, detail)

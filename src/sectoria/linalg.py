@@ -21,6 +21,9 @@ PIVOT_RTOL = 1e-13
 EIGEN_RTOL = 1e-11
 # How far from exact symmetry a "Hermitian" input may be.
 HERMITIAN_RTOL = 1e-10
+# A Hermitian matrix counts as positive definite when its minimum eigenvalue
+# exceeds PD_RTOL times the reference scale.
+PD_RTOL = 1e-12
 
 
 def as_square_matrix(a) -> np.ndarray:
@@ -58,17 +61,28 @@ class HermitianEigenResult(NamedTuple):
     eigenvectors: np.ndarray
 
 
+def as_hermitian(h) -> np.ndarray:
+    """Symmetrize H to (H + H*)/2 after checking that it deviates from exact
+    symmetry by at most ``HERMITIAN_RTOL * ||H||_F``."""
+    m = as_square_matrix(h)
+    if frobenius(m - m.conj().T) > HERMITIAN_RTOL * max(frobenius(m), np.finfo(float).tiny):
+        raise ValueError("input is not Hermitian within tolerance")
+    return (m + m.conj().T) / 2.0
+
+
+def is_positive_definite(h: np.ndarray, scale: float) -> bool:
+    """Does the exactly Hermitian ``h`` have minimum eigenvalue above
+    ``PD_RTOL * scale``?"""
+    return float(np.linalg.eigvalsh(h)[0]) > PD_RTOL * scale
+
+
 def hermitian_eigen(h) -> HermitianEigenResult:
     """Eigendecomposition H = V diag(w) V* of a Hermitian matrix.
 
     The input may deviate from exact symmetry by at most
     ``HERMITIAN_RTOL * ||H||_F``; it is symmetrized before factoring.
     """
-    m = as_square_matrix(h)
-    scale = frobenius(m)
-    if frobenius(m - m.conj().T) > HERMITIAN_RTOL * max(scale, np.finfo(float).tiny):
-        raise ValueError("input is not Hermitian within tolerance")
-    sym = (m + m.conj().T) / 2.0
+    sym = as_hermitian(h)
     try:
         w, v = np.linalg.eigh(sym)
     except np.linalg.LinAlgError as exc:
@@ -78,12 +92,9 @@ def hermitian_eigen(h) -> HermitianEigenResult:
 
 def hermitian_eigenvalues(h) -> np.ndarray:
     """Ascending eigenvalues of a Hermitian matrix (no eigenvectors)."""
-    m = as_square_matrix(h)
-    scale = frobenius(m)
-    if frobenius(m - m.conj().T) > HERMITIAN_RTOL * max(scale, np.finfo(float).tiny):
-        raise ValueError("input is not Hermitian within tolerance")
+    sym = as_hermitian(h)
     try:
-        return np.linalg.eigvalsh((m + m.conj().T) / 2.0)
+        return np.linalg.eigvalsh(sym)
     except np.linalg.LinAlgError as exc:
         raise NotConvergedError(str(exc)) from exc
 
@@ -134,6 +145,14 @@ def leading_principal_submatrix(a, k: int) -> np.ndarray:
     if not 1 <= k <= m.shape[0]:
         raise IndexError(f"k must be in 1..{m.shape[0]}, got {k}")
     return m[:k, :k].copy()
+
+
+def principal_abs_minors(a) -> np.ndarray:
+    """|det A_k| for k = 1..n, each from its own pivoted LU."""
+    m = as_square_matrix(a)
+    return np.array(
+        [abs(determinant(leading_principal_submatrix(m, k))) for k in range(1, m.shape[0] + 1)]
+    )
 
 
 def hermitian_sqrt(h) -> np.ndarray:

@@ -14,9 +14,6 @@ from .errors import (
     SingularMatrixError,
 )
 
-# Relative floor below which Re A no longer counts as positive definite.
-PD_RTOL = 1e-12
-
 
 def validate_partition(n: int, p: int) -> int:
     p = int(p)
@@ -78,8 +75,7 @@ def cartesian_schur_identity(a, p: int) -> CartesianSchurParts:
     m = linalg.as_square_matrix(a)
     p = validate_partition(m.shape[0], p)
     re, im = linalg.cartesian_split(m)
-    scale = linalg.frobenius(m)
-    if float(linalg.hermitian_eigenvalues(re)[0]) <= PD_RTOL * scale:
+    if not linalg.is_positive_definite(re, linalg.frobenius(m)):
         raise NotAccretiveError("real part is not positive definite")
 
     m11 = re[:p, :p]
@@ -118,7 +114,7 @@ def real_inverse_identity(a) -> float:
     """
     m = linalg.as_square_matrix(a)
     re, im = linalg.cartesian_split(m)
-    if float(linalg.hermitian_eigenvalues(re)[0]) <= PD_RTOL * linalg.frobenius(m):
+    if not linalg.is_positive_definite(re, linalg.frobenius(m)):
         raise NotAccretiveError("real part is not positive definite")
     inv_a = linalg.inverse(m)
     lhs = linalg.cartesian_split(inv_a).re

@@ -11,8 +11,6 @@ import numpy as np
 from . import linalg
 from .errors import NotSectorialError
 
-# The real part counts as positive definite above this relative floor.
-PD_RTOL = 1e-12
 # Default slack granted to boundary eigenvalues in membership tests.
 MEMBERSHIP_TOL = 1e-9
 
@@ -73,7 +71,7 @@ def in_sector(a, alpha: float, tol: float = MEMBERSHIP_TOL) -> SectorMembership:
         if float(np.linalg.eigvalsh(h)[0]) < floor:
             return SectorMembership(False, _witness(m, h, beta))
     h = rotated_real_part(m, 0.0)
-    if float(np.linalg.eigvalsh(h)[0]) <= PD_RTOL * scale:
+    if not linalg.is_positive_definite(h, scale):
         return SectorMembership(False, _witness(m, h, 0.0))
     return SectorMembership(True)
 
@@ -111,7 +109,7 @@ def sectorial_decompose(a) -> SectorialDecomposition:
     re, im = linalg.cartesian_split(m)
     scale = linalg.frobenius(m)
     hw, hv = linalg.hermitian_eigen(re)
-    if float(hw[0]) <= PD_RTOL * scale:
+    if float(hw[0]) <= linalg.PD_RTOL * scale:
         raise NotSectorialError(
             f"real part is not positive definite (min eigenvalue {hw[0]:.3e})"
         )

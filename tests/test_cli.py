@@ -1,13 +1,15 @@
 import json
 import math
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import sectoria as s
-from sectoria.cli import main, read_matrix, write_matrix
+from sectoria.cli import CHECKS, main, read_matrix, run_trials, write_matrix
 
 PI4 = math.pi / 4
 
@@ -131,6 +133,31 @@ class TestCheckCommand:
         monkeypatch.setenv("SECTORIA_TOL", "not-a-number")
         assert main(["check", "schur-wrongsec", paths["sect_a"]]) == 1
 
+    @pytest.mark.parametrize("bad", ["nan", "-1", "inf", "-inf"])
+    def test_bad_tol_is_usage_error(self, files, capsys, monkeypatch, bad):
+        _, paths = files
+        # Each of these holds with positive slack, so exit 3 would be a false violation.
+        main1 = ["check", "main1", paths["sect_a"], paths["sect_b"], "--alpha", repr(PI4)]
+        hartfiel = ["check", "hartfiel", paths["pd_a"], paths["pd_b"]]
+        trials = ["trials", "main2", "--n", "3", "--alpha", "0.5", "--trials", "3"]
+        for argv in (main1, hartfiel, trials):
+            assert main(argv + ["--tol", bad]) == 1
+            monkeypatch.setenv("SECTORIA_TOL", bad)
+            assert main(argv) == 1
+            monkeypatch.delenv("SECTORIA_TOL")
+            out, err = capsys.readouterr()
+            assert out == "" and "finite and nonnegative" in err
+        assert main(hartfiel + ["--tol", "0"]) == 0
+        assert json.loads(capsys.readouterr().out)["tol"] == 0.0
+
+    def test_partition_out_of_range_is_usage_error(self, files, capsys):
+        _, paths = files
+        pair = [paths["sect_a"], paths["sect_b"], "--alpha", repr(PI4)]
+        assert main(["check", "main1"] + pair + ["--partition", "9"]) == 1
+        assert main(["check", "det-step"] + pair + ["--partition", "0"]) == 1
+        assert "--partition must satisfy 1 <= p <= 3" in capsys.readouterr().err
+        assert main(["check", "det-step"] + pair + ["--partition", "3"]) == 0
+
 
 class TestTrialsCommand:
     def test_pd_suite_passes(self, capsys):
@@ -182,6 +209,71 @@ class TestTrialsCommand:
         assert main(["trials", "hartfiel", "--n", "3", "--trials", "0"]) == 1
         assert main(["trials", "nope", "--n", "3"]) == 1
         assert main(["trials", "main1", "--n", "3", "--partition", "5"]) == 1
+
+
+OPERANDS = {
+    "pd_pair": ("p", "q"),
+    "sectorial_pair": ("a", "b"),
+    "ad_pair": ("c", "d"),
+    "single": ("a",),
+    "sequence": ("a", "b"),
+}
+
+
+@pytest.fixture(scope="module")
+def family_files(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("families")
+    paths = {}
+    for i, (key, gen) in enumerate([
+        ("a", lambda seed: s.gen_sectorial(3, PI4, seed)),
+        ("b", lambda seed: s.gen_sectorial(3, PI4, seed)),
+        ("p", lambda seed: s.gen_positive_definite(3, seed)),
+        ("q", lambda seed: s.gen_positive_definite(3, seed)),
+        ("c", lambda seed: s.gen_accretive_dissipative(3, seed)),
+        ("d", lambda seed: s.gen_accretive_dissipative(3, seed)),
+    ]):
+        paths[key] = str(tmp / f"{key}.json")
+        write_matrix(paths[key], gen(s.child_seed(21, i)))
+    return paths
+
+
+class TestRegistry:
+    @pytest.mark.parametrize("name", list(CHECKS))
+    def test_every_check_runs_through_check_and_trials(self, name, family_files, capsys):
+        family = CHECKS[name].family
+        files = [family_files[k] for k in OPERANDS[family]]
+        alpha = ["--alpha", repr(PI4)] if family == "sectorial_pair" else []
+        expected = 3 if name == "schur-wrongsec" else 0  # the uncorrected bound fails
+        assert main(["check", name] + files + alpha) == expected
+        assert json.loads(capsys.readouterr().out)["name"] == name
+        argv = ["trials", name, "--n", "3", "--alpha", repr(PI4), "--trials", "4", "--seed", "5"]
+        assert main(argv) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["name"] == name and doc["trials"] == 4
+
+    def test_operand_count_and_alpha_follow_family(self, family_files, capsys):
+        for name, check in CHECKS.items():
+            files = [family_files[k] for k in OPERANDS[check.family]]
+            alpha = ["--alpha", "0.5"]
+            other = [family_files["b"]] if len(files) == 1 else []
+            assert main(["check", name] + files[:1] + other + alpha) == 1, name
+            if check.family == "sectorial_pair":
+                assert main(["check", name] + files) == 1, name
+        assert "requires --alpha" in capsys.readouterr().err
+
+    def test_falsifier_is_the_worst_trial_of_the_suite(self):
+        cfg = s.TrialConfig(seed=4, n=3, alpha=PI4, trials=15)
+        suite = run_trials("schur-wrongsec", cfg, s.DEFAULT_TOL)
+        assert s.falsify_schur_wrongsec(cfg).slack == suite.min_slack
+
+    def test_readme_table_matches_registry(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        rows = {}
+        for line in readme.splitlines():
+            cells = [c.strip() for c in re.split(r"(?<!\\)\|", line)[1:-1]]
+            if len(cells) == 4 and cells[0].startswith("`"):
+                rows[cells[0].strip("`")] = cells[3].strip("`")
+        assert rows == {name: check.family for name, check in CHECKS.items()}
 
 
 class TestBoundaryCommand:

@@ -18,6 +18,7 @@ from sectoria import (
     singular_values,
     solve,
 )
+from sectoria.linalg import principal_abs_minors
 from oracles import eigenvalues_by_charpoly
 
 
@@ -175,6 +176,18 @@ class TestLeadingPrincipalSubmatrix:
     def test_out_of_range(self, k):
         with pytest.raises(IndexError):
             leading_principal_submatrix(np.eye(2), k)
+
+
+class TestPrincipalAbsMinors:
+    def test_triangular(self):
+        a = np.array([[2.0, 5.0, 1.0], [0.0, -3.0, 7.0], [0.0, 0.0, 0.5]])
+        np.testing.assert_array_equal(principal_abs_minors(a), [2.0, 6.0, 3.0])
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_one_determinant_per_block(self, seed):
+        a = random_matrix(6, seed)
+        expected = [abs(determinant(a[:k, :k])) for k in range(1, 7)]
+        np.testing.assert_array_equal(principal_abs_minors(a), expected)
 
 
 class TestHermitianSqrt:
