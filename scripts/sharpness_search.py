@@ -18,14 +18,14 @@ import math
 import numpy as np
 
 import sectoria as s
-from sectoria.inequalities import ratio_sum_rhs, real_schur_terms
-from sectoria.linalg import principal_abs_minors
+from sectoria.inequalities import log_ratio_sum_rhs, real_schur_terms
+from sectoria.linalg import log_abs_determinant, log_abs_leading_minors
 
 
 def needed_det_exponent(a, b, alpha):
-    rhs = ratio_sum_rhs(principal_abs_minors(a), principal_abs_minors(b), with_sqrt=True)
-    base = abs(s.determinant(a + b))
-    return math.log(rhs / base) / math.log(1.0 / math.cos(alpha))
+    la = log_abs_leading_minors(a)
+    log_rhs = log_ratio_sum_rhs(la[-1], log_abs_leading_minors(b) - la, with_sqrt=True)
+    return (log_rhs - log_abs_determinant(a + b)) / -math.log(math.cos(alpha))
 
 
 def needed_loewner_exponent(a, b, alpha, p):

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import OmegaPrimeEmptyError
 from .generators import rng_stream
-from .inequalities import DEFAULT_TOL, InequalityReport, ratio_sum_rhs, scalar_report
+from .inequalities import DEFAULT_TOL, InequalityReport, log_ratio_sum_rhs, scalar_report
 
 MAX_SUBSET_N = 20
 
@@ -125,10 +125,12 @@ def check_claim2(pair: PositiveSequencePair, tol: float = DEFAULT_TOL) -> Inequa
     """prod_k (a_k/a_{k-1} + b_k/b_{k-1})
     >= a_n (1 + sum_s b_s/a_s) + b_n (1 + sum_s a_s/b_s) + (2^n - 2n) sqrt(a_n b_n),
     with the sums over s = 1..n-1."""
-    a, b = pair.a, pair.b
-    lhs = float(np.prod(a[1:] / a[:-1] + b[1:] / b[:-1]))
-    rhs = ratio_sum_rhs(a[1:], b[1:], with_sqrt=True)
-    return scalar_report("claim2", lhs, rhs, tol)
+    x = np.log(pair.b / pair.a)
+    log_an = math.log(pair.a[-1])
+    # a_k/a_{k-1} + b_k/b_{k-1} = (a_k/a_{k-1}) (1 + e^{x_k - x_{k-1}}), and the
+    # first factors telescope to a_n.
+    log_lhs = log_an + float(np.logaddexp(0.0, x[1:] - x[:-1]).sum())
+    return scalar_report("claim2", log_lhs, log_ratio_sum_rhs(log_an, x[1:], with_sqrt=True), tol)
 
 
 def claim2_am_gm_bound(x) -> tuple[float, float]:

@@ -101,16 +101,10 @@ def _block(a: np.ndarray, partition: int | None) -> int:
     return partition if partition is not None else max(a.shape[0] // 2, 1)
 
 
-def _det_step(a, b, alpha, partition, tol) -> ineq.InequalityReport:
-    """det-step at step ``partition``, or the worst over every k when omitted."""
-    if partition is not None:
-        return ineq.check_det_step(a, b, alpha, partition, tol)
-    reports = [ineq.check_det_step(a, b, alpha, k, tol) for k in range(1, a.shape[0])]
-    return min(reports, key=lambda r: r.slack)
-
-
 class Check(NamedTuple):
-    """A named check: its operand family and ``evaluate(a, b, alpha, partition, tol)``.
+    """A named check: its operand family, ``evaluate(a, b, alpha, partition, tol)``,
+    and whether it splits A into a leading block and the rest (or steps
+    k = 1..n-1), so that it needs n >= 2.
 
     ``b`` is None for the single family, ``a`` is a PositiveSequencePair for the
     sequence family, and a ``partition`` of None selects the default.
@@ -118,22 +112,23 @@ class Check(NamedTuple):
 
     family: str
     evaluate: Callable[..., ineq.InequalityReport]
+    partitioned: bool = False
 
 
 CHECKS = {
     "det-superadditivity": Check("pd_pair", lambda a, b, alpha, p, tol: ineq.check_det_superadditivity(a, b, tol)),
     "haynsworth": Check("pd_pair", lambda a, b, alpha, p, tol: ineq.check_haynsworth(a, b, tol)),
     "hartfiel": Check("pd_pair", lambda a, b, alpha, p, tol: ineq.check_hartfiel(a, b, tol)),
-    "schur-pd": Check("pd_pair", lambda a, b, alpha, p, tol: ineq.check_schur_pd(a, b, _block(a, p), tol)),
-    "main1": Check("sectorial_pair", lambda a, b, alpha, p, tol: ineq.check_main1(a, b, alpha, _block(a, p), tol)),
+    "schur-pd": Check("pd_pair", lambda a, b, alpha, p, tol: ineq.check_schur_pd(a, b, _block(a, p), tol), True),
+    "main1": Check("sectorial_pair", lambda a, b, alpha, p, tol: ineq.check_main1(a, b, alpha, _block(a, p), tol), True),
     "main2": Check("sectorial_pair", lambda a, b, alpha, p, tol: ineq.check_main2(a, b, alpha, tol)),
-    "det-step": Check("sectorial_pair", _det_step),
+    "det-step": Check("sectorial_pair", lambda a, b, alpha, p, tol: ineq.check_det_step(a, b, alpha, p, tol), True),
     "lemma-2-4": Check("single", lambda a, b, alpha, p, tol: ineq.check_inverse_real_part(a, tol)),
-    "lemma-2-5": Check("single", lambda a, b, alpha, p, tol: ineq.check_schur_real_part(a, _block(a, p), tol)),
+    "lemma-2-5": Check("single", lambda a, b, alpha, p, tol: ineq.check_schur_real_part(a, _block(a, p), tol), True),
     "lemma-2-6": Check("single", lambda a, b, alpha, p, tol: ineq.check_ostrowski_taussky_complement(a, tol)),
-    "claim1": Check("single", lambda a, b, alpha, p, tol: ineq.check_claim1(a, _block(a, p), tol)),
+    "claim1": Check("single", lambda a, b, alpha, p, tol: ineq.check_claim1(a, _block(a, p), tol), True),
     "weak-log-major": Check("single", lambda a, b, alpha, p, tol: ineq.check_weak_log_majorization(a, tol)),
-    "schur-wrongsec": Check("single", lambda a, b, alpha, p, tol: ineq.check_schur_wrongsec(a, _block(a, p), tol)),
+    "schur-wrongsec": Check("single", lambda a, b, alpha, p, tol: ineq.check_schur_wrongsec(a, _block(a, p), tol), True),
     "corollary-ad": Check("ad_pair", lambda a, b, alpha, p, tol: ineq.check_corollary_ad(a, b, tol)),
     "claim2": Check("sequence", lambda pair, _, alpha, p, tol: claim2_mod.check_claim2(pair, tol)),
 }
@@ -154,18 +149,22 @@ FAMILIES = {
 }
 
 
-def _lookup(name: str) -> Check:
+def _lookup(name: str, n: int | None = None) -> Check:
+    """The check called ``name``; with ``n`` given, also require n >= 2 of a
+    partitioned check."""
     try:
-        return CHECKS[name]
+        check = CHECKS[name]
     except KeyError:
         raise UsageError(f"unknown check {name!r}; available: {', '.join(CHECKS)}") from None
+    if check.partitioned and n is not None and n < 2:
+        raise UsageError(f"check {name!r} needs n >= 2, got n = {n}")
+    return check
 
 
 def _minor_sequences(a: np.ndarray, b: np.ndarray) -> claim2_mod.PositiveSequencePair:
-    """claim2's sequences (1, |det A_1|, ..., |det A_n|) from the two operands."""
-    da, db = (np.concatenate(([1.0], linalg.principal_abs_minors(m))) for m in (a, b))
-    if np.any(da[1:] <= 0.0) or np.any(db[1:] <= 0.0):
-        raise SectoriaError("a principal minor is singular; sequences must be positive")
+    """claim2's sequences (1, |det A_1|, ..., |det A_n|) from the two operands;
+    a minor outside the float range fails the pair's positivity check."""
+    da, db = (np.exp(np.concatenate(([0.0], linalg.log_abs_leading_minors(m)))) for m in (a, b))
     return claim2_mod.PositiveSequencePair(da, db)
 
 
@@ -178,7 +177,7 @@ def run_check(
     tol: float,
 ) -> ineq.InequalityReport:
     """Dispatch a named check against parsed operands."""
-    family, evaluate = _lookup(name)
+    family, evaluate, _ = _lookup(name, a.shape[0])
     if family != "single" and b is None:
         raise UsageError(f"check {name!r} requires two matrix files")
     if family == "single" and b is not None:
@@ -221,7 +220,7 @@ class SuiteSummary:
 
 
 def _trial_reports(name: str, config: TrialConfig, tol: float) -> list[ineq.InequalityReport]:
-    family, evaluate = _lookup(name)
+    family, evaluate, _ = _lookup(name, config.n)
     draw = FAMILIES[family]
     return [
         evaluate(*draw(config, i), config.alpha, config.partition, tol)
@@ -233,16 +232,21 @@ def run_trials(name: str, config: TrialConfig, tol: float) -> SuiteSummary:
     """Run ``config.trials`` independent trials of a named check.
 
     Trials draw from substreams indexed by trial number, so the summary is
-    identical no matter how the trials would be scheduled.
+    identical no matter how the trials would be scheduled.  A NaN slack in
+    any trial makes both slack statistics NaN.
     """
     reports = _trial_reports(name, config, tol)
     slacks = [r.slack for r in reports]
+    if any(math.isnan(x) for x in slacks):
+        lowest = middle = math.nan
+    else:
+        lowest, middle = min(slacks), float(statistics.median(slacks))
     return SuiteSummary(
         name=name,
         trials=config.trials,
         failures=sum(1 for r in reports if not r.holds),
-        min_slack=min(slacks),
-        median_slack=float(statistics.median(slacks)),
+        min_slack=lowest,
+        median_slack=middle,
         seed=config.seed,
         n=config.n,
         alpha=config.alpha,

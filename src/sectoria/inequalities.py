@@ -3,13 +3,15 @@ inequality family.
 
 Each checker validates its preconditions, evaluates both sides of one
 inequality, and returns an :class:`InequalityReport` whose ``slack`` is
-scale-free: scalar checks divide LHS - RHS by max(|LHS|, |RHS|, 1), Loewner
-checks divide the minimum eigenvalue of LHS - RHS by ||LHS||_F.
+scale-free: scalar checks evaluate (LHS - RHS) / max(LHS, RHS) from log LHS
+and log RHS, so products of determinants never overflow; Loewner checks
+divide the minimum eigenvalue of LHS - RHS by ||LHS||_F.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -29,6 +31,9 @@ DEFAULT_TOL = 1e-8
 # Loewner differences must be Hermitian to this relative level before
 # eigensolving; a violation indicates a checker bug, not a bad input.
 HERMITIAN_GUARD = 1e-10
+# log of the largest finite float: exp overflows above it.
+_LOG_MAX = math.log(sys.float_info.max)
+_LOG2 = math.log(2.0)
 
 
 @dataclass(frozen=True)
@@ -60,11 +65,27 @@ class InequalityReport:
         )
 
 
-def scalar_report(name: str, lhs: float, rhs: float, tol: float, detail: str = "") -> InequalityReport:
-    slack = (lhs - rhs) / max(abs(lhs), abs(rhs), 1.0)
-    if not detail:
-        detail = f"lhs={lhs:.12e} rhs={rhs:.12e}"
-    return InequalityReport(name, "scalar", float(slack), bool(slack >= -tol), float(tol), detail)
+def _exp(x: float) -> float:
+    """exp(x), or inf where it overflows."""
+    return math.inf if x > _LOG_MAX else math.exp(x)
+
+
+def _format_log(label: str, log_value: float) -> str:
+    """``label=value``, or ``log_label=log value`` where the value is out of range."""
+    if abs(log_value) > _LOG_MAX:
+        return f"log_{label}={log_value:.12e}"
+    return f"{label}={math.exp(log_value):.12e}"
+
+
+def scalar_report(name: str, log_lhs: float, log_rhs: float, tol: float, detail: str = "") -> InequalityReport:
+    """Report LHS >= RHS for positive sides given by their logs; ``detail``
+    is appended to the two sides.  The slack (LHS - RHS) / max(LHS, RHS)
+    increases with d = log LHS - log RHS and is evaluated from d alone."""
+    d = float(log_lhs - log_rhs)
+    slack = math.copysign(-math.expm1(-abs(d)), d)
+    sides = f"{_format_log('lhs', log_lhs)} {_format_log('rhs', log_rhs)}"
+    detail = f"{sides} {detail}" if detail else sides
+    return InequalityReport(name, "scalar", slack, bool(slack >= -tol), float(tol), detail)
 
 
 def loewner_report(name: str, lhs: np.ndarray, rhs: np.ndarray, tol: float, detail: str = "") -> InequalityReport:
@@ -117,17 +138,30 @@ def _require_pair(a: np.ndarray, b: np.ndarray) -> None:
         raise ValueError(f"operands must share a dimension, got {a.shape} and {b.shape}")
 
 
-def ratio_sum_rhs(da: np.ndarray, db: np.ndarray, with_sqrt: bool) -> float:
-    """(1 + sum db_k/da_k) da_n + (1 + sum da_k/db_k) db_n, optionally plus
-    (2^n - 2n) sqrt(da_n db_n); sums run over k = 1..n-1 of the positive
-    sequences da = (da_1..da_n) and db = (db_1..db_n)."""
-    n = len(da)
-    sum_ba = float(np.sum(db[:-1] / da[:-1]))
-    sum_ab = float(np.sum(da[:-1] / db[:-1]))
-    rhs = (1.0 + sum_ba) * float(da[-1]) + (1.0 + sum_ab) * float(db[-1])
-    if with_sqrt:
-        rhs += (2.0 ** n - 2.0 * n) * math.sqrt(float(da[-1]) * float(db[-1]))
-    return rhs
+def log_ratio_sum_rhs(log_an: float, x: np.ndarray, with_sqrt: bool) -> float:
+    """log of (1 + sum b_k/a_k) a_n + (1 + sum a_k/b_k) b_n, optionally plus
+    (2^n - 2n) sqrt(a_n b_n), with the sums over k = 1..n-1, for positive
+    sequences a_1..a_n and b_1..b_n given as ``log_an`` = log a_n and
+    x_k = log(b_k / a_k) for k = 1..n.  Evaluated as a logsumexp of the 2n (or
+    2n + 1) terms, so it never overflows."""
+    n = len(x)
+    r = float(x[-1])  # log(b_n / a_n)
+    # Terms over a_n: 1, b_n/a_n, b_k/a_k, (b_n/a_n)(a_k/b_k) and
+    # (2^n - 2n) sqrt(b_n/a_n), where 2^n - 2n vanishes for n <= 2.
+    ratios = np.concatenate((x[:-1], r - x[:-1]))
+    root = -math.inf
+    if with_sqrt and n >= 3:
+        root = n * _LOG2 + math.log1p(-2.0 * n * 2.0 ** -n) + 0.5 * r
+    top = max(float(ratios.max(initial=0.0)), r, root)
+    total = float(np.exp(ratios - top).sum())
+    total += math.exp(-top) + math.exp(r - top) + math.exp(root - top)
+    return float(log_an) + top + math.log(total)
+
+
+def _log_minor_ratio_sum(a: np.ndarray, b: np.ndarray) -> float:
+    """log_ratio_sum_rhs, with the sqrt term, of the leading minors of A and B."""
+    la = linalg.log_abs_leading_minors(a)
+    return log_ratio_sum_rhs(la[-1], linalg.log_abs_leading_minors(b) - la, with_sqrt=True)
 
 
 class DeterminantBoundLevels(NamedTuple):
@@ -139,46 +173,45 @@ class DeterminantBoundLevels(NamedTuple):
     sqrt_refined: float    # additionally with the (2^n - 2n) sqrt(det A det B) term
 
 
-def determinant_bound_levels(a, b) -> DeterminantBoundLevels:
-    """Evaluate det(A+B) and the nested bound ladder for PD operands."""
+def _log_bound_levels(a, b) -> DeterminantBoundLevels:
+    """The logs of det(A+B) and of its three lower bounds for PD operands."""
     ha = _require_pd(a, "A")
     hb = _require_pd(b, "B")
     _require_pair(ha, hb)
-    da = linalg.principal_abs_minors(ha)
-    db = linalg.principal_abs_minors(hb)
-    lhs = abs(linalg.determinant(ha + hb))
+    la = linalg.log_abs_leading_minors(ha)
+    x = linalg.log_abs_leading_minors(hb) - la
     return DeterminantBoundLevels(
-        lhs,
-        float(da[-1] + db[-1]),
-        ratio_sum_rhs(da, db, with_sqrt=False),
-        ratio_sum_rhs(da, db, with_sqrt=True),
+        linalg.log_abs_determinant(ha + hb),
+        log_ratio_sum_rhs(la[-1], x[-1:], with_sqrt=False),  # det A + det B
+        log_ratio_sum_rhs(la[-1], x, with_sqrt=False),
+        log_ratio_sum_rhs(la[-1], x, with_sqrt=True),
     )
+
+
+def determinant_bound_levels(a, b) -> DeterminantBoundLevels:
+    """Evaluate det(A+B) and the nested bound ladder for PD operands; a
+    level too large for a float is inf."""
+    return DeterminantBoundLevels(*(_exp(x) for x in _log_bound_levels(a, b)))
 
 
 def check_det_superadditivity(a, b, tol: float = DEFAULT_TOL) -> InequalityReport:
     """det(A+B) >= det A + det B for Hermitian positive definite A and B."""
-    levels = determinant_bound_levels(a, b)
+    levels = _log_bound_levels(a, b)
     return scalar_report("det-superadditivity", levels.lhs, levels.superadditive, tol)
 
 
 def check_haynsworth(a, b, tol: float = DEFAULT_TOL) -> InequalityReport:
     """det(A+B) >= (1 + sum det B_k / det A_k) det A
     + (1 + sum det A_k / det B_k) det B for PD operands."""
-    levels = determinant_bound_levels(a, b)
-    detail = (
-        f"lhs={levels.lhs:.12e} rhs={levels.ratio_refined:.12e} "
-        f"rhs_minus_superadditive={levels.ratio_refined - levels.superadditive:.6e}"
-    )
+    levels = _log_bound_levels(a, b)
+    detail = f"log_rhs_over_superadditive={levels.ratio_refined - levels.superadditive:.6e}"
     return scalar_report("haynsworth", levels.lhs, levels.ratio_refined, tol, detail)
 
 
 def check_hartfiel(a, b, tol: float = DEFAULT_TOL) -> InequalityReport:
     """The ratio-sum determinant bound sharpened by (2^n - 2n) sqrt(det A det B)."""
-    levels = determinant_bound_levels(a, b)
-    detail = (
-        f"lhs={levels.lhs:.12e} rhs={levels.sqrt_refined:.12e} "
-        f"rhs_minus_ratio_refined={levels.sqrt_refined - levels.ratio_refined:.6e}"
-    )
+    levels = _log_bound_levels(a, b)
+    detail = f"log_rhs_over_ratio_refined={levels.sqrt_refined - levels.ratio_refined:.6e}"
     return scalar_report("hartfiel", levels.lhs, levels.sqrt_refined, tol, detail)
 
 
@@ -216,10 +249,9 @@ def check_ostrowski_taussky_complement(a, tol: float = DEFAULT_TOL) -> Inequalit
     alpha = sector.sector_angle(m)
     n = m.shape[0]
     re = linalg.cartesian_split(m).re
-    lhs = (1.0 / math.cos(alpha)) ** n * abs(linalg.determinant(re))
-    rhs = abs(linalg.determinant(m))
-    detail = f"alpha={alpha:.9f} lhs={lhs:.12e} rhs={rhs:.12e}"
-    return scalar_report("lemma-2-6", lhs, rhs, tol, detail)
+    log_lhs = -n * math.log(math.cos(alpha)) + linalg.log_abs_determinant(re)
+    log_rhs = linalg.log_abs_determinant(m)
+    return scalar_report("lemma-2-6", log_lhs, log_rhs, tol, f"alpha={alpha:.9f}")
 
 
 def check_weak_log_majorization(a, tol: float = DEFAULT_TOL) -> InequalityReport:
@@ -286,27 +318,38 @@ def check_schur_wrongsec(a, p: int, tol: float = DEFAULT_TOL) -> InequalityRepor
     return loewner_report("schur-wrongsec", lhs, rhs, tol)
 
 
-def check_det_step(a, b, alpha: float, k: int, tol: float = DEFAULT_TOL) -> InequalityReport:
+def check_det_step(
+    a, b, alpha: float, k: int | None = None, tol: float = DEFAULT_TOL
+) -> InequalityReport:
     """sec^3(alpha) |det(A_{k+1}+B_{k+1}) / det(A_k+B_k)|
-    >= |det A_{k+1} / det A_k| + |det B_{k+1} / det B_k|."""
+    >= |det A_{k+1} / det A_k| + |det B_{k+1} / det B_k|.
+
+    With ``k`` None every step k = 1..n-1 is checked and the worst one is
+    reported.  Sector membership is tested once, and each of A, B and A+B is
+    factored once (only its leading (k+1)-by-(k+1) block for a single k).
+    """
     alpha = sector.validate_sector_angle(alpha)
     ma = _require_in_sector(a, alpha, tol, "A")
     mb = _require_in_sector(b, alpha, tol, "B")
     _require_pair(ma, mb)
     n = ma.shape[0]
-    if not 1 <= k <= n - 1:
+    if k is None:
+        if n < 2:
+            raise ValueError("det-step needs n >= 2")
+        first, size = 1, n
+    elif not 1 <= k <= n - 1:
         raise ValueError(f"k must satisfy 1 <= k <= {n - 1}, got {k}")
-    sec3 = (1.0 / math.cos(alpha)) ** 3
+    else:
+        first, size = k, k + 1
 
-    def ratio(m):
-        top = abs(linalg.determinant(linalg.leading_principal_submatrix(m, k + 1)))
-        bottom = abs(linalg.determinant(linalg.leading_principal_submatrix(m, k)))
-        return top / bottom
+    def log_steps(m):
+        """log|det M_{j+1} / det M_j| for j = first..size-1."""
+        return np.diff(linalg.log_abs_leading_minors(m[:size, :size]))[first - 1:]
 
-    lhs = sec3 * ratio(ma + mb)
-    rhs = ratio(ma) + ratio(mb)
-    detail = f"k={k} lhs={lhs:.12e} rhs={rhs:.12e}"
-    return scalar_report("det-step", lhs, rhs, tol, detail)
+    log_lhs = -3.0 * math.log(math.cos(alpha)) + log_steps(ma + mb)
+    log_rhs = np.logaddexp(log_steps(ma), log_steps(mb))
+    worst = int(np.argmin(log_lhs - log_rhs))  # slack increases with the log gap
+    return scalar_report("det-step", log_lhs[worst], log_rhs[worst], tol, f"k={first + worst}")
 
 
 def check_main2(a, b, alpha: float, tol: float = DEFAULT_TOL) -> InequalityReport:
@@ -317,12 +360,9 @@ def check_main2(a, b, alpha: float, tol: float = DEFAULT_TOL) -> InequalityRepor
     mb = _require_in_sector(b, alpha, tol, "B")
     _require_pair(ma, mb)
     n = ma.shape[0]
-    da = linalg.principal_abs_minors(ma)
-    db = linalg.principal_abs_minors(mb)
-    lhs = (1.0 / math.cos(alpha)) ** (3 * n - 2) * abs(linalg.determinant(ma + mb))
-    rhs = ratio_sum_rhs(da, db, with_sqrt=True)
-    detail = f"alpha={alpha:.9f} lhs={lhs:.12e} rhs={rhs:.12e}"
-    return scalar_report("main2", lhs, rhs, tol, detail)
+    log_lhs = -(3 * n - 2) * math.log(math.cos(alpha)) + linalg.log_abs_determinant(ma + mb)
+    log_rhs = _log_minor_ratio_sum(ma, mb)
+    return scalar_report("main2", log_lhs, log_rhs, tol, f"alpha={alpha:.9f}")
 
 
 def check_corollary_ad(a, b, tol: float = DEFAULT_TOL) -> InequalityReport:
@@ -338,11 +378,7 @@ def check_corollary_ad(a, b, tol: float = DEFAULT_TOL) -> InequalityReport:
             raise NotAccretiveDissipativeError(
                 f"{what} must have positive definite real and imaginary parts"
             )
-    n = ma.shape[0]
-    const = 2.0 ** (1.5 * n - 1.0)
-    da = linalg.principal_abs_minors(ma)
-    db = linalg.principal_abs_minors(mb)
-    lhs = const * abs(linalg.determinant(ma + mb))
-    rhs = ratio_sum_rhs(da, db, with_sqrt=True)
-    detail = f"constant={const!r} lhs={lhs:.12e} rhs={rhs:.12e}"
-    return scalar_report("corollary-ad", lhs, rhs, tol, detail)
+    exponent = 1.5 * ma.shape[0] - 1.0
+    log_lhs = exponent * _LOG2 + linalg.log_abs_determinant(ma + mb)
+    log_rhs = _log_minor_ratio_sum(ma, mb)
+    return scalar_report("corollary-ad", log_lhs, log_rhs, tol, f"constant=2**{exponent!r}")

@@ -99,16 +99,21 @@ def hermitian_eigenvalues(h) -> np.ndarray:
         raise NotConvergedError(str(exc)) from exc
 
 
+def _require_pivot(pivot_abs: float, scale: float) -> None:
+    """Reject a pivot magnitude below ``PIVOT_RTOL * ||A||_F`` (or NaN)."""
+    if scale == 0.0 or not pivot_abs >= PIVOT_RTOL * scale:
+        raise SingularMatrixError(
+            f"pivot below {PIVOT_RTOL:g} * ||A||_F; matrix is numerically singular"
+        )
+
+
 def _lu_factor(m: np.ndarray):
     """LU with partial pivoting; rejects pivots below the relative threshold."""
     scale = frobenius(m)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         lu, piv = scipy.linalg.lu_factor(m, check_finite=False)
-    if scale == 0.0 or float(np.min(np.abs(np.diag(lu)))) < PIVOT_RTOL * scale:
-        raise SingularMatrixError(
-            f"pivot below {PIVOT_RTOL:g} * ||A||_F; matrix is numerically singular"
-        )
+    _require_pivot(float(np.min(np.abs(np.diag(lu)))), scale)
     return lu, piv
 
 
@@ -147,12 +152,54 @@ def leading_principal_submatrix(a, k: int) -> np.ndarray:
     return m[:k, :k].copy()
 
 
-def principal_abs_minors(a) -> np.ndarray:
-    """|det A_k| for k = 1..n, each from its own pivoted LU."""
-    m = as_square_matrix(a)
-    return np.array(
-        [abs(determinant(leading_principal_submatrix(m, k))) for k in range(1, m.shape[0] + 1)]
+def log_abs_determinant(a) -> float:
+    """log|det A| as the sum of log|u_jj| over one pivoted LU (-inf if singular)."""
+    return float(np.linalg.slogdet(as_square_matrix(a))[1])
+
+
+# Blocks up to this order are eliminated one column at a time; a larger one
+# is split in two, coupled by two triangular solves and one matrix product.
+_ELIMINATION_BLOCK = 32
+
+
+def _eliminate(u: np.ndarray, scale: float, pivots: np.ndarray) -> None:
+    """Overwrite the square view ``u`` with its LU factors without pivoting
+    (unit lower L below the diagonal, U on and above it) and store the pivot
+    magnitudes |u_jj| in ``pivots``."""
+    n = u.shape[0]
+    if n <= _ELIMINATION_BLOCK:
+        for j in range(n):
+            pivots[j] = abs(u[j, j])
+            _require_pivot(pivots[j], scale)
+            column = u[j + 1:, j]
+            column /= u[j, j]
+            u[j + 1:, j + 1:] -= np.multiply.outer(column, u[j, j + 1:])
+        return
+    h = n // 2
+    _eliminate(u[:h, :h], scale, pivots[:h])
+    u[:h, h:] = scipy.linalg.solve_triangular(
+        u[:h, :h], u[:h, h:], lower=True, unit_diagonal=True, check_finite=False
     )
+    u[h:, :h] = scipy.linalg.solve_triangular(
+        u[:h, :h], u[h:, :h].T, trans="T", check_finite=False
+    ).T
+    u[h:, h:] -= u[h:, :h] @ u[:h, h:]
+    _eliminate(u[h:, h:], scale, pivots[h:])
+
+
+def log_abs_leading_minors(a) -> np.ndarray:
+    """log|det A_k| for k = 1..n from one elimination without pivoting.
+
+    Without row exchanges the k-th pivot is the scalar Schur complement
+    det A_k / det A_{k-1}, so the logs of the pivot magnitudes sum to the
+    leading minors.  Elimination without pivoting is stable when Re A is
+    positive definite (Golub & Van Loan, Matrix Computations, 4.4); a pivot
+    below ``PIVOT_RTOL * ||A||_F`` raises :class:`SingularMatrixError`.
+    """
+    u = as_square_matrix(a)  # a fresh copy, eliminated in place
+    pivots = np.empty(u.shape[0])
+    _eliminate(u, frobenius(u), pivots)
+    return np.cumsum(np.log(pivots))
 
 
 def hermitian_sqrt(h) -> np.ndarray:

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import sectoria as s
-from sectoria.cli import CHECKS, main, read_matrix, run_trials, write_matrix
+from sectoria.cli import CHECKS, Check, main, read_matrix, run_trials, write_matrix
 
 PI4 = math.pi / 4
 
@@ -235,6 +235,59 @@ def family_files(tmp_path_factory):
         paths[key] = str(tmp / f"{key}.json")
         write_matrix(paths[key], gen(s.child_seed(21, i)))
     return paths
+
+
+class TestLargeSuites:
+    def test_corollary_ad_at_n128(self, capsys):
+        # used to raise OverflowError
+        assert main(["trials", "corollary-ad", "--n", "128", "--trials", "5", "--seed", "0"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["failures"] == 0 and math.isfinite(doc["min_slack"])
+
+    def test_claim2_at_n256(self, capsys):
+        assert main(["trials", "claim2", "--n", "256", "--trials", "20", "--seed", "0"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["failures"] == 0
+        assert math.isfinite(doc["min_slack"]) and math.isfinite(doc["median_slack"])
+
+
+class TestSuiteReduction:
+    def test_nan_slack_is_not_hidden(self, monkeypatch, capsys):
+        slacks = iter([0.5, math.nan, 0.25])
+
+        def evaluate(a, b, alpha, p, tol):
+            slack = next(slacks)
+            return s.InequalityReport("hartfiel", "scalar", slack, slack >= -tol, tol)
+
+        monkeypatch.setitem(CHECKS, "hartfiel", Check("pd_pair", evaluate))
+        assert main(["trials", "hartfiel", "--n", "2", "--trials", "3"]) == 3
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["failures"] == 1
+        assert math.isnan(doc["min_slack"]) and math.isnan(doc["median_slack"])
+
+
+def _one_by_one_operands(tmp_path, family):
+    count = 1 if family == "single" else 2
+    paths = [str(tmp_path / f"one_{i}.json") for i in range(count)]
+    value = 2.0 + 1.0j if family == "ad_pair" else 2.0
+    for path in paths:
+        write_matrix(path, np.array([[value]]))
+    return paths + (["--alpha", "0.5"] if family == "sectorial_pair" else [])
+
+
+class TestOneByOne:
+    @pytest.mark.parametrize("name", [name for name, c in CHECKS.items() if c.partitioned])
+    def test_partitioned_check_needs_two_rows(self, name, tmp_path, capsys):
+        argv = ["trials", name, "--n", "1", "--alpha", "0.5", "--trials", "2"]
+        assert main(argv) == 1
+        assert "needs n >= 2" in capsys.readouterr().err
+        assert main(["check", name] + _one_by_one_operands(tmp_path, CHECKS[name].family)) == 1
+        assert "needs n >= 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", [name for name, c in CHECKS.items() if not c.partitioned])
+    def test_other_checks_run_at_n1(self, name, tmp_path, capsys):
+        assert main(["trials", name, "--n", "1", "--alpha", "0.5", "--trials", "2"]) == 0
+        assert main(["check", name] + _one_by_one_operands(tmp_path, CHECKS[name].family)) == 0
 
 
 class TestRegistry:

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -292,6 +293,23 @@ class TestDetStep:
             s.check_det_step(a, b, 0.2, 3)
 
 
+class TestDetStepAllK:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_all_k_is_the_worst_single_k(self, seed):
+        n = 7
+        a, b = sectorial_pair(n, 0.6, 60 + seed)
+        singles = [s.check_det_step(a, b, 0.6, k) for k in range(1, n)]
+        worst = min(singles, key=lambda r: r.slack)
+        report = s.check_det_step(a, b, 0.6)
+        assert report.slack == pytest.approx(worst.slack, abs=1e-12)
+        step = re.compile(r"\bk=(\d+)")
+        assert step.search(report.detail).group(1) == step.search(worst.detail).group(1)
+
+    def test_needs_two_rows(self):
+        with pytest.raises(ValueError):
+            s.check_det_step(np.eye(1), np.eye(1), 0.0)
+
+
 class TestMain2:
     def test_identity_pair_equality(self):
         report = s.check_main2(np.eye(3), np.eye(3), 0.0)
@@ -379,3 +397,65 @@ class TestReportContract:
         high = s.check_main2(a, b, alpha_hi)
         assert high.slack >= low.slack - 1e-12
         assert not low.holds or high.holds
+
+
+SCALES = (1e-150, 1e-3, 1.0, 1e3, 1e150)
+# name -> (operands at n = 6, check); each check is homogeneous in the
+# operands, so its slack must not depend on a common factor c.
+SCALAR_CHECKS = {
+    "det-superadditivity": (lambda: pd_pair(6, 70), s.check_det_superadditivity),
+    "haynsworth": (lambda: pd_pair(6, 71), s.check_haynsworth),
+    "hartfiel": (lambda: pd_pair(6, 72), s.check_hartfiel),
+    "main2": (lambda: sectorial_pair(6, 0.6, 73), lambda a, b: s.check_main2(a, b, 0.6)),
+    "det-step": (lambda: sectorial_pair(6, 0.6, 74), lambda a, b: s.check_det_step(a, b, 0.6)),
+    "corollary-ad": (
+        lambda: (
+            s.gen_accretive_dissipative(6, s.child_seed(75, 0)),
+            s.gen_accretive_dissipative(6, s.child_seed(75, 1)),
+        ),
+        s.check_corollary_ad,
+    ),
+    "lemma-2-6": (lambda: (s.gen_sectorial(6, 0.6, 76),), s.check_ostrowski_taussky_complement),
+}
+
+
+class TestScalarSlack:
+    @pytest.mark.parametrize("name", list(SCALAR_CHECKS))
+    def test_scale_free(self, name):
+        operands, check = SCALAR_CHECKS[name]
+        ops = operands()
+        base = check(*ops).slack
+        for c in SCALES:
+            assert check(*(c * m for m in ops)).slack == pytest.approx(base, abs=1e-12), c
+
+    def test_small_sides_are_not_floored(self):
+        # both sides below 1: a false inequality must not pass through a floor
+        report = s.scalar_report("x", math.log(0.5), math.log(0.6), 1e-8)
+        assert report.slack == pytest.approx(-1.0 / 6.0, rel=1e-14)
+        assert not report.holds
+
+    def test_detail_never_raises(self):
+        report = s.scalar_report("x", 1e6, -1e6, 1e-8)
+        assert report.slack == 1.0 and report.holds
+        assert "log_lhs=1.000000000000e+06" in report.detail
+        assert "log_rhs=-1.000000000000e+06" in report.detail
+        report = s.scalar_report("x", math.nan, 0.0, 1e-8)
+        assert math.isnan(report.slack) and not report.holds
+        assert "lhs=nan" in report.detail
+
+    def test_overflowing_bounds_hold_at_n256(self):
+        n = 256
+        p, q = pd_pair(n, 80)
+        a, b = sectorial_pair(n, PI4, 81)
+        c = s.gen_accretive_dissipative(n, s.child_seed(82, 0))
+        d = s.gen_accretive_dissipative(n, s.child_seed(82, 1))
+        for report in (
+            s.check_main2(a, b, PI4),
+            s.check_hartfiel(p, q),
+            s.check_haynsworth(p, q),
+            s.check_corollary_ad(c, d),
+        ):
+            assert math.isfinite(report.slack) and report.holds, report.name
+            assert "log_lhs=" in report.detail
+        # the public ladder reports a level beyond the float range as inf
+        assert s.determinant_bound_levels(p, q).lhs == math.inf

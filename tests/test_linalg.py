@@ -1,8 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sectoria as s
+import sectoria.linalg
 from sectoria import (
     NotPositiveDefiniteError,
     SingularMatrixError,
@@ -18,7 +22,7 @@ from sectoria import (
     singular_values,
     solve,
 )
-from sectoria.linalg import principal_abs_minors
+from sectoria.linalg import log_abs_determinant, log_abs_leading_minors
 from oracles import eigenvalues_by_charpoly
 
 
@@ -181,13 +185,96 @@ class TestLeadingPrincipalSubmatrix:
 class TestPrincipalAbsMinors:
     def test_triangular(self):
         a = np.array([[2.0, 5.0, 1.0], [0.0, -3.0, 7.0], [0.0, 0.0, 0.5]])
-        np.testing.assert_array_equal(principal_abs_minors(a), [2.0, 6.0, 3.0])
+        np.testing.assert_allclose(
+            log_abs_leading_minors(a), np.log([2.0, 6.0, 3.0]), rtol=0.0, atol=1e-15
+        )
 
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_one_determinant_per_block(self, seed):
         a = random_matrix(6, seed)
         expected = [abs(determinant(a[:k, :k])) for k in range(1, 7)]
-        np.testing.assert_array_equal(principal_abs_minors(a), expected)
+        np.testing.assert_allclose(np.exp(log_abs_leading_minors(a)), expected, rtol=1e-12)
+
+
+FAMILIES = {
+    "pd": lambda n, seed: s.gen_positive_definite(n, seed),
+    "sectorial": lambda n, seed: s.gen_sectorial(n, math.pi / 4, seed),
+    "ad": lambda n, seed: s.gen_accretive_dissipative(n, seed),
+}
+
+
+def assert_minors_match_slogdet(a):
+    n = a.shape[0]
+    expected = np.array([np.linalg.slogdet(a[:k, :k])[1] for k in range(1, n + 1)])
+    # |expm1(difference of logs)| is the relative error of the minor
+    assert np.max(np.abs(np.expm1(log_abs_leading_minors(a) - expected))) <= 1e-12
+
+
+class TestLogAbsLeadingMinors:
+    @pytest.mark.parametrize("family", list(FAMILIES))
+    @pytest.mark.parametrize("n", [2, 6, 32])
+    def test_matches_slogdet_per_block(self, family, n):
+        for t in range(10):
+            assert_minors_match_slogdet(FAMILIES[family](n, s.child_seed(31, n, t)))
+
+    @pytest.mark.parametrize("family", list(FAMILIES))
+    @pytest.mark.parametrize("n", [5, 6, 13])
+    def test_blocked_elimination(self, family, n, monkeypatch):
+        # blocks of order <= 2 force the split-and-couple path at every level
+        monkeypatch.setattr(sectoria.linalg, "_ELIMINATION_BLOCK", 2)
+        for t in range(5):
+            assert_minors_match_slogdet(FAMILIES[family](n, s.child_seed(32, n, t)))
+
+    def test_blocked_at_default_block_size(self):
+        assert_minors_match_slogdet(s.gen_positive_definite(80, 33))
+
+    def test_last_entry_is_the_full_determinant(self):
+        a = s.gen_sectorial(8, 0.9, 5)
+        assert log_abs_leading_minors(a)[-1] == pytest.approx(log_abs_determinant(a), abs=1e-12)
+
+    def test_input_not_mutated(self):
+        a = random_matrix(4, 9)
+        before = a.copy()
+        log_abs_leading_minors(a)
+        np.testing.assert_array_equal(a, before)
+
+    @pytest.mark.parametrize(
+        "a",
+        [
+            np.array([[0.0, 1.0], [1.0, 1.0]]),  # A_1 = 0
+            np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),  # A_2 singular
+            np.zeros((3, 3)),
+        ],
+    )
+    def test_singular_leading_block_raises(self, a):
+        with pytest.raises(SingularMatrixError):
+            log_abs_leading_minors(a)
+
+    def test_singular_block_past_the_first_split_raises(self):
+        a = np.eye(80)
+        a[50, :51] = a[49, :51]  # A_51 has two equal rows
+        with pytest.raises(SingularMatrixError):
+            log_abs_leading_minors(a)
+
+    def test_scale_free_up_to_the_log_shift(self):
+        a = s.gen_sectorial(6, 0.7, 3)
+        for c in (1e-150, 1e150):
+            shift = np.arange(1, 7) * math.log(c)
+            np.testing.assert_allclose(
+                log_abs_leading_minors(c * a), log_abs_leading_minors(a) + shift, rtol=1e-13
+            )
+
+
+class TestLogAbsDeterminant:
+    def test_matches_slogdet(self):
+        a = random_matrix(7, 3)
+        assert log_abs_determinant(a) == pytest.approx(np.linalg.slogdet(a)[1], abs=1e-13)
+
+    def test_no_overflow(self):
+        assert log_abs_determinant(1e200 * np.eye(4)) == pytest.approx(4 * 200 * math.log(10))
+
+    def test_singular_is_minus_infinity(self):
+        assert log_abs_determinant(np.zeros((2, 2))) == -math.inf
 
 
 class TestHermitianSqrt:
