@@ -15,9 +15,21 @@ import numpy as np
 
 from .errors import OmegaPrimeEmptyError
 from .generators import rng_stream
-from .inequalities import DEFAULT_TOL, InequalityReport, log_ratio_sum_rhs, scalar_report
+from .inequalities import DEFAULT_TOL, InequalityReport, log_ratio_sum_rhs_stack, scalar_report
 
 MAX_SUBSET_N = 20
+
+
+def _require_sequences(a: np.ndarray, b: np.ndarray) -> None:
+    """Validate rows a, b of length n+1 (or stacks of them, one per row)."""
+    if a.shape != b.shape or a.shape[-1] < 2:
+        raise ValueError("sequences must be 1-d, equal length, length >= 2")
+    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
+        raise ValueError("sequence entries must be finite")
+    if np.any(a[..., 0] != 1.0) or np.any(b[..., 0] != 1.0):
+        raise ValueError("sequences must start at 1")
+    if np.any(a <= 0.0) or np.any(b <= 0.0):
+        raise ValueError("sequence entries must be strictly positive")
 
 
 @dataclass(frozen=True)
@@ -30,14 +42,9 @@ class PositiveSequencePair:
     def __post_init__(self):
         a = np.asarray(self.a, dtype=float)
         b = np.asarray(self.b, dtype=float)
-        if a.ndim != 1 or a.shape != b.shape or a.size < 2:
+        if a.ndim != 1:
             raise ValueError("sequences must be 1-d, equal length, length >= 2")
-        if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
-            raise ValueError("sequence entries must be finite")
-        if a[0] != 1.0 or b[0] != 1.0:
-            raise ValueError("sequences must start at 1")
-        if np.any(a <= 0.0) or np.any(b <= 0.0):
-            raise ValueError("sequence entries must be strictly positive")
+        _require_sequences(a, b)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
 
@@ -46,17 +53,31 @@ class PositiveSequencePair:
         return self.a.size - 1
 
 
+def random_sequence_pair_stack(
+    n: int, seeds, low: float = 1e-3, high: float = 1e3
+) -> tuple[np.ndarray, np.ndarray]:
+    """``random_sequence_pair(n, seed, low, high)`` for each seed: the a and
+    the b sequences, each of shape (T, n + 1)."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    logs = np.empty((len(seeds), 2, n))
+    for seed, out in zip(seeds, logs):
+        out[:] = rng_stream(seed).uniform(math.log(low), math.log(high), size=(2, n))
+    vals = np.exp(logs)
+    a = np.ones((len(seeds), n + 1))
+    b = np.ones((len(seeds), n + 1))
+    a[:, 1:] = vals[:, 0]
+    b[:, 1:] = vals[:, 1]
+    _require_sequences(a, b)
+    return a, b
+
+
 def random_sequence_pair(
     n: int, seed: int, low: float = 1e-3, high: float = 1e3
 ) -> PositiveSequencePair:
     """Log-uniform positive sequence pair with the leading entries pinned to 1."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    rng = rng_stream(seed)
-    vals = np.exp(rng.uniform(math.log(low), math.log(high), size=(2, n)))
-    return PositiveSequencePair(
-        np.concatenate(([1.0], vals[0])), np.concatenate(([1.0], vals[1]))
-    )
+    a, b = random_sequence_pair_stack(n, [seed], low, high)
+    return PositiveSequencePair(a[0], b[0])
 
 
 @dataclass(frozen=True)
@@ -121,16 +142,26 @@ def product_expansion_check(x) -> float:
     return abs(lhs - rhs) / lhs
 
 
+def check_claim2_stack(a: np.ndarray, b: np.ndarray, tol: float = DEFAULT_TOL) -> list[InequalityReport]:
+    """``check_claim2`` for each row pair of the (T, n + 1) sequence stacks a, b."""
+    _require_sequences(a, b)
+    x = np.log(b / a)
+    log_an = [math.log(v) for v in a[:, -1]]
+    # a_k/a_{k-1} + b_k/b_{k-1} = (a_k/a_{k-1}) (1 + e^{x_k - x_{k-1}}), and the
+    # first factors telescope to a_n.
+    steps = np.logaddexp(0.0, x[:, 1:] - x[:, :-1]).sum(axis=-1)
+    log_rhs = log_ratio_sum_rhs_stack(log_an, x[:, 1:], with_sqrt=True)
+    return [
+        scalar_report("claim2", an + float(step), rhs, tol)
+        for an, step, rhs in zip(log_an, steps, log_rhs)
+    ]
+
+
 def check_claim2(pair: PositiveSequencePair, tol: float = DEFAULT_TOL) -> InequalityReport:
     """prod_k (a_k/a_{k-1} + b_k/b_{k-1})
     >= a_n (1 + sum_s b_s/a_s) + b_n (1 + sum_s a_s/b_s) + (2^n - 2n) sqrt(a_n b_n),
     with the sums over s = 1..n-1."""
-    x = np.log(pair.b / pair.a)
-    log_an = math.log(pair.a[-1])
-    # a_k/a_{k-1} + b_k/b_{k-1} = (a_k/a_{k-1}) (1 + e^{x_k - x_{k-1}}), and the
-    # first factors telescope to a_n.
-    log_lhs = log_an + float(np.logaddexp(0.0, x[1:] - x[:-1]).sum())
-    return scalar_report("claim2", log_lhs, log_ratio_sum_rhs(log_an, x[1:], with_sqrt=True), tol)
+    return check_claim2_stack(pair.a[None], pair.b[None], tol)[0]
 
 
 def claim2_am_gm_bound(x) -> tuple[float, float]:

@@ -10,6 +10,7 @@ exactly when a counterexample is found.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -27,9 +28,9 @@ from .errors import SectoriaError
 from .generators import (
     TrialConfig,
     child_seed,
-    gen_accretive_dissipative,
-    gen_positive_definite,
-    gen_sectorial,
+    gen_accretive_dissipative_stack,
+    gen_positive_definite_stack,
+    gen_sectorial_stack,
 )
 
 EXIT_OK = 0
@@ -98,54 +99,76 @@ def _resolve_tol(args) -> float:
 
 def _block(a: np.ndarray, partition: int | None) -> int:
     """The leading block size: ``partition`` if given, else n // 2 (at least 1)."""
-    return partition if partition is not None else max(a.shape[0] // 2, 1)
+    return partition if partition is not None else max(a.shape[-1] // 2, 1)
 
 
 class Check(NamedTuple):
-    """A named check: its operand family, ``evaluate(a, b, alpha, partition, tol)``,
-    and whether it splits A into a leading block and the rest (or steps
-    k = 1..n-1), so that it needs n >= 2.
+    """A named check: its operand family, its evaluator, whether it splits A
+    into a leading block and the rest (or steps k = 1..n-1), so that it needs
+    n >= 2, and whether the evaluator takes stacks.
 
-    ``b`` is None for the single family, ``a`` is a PositiveSequencePair for the
-    sequence family, and a ``partition`` of None selects the default.
+    A stacked evaluator is ``evaluate(a, b, alpha, partition, tol)`` on
+    operand stacks of shape (T, n, n) and returns T reports; otherwise it
+    takes one trial's operands and returns one report.  ``b`` is None for the
+    single family, ``a`` and ``b`` are the two sequences (rows of length
+    n + 1) for the sequence family, and a ``partition`` of None selects the
+    default.
     """
 
     family: str
-    evaluate: Callable[..., ineq.InequalityReport]
+    evaluate: Callable[..., object]
     partitioned: bool = False
+    stacked: bool = False
+
+
+def _stacked(family: str, evaluate, partitioned: bool = False) -> Check:
+    return Check(family, evaluate, partitioned, stacked=True)
 
 
 CHECKS = {
-    "det-superadditivity": Check("pd_pair", lambda a, b, alpha, p, tol: ineq.check_det_superadditivity(a, b, tol)),
-    "haynsworth": Check("pd_pair", lambda a, b, alpha, p, tol: ineq.check_haynsworth(a, b, tol)),
-    "hartfiel": Check("pd_pair", lambda a, b, alpha, p, tol: ineq.check_hartfiel(a, b, tol)),
-    "schur-pd": Check("pd_pair", lambda a, b, alpha, p, tol: ineq.check_schur_pd(a, b, _block(a, p), tol), True),
-    "main1": Check("sectorial_pair", lambda a, b, alpha, p, tol: ineq.check_main1(a, b, alpha, _block(a, p), tol), True),
-    "main2": Check("sectorial_pair", lambda a, b, alpha, p, tol: ineq.check_main2(a, b, alpha, tol)),
-    "det-step": Check("sectorial_pair", lambda a, b, alpha, p, tol: ineq.check_det_step(a, b, alpha, p, tol), True),
-    "lemma-2-4": Check("single", lambda a, b, alpha, p, tol: ineq.check_inverse_real_part(a, tol)),
-    "lemma-2-5": Check("single", lambda a, b, alpha, p, tol: ineq.check_schur_real_part(a, _block(a, p), tol), True),
-    "lemma-2-6": Check("single", lambda a, b, alpha, p, tol: ineq.check_ostrowski_taussky_complement(a, tol)),
-    "claim1": Check("single", lambda a, b, alpha, p, tol: ineq.check_claim1(a, _block(a, p), tol), True),
-    "weak-log-major": Check("single", lambda a, b, alpha, p, tol: ineq.check_weak_log_majorization(a, tol)),
-    "schur-wrongsec": Check("single", lambda a, b, alpha, p, tol: ineq.check_schur_wrongsec(a, _block(a, p), tol), True),
-    "corollary-ad": Check("ad_pair", lambda a, b, alpha, p, tol: ineq.check_corollary_ad(a, b, tol)),
-    "claim2": Check("sequence", lambda pair, _, alpha, p, tol: claim2_mod.check_claim2(pair, tol)),
+    "det-superadditivity": _stacked("pd_pair", lambda a, b, alpha, p, tol: ineq.check_det_superadditivity_stack(a, b, tol)),
+    "haynsworth": _stacked("pd_pair", lambda a, b, alpha, p, tol: ineq.check_haynsworth_stack(a, b, tol)),
+    "hartfiel": _stacked("pd_pair", lambda a, b, alpha, p, tol: ineq.check_hartfiel_stack(a, b, tol)),
+    "schur-pd": _stacked("pd_pair", lambda a, b, alpha, p, tol: ineq.check_schur_pd_stack(a, b, _block(a, p), tol), True),
+    "main1": _stacked("sectorial_pair", lambda a, b, alpha, p, tol: ineq.check_main1_stack(a, b, alpha, _block(a, p), tol), True),
+    "main2": _stacked("sectorial_pair", lambda a, b, alpha, p, tol: ineq.check_main2_stack(a, b, alpha, tol)),
+    "det-step": _stacked("sectorial_pair", lambda a, b, alpha, p, tol: ineq.check_det_step_stack(a, b, alpha, p, tol), True),
+    "lemma-2-4": _stacked("single", lambda a, b, alpha, p, tol: ineq.check_inverse_real_part_stack(a, tol)),
+    "lemma-2-5": _stacked("single", lambda a, b, alpha, p, tol: ineq.check_schur_real_part_stack(a, _block(a, p), tol), True),
+    "lemma-2-6": _stacked("single", lambda a, b, alpha, p, tol: ineq.check_ostrowski_taussky_complement_stack(a, tol)),
+    "claim1": _stacked("single", lambda a, b, alpha, p, tol: ineq.check_claim1_stack(a, _block(a, p), tol), True),
+    "weak-log-major": _stacked("single", lambda a, b, alpha, p, tol: ineq.check_weak_log_majorization_stack(a, tol)),
+    "schur-wrongsec": _stacked("single", lambda a, b, alpha, p, tol: ineq.check_schur_wrongsec_stack(a, _block(a, p), tol), True),
+    "corollary-ad": _stacked("ad_pair", lambda a, b, alpha, p, tol: ineq.check_corollary_ad_stack(a, b, tol)),
+    "claim2": _stacked("sequence", lambda a, b, alpha, p, tol: claim2_mod.check_claim2_stack(a, b, tol)),
 }
 
 
-def _pair(gen: Callable[[TrialConfig, int], np.ndarray]):
-    """Draw two operands ``gen(config, seed)`` from substreams (index, 0) and (index, 1)."""
-    return lambda c, i: (gen(c, child_seed(c.seed, i, 0)), gen(c, child_seed(c.seed, i, 1)))
+def _evaluate_stack(check: Check, a, b, alpha, partition, tol) -> list[ineq.InequalityReport]:
+    """Run ``check`` on operand stacks, trial by trial if its evaluator takes one trial."""
+    if check.stacked:
+        return check.evaluate(a, b, alpha, partition, tol)
+    return [check.evaluate(a[t], None if b is None else b[t], alpha, partition, tol)
+            for t in range(len(a))]
 
 
-# Operand family -> draw(config, trial index) giving the trial's (a, b).
+def _seeds(c: TrialConfig, lo: int, hi: int, *path: int) -> list[int]:
+    """The seeds of trials lo..hi-1: substream (trial index, *path) of the suite seed."""
+    return [child_seed(c.seed, i, *path) for i in range(lo, hi)]
+
+
+def _pair(gen):
+    """Draw two operand stacks ``gen(config, seeds)`` from substreams (index, 0) and (index, 1)."""
+    return lambda c, lo, hi: (gen(c, _seeds(c, lo, hi, 0)), gen(c, _seeds(c, lo, hi, 1)))
+
+
+# Operand family -> draw(config, lo, hi) giving the stacked (a, b) of trials lo..hi-1.
 FAMILIES = {
-    "pd_pair": _pair(lambda c, seed: gen_positive_definite(c.n, seed)),
-    "sectorial_pair": _pair(lambda c, seed: gen_sectorial(c.n, c.alpha, seed)),
-    "ad_pair": _pair(lambda c, seed: gen_accretive_dissipative(c.n, seed)),
-    "single": lambda c, i: (gen_sectorial(c.n, c.alpha, child_seed(c.seed, i)), None),
-    "sequence": lambda c, i: (claim2_mod.random_sequence_pair(c.n, child_seed(c.seed, i)), None),
+    "pd_pair": _pair(lambda c, seeds: gen_positive_definite_stack(c.n, seeds)),
+    "sectorial_pair": _pair(lambda c, seeds: gen_sectorial_stack(c.n, c.alpha, seeds)),
+    "ad_pair": _pair(lambda c, seeds: gen_accretive_dissipative_stack(c.n, seeds)),
+    "single": lambda c, lo, hi: (gen_sectorial_stack(c.n, c.alpha, _seeds(c, lo, hi)), None),
+    "sequence": lambda c, lo, hi: claim2_mod.random_sequence_pair_stack(c.n, _seeds(c, lo, hi)),
 }
 
 
@@ -161,11 +184,11 @@ def _lookup(name: str, n: int | None = None) -> Check:
     return check
 
 
-def _minor_sequences(a: np.ndarray, b: np.ndarray) -> claim2_mod.PositiveSequencePair:
+def _minor_sequences(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """claim2's sequences (1, |det A_1|, ..., |det A_n|) from the two operands;
-    a minor outside the float range fails the pair's positivity check."""
+    a minor outside the float range fails the sequences' positivity check."""
     da, db = (np.exp(np.concatenate(([0.0], linalg.log_abs_leading_minors(m)))) for m in (a, b))
-    return claim2_mod.PositiveSequencePair(da, db)
+    return da, db
 
 
 def run_check(
@@ -177,7 +200,8 @@ def run_check(
     tol: float,
 ) -> ineq.InequalityReport:
     """Dispatch a named check against parsed operands."""
-    family, evaluate, _ = _lookup(name, a.shape[0])
+    check = _lookup(name, a.shape[0])
+    family = check.family
     if family != "single" and b is None:
         raise UsageError(f"check {name!r} requires two matrix files")
     if family == "single" and b is not None:
@@ -185,8 +209,8 @@ def run_check(
     if family == "sectorial_pair" and alpha is None:
         raise UsageError(f"check {name!r} requires --alpha")
     if family == "sequence":
-        a, b = _minor_sequences(a, b), None
-    return evaluate(a, b, alpha, partition, tol)
+        a, b = _minor_sequences(a, b)
+    return _evaluate_stack(check, a[None], None if b is None else b[None], alpha, partition, tol)[0]
 
 
 @dataclass(frozen=True)
@@ -219,13 +243,38 @@ class SuiteSummary:
         }
 
 
+def chunk_size(n: int, family: str = "single") -> int:
+    """Trials evaluated as one stack at dimension n: at most 2**14 entries
+    per operand stack, 256 KiB of complex matrices, and at least one trial.
+    A matrix operand has n * n entries, a sequence n + 1."""
+    return max(1, 2**14 // (n + 1 if family == "sequence" else n * n))
+
+
 def _trial_reports(name: str, config: TrialConfig, tol: float) -> list[ineq.InequalityReport]:
-    family, evaluate, _ = _lookup(name, config.n)
-    draw = FAMILIES[family]
-    return [
-        evaluate(*draw(config, i), config.alpha, config.partition, tol)
-        for i in range(config.trials)
-    ]
+    """The reports of trials 0..trials-1, drawn and evaluated a chunk at a time.
+
+    When a chunk raises a precondition or numerical error, it is replayed
+    one trial at a time in index order, so the first trial that fails raises
+    exactly what it raises on its own.
+    """
+    check = _lookup(name, config.n)
+    draw = FAMILIES[check.family]
+
+    def run(lo, hi):
+        return _evaluate_stack(check, *draw(config, lo, hi), config.alpha, config.partition, tol)
+
+    reports = []
+    step = chunk_size(config.n, check.family)
+    for lo in range(0, config.trials, step):
+        hi = min(lo + step, config.trials)
+        try:
+            reports += run(lo, hi)
+        except (SectoriaError, ValueError, ArithmeticError, IndexError):
+            if hi - lo == 1:
+                raise
+            for i in range(lo, hi):
+                reports += run(i, i + 1)
+    return reports
 
 
 def run_trials(name: str, config: TrialConfig, tol: float) -> SuiteSummary:
@@ -367,9 +416,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.lru_cache(maxsize=None)
+def _cached_parser() -> argparse.ArgumentParser:
+    """The parser ``main`` reuses: parsing never changes it."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _cached_parser().parse_args(argv)
         return args.func(args)
     except (UsageError, MatrixFileError) as exc:
         print(f"error: {exc}", file=sys.stderr)

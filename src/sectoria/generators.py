@@ -5,6 +5,10 @@ All randomness flows through the Philox counter-based generator keyed by a
 independent stream and per-trial generation is order independent.
 Gaussian entries are produced by an explicit Box-Muller transform of the
 uniform stream, keeping the bit stream fully specified.
+
+Each ``gen_*_stack`` draws one matrix per seed, each trial from its own
+stream, and runs the arithmetic once over the (T, n, n) stack; ``gen_*`` is
+the same code for one seed.
 """
 
 from __future__ import annotations
@@ -13,6 +17,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .linalg import adjoint, multiply_unfused
 
 # Generators refuse target angles this close to the half-plane boundary.
 ALPHA_GUARD = math.pi / 2 - 0.01
@@ -53,20 +59,61 @@ def child_seed(seed: int, *path: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def complex_gaussian(n: int, rng: np.random.Generator) -> np.ndarray:
-    """n-by-n matrix of independent entries with N(0,1) real and imaginary parts."""
-    u1 = rng.random((n, n))
-    u2 = rng.random((n, n))
+def _gaussian_stack(n: int, rngs) -> np.ndarray:
+    """One n-by-n complex Gaussian draw from each generator, stacked: the raw
+    uniforms come from each trial's own stream, the transform runs once."""
+    u1 = np.empty((len(rngs), n, n))
+    u2 = np.empty((len(rngs), n, n))
+    for rng, out1, out2 in zip(rngs, u1, u2):
+        rng.random(out=out1)
+        rng.random(out=out2)
     radius = np.sqrt(-2.0 * np.log1p(-u1))
     phase = 2.0 * np.pi * u2
     return radius * np.cos(phase) + 1j * (radius * np.sin(phase))
 
 
+def complex_gaussian(n: int, rng: np.random.Generator) -> np.ndarray:
+    """n-by-n matrix of independent entries with N(0,1) real and imaginary parts."""
+    return _gaussian_stack(n, [rng])[0]
+
+
+def gen_positive_definite_stack(n: int, seeds) -> np.ndarray:
+    """``gen_positive_definite(n, seed)`` for each seed, stacked."""
+    g = _gaussian_stack(n, [rng_stream(seed) for seed in seeds])
+    h = g @ adjoint(g) + 0.1 * np.eye(n)
+    return (h + adjoint(h)) / 2.0
+
+
 def gen_positive_definite(n: int, seed: int) -> np.ndarray:
     """Random Hermitian positive definite matrix G G* + 0.1 I."""
-    g = complex_gaussian(n, rng_stream(seed))
-    h = g @ g.conj().T + 0.1 * np.eye(n)
-    return (h + h.conj().T) / 2.0
+    return gen_positive_definite_stack(n, [seed])[0]
+
+
+def _smallest_singular_values(x: np.ndarray) -> np.ndarray:
+    return np.linalg.svd(x, compute_uv=False)[..., -1]
+
+
+def gen_sectorial_planted_stack(n: int, alpha: float, seeds) -> tuple[np.ndarray, np.ndarray]:
+    """``gen_sectorial_planted(n, alpha, seed)`` for each seed: the matrices,
+    shape (T, n, n), and the planted angles, shape (T, n)."""
+    if not 0.0 <= alpha < ALPHA_GUARD:
+        raise ValueError(f"alpha must lie in [0, {ALPHA_GUARD:.6f})")
+    rngs = [rng_stream(seed) for seed in seeds]
+    x = _gaussian_stack(n, rngs)
+    # A trial whose factor is too close to singular redraws from its own stream.
+    flagged = _smallest_singular_values(x) < MIN_FACTOR_SIGMA
+    for t in np.flatnonzero(flagged) if flagged.any() else ():
+        while _smallest_singular_values(x[t]) < MIN_FACTOR_SIGMA:
+            x[t] = _gaussian_stack(n, rngs[t:t + 1])[0]
+    thetas = np.empty((len(rngs), n))
+    for rng, out in zip(rngs, thetas):
+        out[:] = rng.uniform(-alpha, alpha, size=n)
+    thetas[:, 0] = alpha
+    phases = np.exp(1j * thetas)[:, None, :]
+    # For n = 1 numpy's one-element broadcast product is unfused.
+    scaled = multiply_unfused(x, phases) if n == 1 else x * phases
+    a = scaled @ adjoint(x)
+    return a, np.sort(thetas, axis=-1)[:, ::-1]
 
 
 def gen_sectorial_planted(n: int, alpha: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
@@ -78,25 +125,27 @@ def gen_sectorial_planted(n: int, alpha: float, seed: int) -> tuple[np.ndarray, 
     alpha so the nominal angle is attained.  Returns the matrix and the
     planted angles sorted descending.
     """
-    if not 0.0 <= alpha < ALPHA_GUARD:
-        raise ValueError(f"alpha must lie in [0, {ALPHA_GUARD:.6f})")
-    rng = rng_stream(seed)
-    x = complex_gaussian(n, rng)
-    while float(np.linalg.svd(x, compute_uv=False)[-1]) < MIN_FACTOR_SIGMA:
-        x = complex_gaussian(n, rng)
-    thetas = rng.uniform(-alpha, alpha, size=n)
-    thetas[0] = alpha
-    a = (x * np.exp(1j * thetas)) @ x.conj().T
-    return a, np.sort(thetas)[::-1]
+    a, thetas = gen_sectorial_planted_stack(n, alpha, [seed])
+    return a[0], thetas[0]
+
+
+def gen_sectorial_stack(n: int, alpha: float, seeds) -> np.ndarray:
+    """``gen_sectorial(n, alpha, seed)`` for each seed, stacked."""
+    return gen_sectorial_planted_stack(n, alpha, seeds)[0]
 
 
 def gen_sectorial(n: int, alpha: float, seed: int) -> np.ndarray:
     """Random matrix whose numerical range attains sector half-angle alpha."""
-    return gen_sectorial_planted(n, alpha, seed)[0]
+    return gen_sectorial_stack(n, alpha, [seed])[0]
+
+
+def gen_accretive_dissipative_stack(n: int, seeds) -> np.ndarray:
+    """``gen_accretive_dissipative(n, seed)`` for each seed, stacked."""
+    h = gen_positive_definite_stack(n, [child_seed(seed, 0) for seed in seeds])
+    k = gen_positive_definite_stack(n, [child_seed(seed, 1) for seed in seeds])
+    return h + 1j * k
 
 
 def gen_accretive_dissipative(n: int, seed: int) -> np.ndarray:
     """Random H + iK with H, K independent positive definite draws."""
-    h = gen_positive_definite(n, child_seed(seed, 0))
-    k = gen_positive_definite(n, child_seed(seed, 1))
-    return h + 1j * k
+    return gen_accretive_dissipative_stack(n, [seed])[0]

@@ -6,6 +6,10 @@ inequality, and returns an :class:`InequalityReport` whose ``slack`` is
 scale-free: scalar checks evaluate (LHS - RHS) / max(LHS, RHS) from log LHS
 and log RHS, so products of determinants never overflow; Loewner checks
 divide the minimum eigenvalue of LHS - RHS by ||LHS||_F.
+
+Each ``check_NAME_stack`` evaluates a stack of T operands, arrays of shape
+(T, n, n), and returns T reports; ``check_NAME`` is the same code on a stack
+of one.  A precondition that fails for any trial of a stack raises.
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ HERMITIAN_GUARD = 1e-10
 # log of the largest finite float: exp overflows above it.
 _LOG_MAX = math.log(sys.float_info.max)
 _LOG2 = math.log(2.0)
+_TINY = np.finfo(float).tiny
 
 
 @dataclass(frozen=True)
@@ -88,54 +93,91 @@ def scalar_report(name: str, log_lhs: float, log_rhs: float, tol: float, detail:
     return InequalityReport(name, "scalar", slack, bool(slack >= -tol), float(tol), detail)
 
 
-def loewner_report(name: str, lhs: np.ndarray, rhs: np.ndarray, tol: float, detail: str = "") -> InequalityReport:
+def loewner_reports(name: str, lhs: np.ndarray, rhs: np.ndarray, tol: float,
+                    details: list[str] | None = None) -> list[InequalityReport]:
+    """Report LHS >= RHS in the Loewner order for each pair of (T, n, n)
+    stacks; ``details`` replaces the default detail of each report."""
     diff = lhs - rhs
-    scale = max(linalg.frobenius(lhs), np.finfo(float).tiny)
-    if linalg.frobenius(diff - diff.conj().T) > HERMITIAN_GUARD * scale:
+    lhs_fro = linalg.frobenius_stack(lhs)
+    scale = np.maximum(lhs_fro, _TINY)
+    if np.any(linalg.frobenius_stack(diff - linalg.adjoint(diff)) > HERMITIAN_GUARD * scale):
         raise ValueError(f"{name}: difference matrix is not Hermitian")
-    min_eig = float(np.linalg.eigvalsh((diff + diff.conj().T) / 2.0)[0])
+    min_eig = np.linalg.eigvalsh((diff + linalg.adjoint(diff)) / 2.0)[:, 0]
     slack = min_eig / scale
-    if not detail:
-        detail = f"min_eig={min_eig:.6e} lhs_fro={linalg.frobenius(lhs):.6e}"
-    return InequalityReport(name, "loewner", float(slack), bool(slack >= -tol), float(tol), detail)
+    if details is None:
+        details = [f"min_eig={e:.6e} lhs_fro={f:.6e}" for e, f in zip(min_eig, lhs_fro)]
+    return [
+        InequalityReport(name, "loewner", float(x), bool(x >= -tol), float(tol), d)
+        for x, d in zip(slack, details)
+    ]
 
 
-def _require_pd(a, what: str) -> np.ndarray:
-    """Validate a Hermitian positive definite operand; returns it symmetrized."""
-    m = linalg.as_square_matrix(a)
+def loewner_report(name: str, lhs: np.ndarray, rhs: np.ndarray, tol: float, detail: str = "") -> InequalityReport:
+    return loewner_reports(name, lhs[None], rhs[None], tol, [detail] if detail else None)[0]
+
+
+def _one(a) -> np.ndarray:
+    """One operand as a stack of one."""
+    return linalg.as_square_matrix(a)[None]
+
+
+def _require_pd(m: np.ndarray, what: str) -> np.ndarray:
+    """Validate a stack of Hermitian positive definite operands; returns them symmetrized."""
     try:
-        sym = linalg.as_hermitian(m)
+        sym = linalg.as_hermitian_stack(m)
     except ValueError as exc:
         raise NotPositiveDefiniteError(f"{what} must be Hermitian positive definite") from exc
-    if not linalg.is_positive_definite(sym, linalg.frobenius(m)):
+    if not np.all(linalg.positive_definite_stack(sym, linalg.frobenius_stack(m))):
         raise NotPositiveDefiniteError(f"{what} is not positive definite")
     return sym
 
 
-def _require_accretive(a, what: str):
-    """Validate Re A positive definite; returns (A, Re A, Im A)."""
-    m = linalg.as_square_matrix(a)
-    re, im = linalg.cartesian_split(m)
-    if not linalg.is_positive_definite(re, linalg.frobenius(m)):
+def _require_accretive(m: np.ndarray, what: str) -> linalg.CartesianPair:
+    """Validate Re A positive definite for a stack; returns (Re A, Im A)."""
+    parts = linalg.cartesian_split_stack(m)
+    if not np.all(linalg.positive_definite_stack(parts.re, linalg.frobenius_stack(m))):
         raise NotAccretiveError(f"real part of {what} is not positive definite")
-    return m, re, im
+    return parts
 
 
-def _require_in_sector(a, alpha: float, tol: float, what: str) -> np.ndarray:
-    m = linalg.as_square_matrix(a)
-    res = sector.in_sector(m, alpha, tol)
-    if not res:
-        w = res.witness
-        extra = f" (witness point {w.point!r})" if w is not None else ""
-        raise NotSectorialError(
-            f"{what} is not inside the sector of half-angle {alpha:.6g}{extra}"
-        )
-    return m
+def _require_in_sector(m: np.ndarray, alpha: float, tol: float, what: str) -> None:
+    for res in sector.in_sector(m, alpha, tol):
+        if not res:
+            w = res.witness
+            extra = f" (witness point {w.point!r})" if w is not None else ""
+            raise NotSectorialError(
+                f"{what} is not inside the sector of half-angle {alpha:.6g}{extra}"
+            )
 
 
 def _require_pair(a: np.ndarray, b: np.ndarray) -> None:
-    if a.shape != b.shape:
-        raise ValueError(f"operands must share a dimension, got {a.shape} and {b.shape}")
+    if a.shape[1:] != b.shape[1:]:
+        raise ValueError(f"operands must share a dimension, got {a.shape[1:]} and {b.shape[1:]}")
+
+
+def log_ratio_sum_rhs_stack(log_an, x: np.ndarray, with_sqrt: bool) -> list[float]:
+    """``log_ratio_sum_rhs`` for each row of ``x``, shape (T, n), with the
+    matching entry of ``log_an``.  The sum of the 2n - 2 ratio terms is one
+    stacked ``exp``; the few scalar terms of each row are Python floats."""
+    n = x.shape[-1]
+    head = x[:, :-1]
+    r = x[:, -1]  # log(b_n / a_n)
+    # Terms over a_n: 1, b_n/a_n, b_k/a_k, (b_n/a_n)(a_k/b_k) and
+    # (2^n - 2n) sqrt(b_n/a_n), where 2^n - 2n vanishes for n <= 2.
+    ratios = np.concatenate((head, r[:, None] - head), axis=-1)
+    peaks = ratios.max(axis=-1, initial=0.0)
+    rs = [float(v) for v in r]
+    roots = [-math.inf] * len(rs)
+    if with_sqrt and n >= 3:
+        roots = [n * _LOG2 + math.log1p(-2.0 * n * 2.0 ** -n) + 0.5 * v for v in rs]
+    tops = [max(float(p), v, root) for p, v, root in zip(peaks, rs, roots)]
+    sums = np.exp(ratios - np.array(tops)[:, None]).sum(axis=-1)
+    out = []
+    for an, v, root, top, total in zip(log_an, rs, roots, tops, sums):
+        total = float(total)
+        total += math.exp(-top) + math.exp(v - top) + math.exp(root - top)
+        out.append(float(an) + top + math.log(total))
+    return out
 
 
 def log_ratio_sum_rhs(log_an: float, x: np.ndarray, with_sqrt: bool) -> float:
@@ -144,24 +186,14 @@ def log_ratio_sum_rhs(log_an: float, x: np.ndarray, with_sqrt: bool) -> float:
     sequences a_1..a_n and b_1..b_n given as ``log_an`` = log a_n and
     x_k = log(b_k / a_k) for k = 1..n.  Evaluated as a logsumexp of the 2n (or
     2n + 1) terms, so it never overflows."""
-    n = len(x)
-    r = float(x[-1])  # log(b_n / a_n)
-    # Terms over a_n: 1, b_n/a_n, b_k/a_k, (b_n/a_n)(a_k/b_k) and
-    # (2^n - 2n) sqrt(b_n/a_n), where 2^n - 2n vanishes for n <= 2.
-    ratios = np.concatenate((x[:-1], r - x[:-1]))
-    root = -math.inf
-    if with_sqrt and n >= 3:
-        root = n * _LOG2 + math.log1p(-2.0 * n * 2.0 ** -n) + 0.5 * r
-    top = max(float(ratios.max(initial=0.0)), r, root)
-    total = float(np.exp(ratios - top).sum())
-    total += math.exp(-top) + math.exp(r - top) + math.exp(root - top)
-    return float(log_an) + top + math.log(total)
+    return log_ratio_sum_rhs_stack([log_an], np.asarray(x, dtype=float)[None], with_sqrt)[0]
 
 
-def _log_minor_ratio_sum(a: np.ndarray, b: np.ndarray) -> float:
-    """log_ratio_sum_rhs, with the sqrt term, of the leading minors of A and B."""
-    la = linalg.log_abs_leading_minors(a)
-    return log_ratio_sum_rhs(la[-1], linalg.log_abs_leading_minors(b) - la, with_sqrt=True)
+def _log_minor_ratio_sum(a: np.ndarray, b: np.ndarray) -> list[float]:
+    """log_ratio_sum_rhs, with the sqrt term, of the leading minors of each
+    pair of stacked operands."""
+    la = linalg.log_abs_leading_minors_stack(a)
+    return log_ratio_sum_rhs_stack(la[:, -1], linalg.log_abs_leading_minors_stack(b) - la, with_sqrt=True)
 
 
 class DeterminantBoundLevels(NamedTuple):
@@ -173,149 +205,248 @@ class DeterminantBoundLevels(NamedTuple):
     sqrt_refined: float    # additionally with the (2^n - 2n) sqrt(det A det B) term
 
 
-def _log_bound_levels(a, b) -> DeterminantBoundLevels:
-    """The logs of det(A+B) and of its three lower bounds for PD operands."""
+def _log_bound_levels(a: np.ndarray, b: np.ndarray) -> list[DeterminantBoundLevels]:
+    """The logs of det(A+B) and of its three lower bounds for each pair of
+    stacked PD operands."""
     ha = _require_pd(a, "A")
     hb = _require_pd(b, "B")
     _require_pair(ha, hb)
-    la = linalg.log_abs_leading_minors(ha)
-    x = linalg.log_abs_leading_minors(hb) - la
-    return DeterminantBoundLevels(
-        linalg.log_abs_determinant(ha + hb),
-        log_ratio_sum_rhs(la[-1], x[-1:], with_sqrt=False),  # det A + det B
-        log_ratio_sum_rhs(la[-1], x, with_sqrt=False),
-        log_ratio_sum_rhs(la[-1], x, with_sqrt=True),
-    )
+    la = linalg.log_abs_leading_minors_stack(ha)
+    x = linalg.log_abs_leading_minors_stack(hb) - la
+    an = la[:, -1]
+    return [
+        DeterminantBoundLevels(float(lhs), *rest)
+        for lhs, *rest in zip(
+            linalg.log_abs_determinant_stack(ha + hb),
+            log_ratio_sum_rhs_stack(an, x[:, -1:], with_sqrt=False),  # det A + det B
+            log_ratio_sum_rhs_stack(an, x, with_sqrt=False),
+            log_ratio_sum_rhs_stack(an, x, with_sqrt=True),
+        )
+    ]
 
 
 def determinant_bound_levels(a, b) -> DeterminantBoundLevels:
     """Evaluate det(A+B) and the nested bound ladder for PD operands; a
     level too large for a float is inf."""
-    return DeterminantBoundLevels(*(_exp(x) for x in _log_bound_levels(a, b)))
+    return DeterminantBoundLevels(*(_exp(x) for x in _log_bound_levels(_one(a), _one(b))[0]))
+
+
+def check_det_superadditivity_stack(a, b, tol: float = DEFAULT_TOL) -> list[InequalityReport]:
+    return [
+        scalar_report("det-superadditivity", lv.lhs, lv.superadditive, tol)
+        for lv in _log_bound_levels(a, b)
+    ]
 
 
 def check_det_superadditivity(a, b, tol: float = DEFAULT_TOL) -> InequalityReport:
     """det(A+B) >= det A + det B for Hermitian positive definite A and B."""
-    levels = _log_bound_levels(a, b)
-    return scalar_report("det-superadditivity", levels.lhs, levels.superadditive, tol)
+    return check_det_superadditivity_stack(_one(a), _one(b), tol)[0]
+
+
+def check_haynsworth_stack(a, b, tol: float = DEFAULT_TOL) -> list[InequalityReport]:
+    return [
+        scalar_report("haynsworth", lv.lhs, lv.ratio_refined, tol,
+                      f"log_rhs_over_superadditive={lv.ratio_refined - lv.superadditive:.6e}")
+        for lv in _log_bound_levels(a, b)
+    ]
 
 
 def check_haynsworth(a, b, tol: float = DEFAULT_TOL) -> InequalityReport:
     """det(A+B) >= (1 + sum det B_k / det A_k) det A
     + (1 + sum det A_k / det B_k) det B for PD operands."""
-    levels = _log_bound_levels(a, b)
-    detail = f"log_rhs_over_superadditive={levels.ratio_refined - levels.superadditive:.6e}"
-    return scalar_report("haynsworth", levels.lhs, levels.ratio_refined, tol, detail)
+    return check_haynsworth_stack(_one(a), _one(b), tol)[0]
+
+
+def check_hartfiel_stack(a, b, tol: float = DEFAULT_TOL) -> list[InequalityReport]:
+    return [
+        scalar_report("hartfiel", lv.lhs, lv.sqrt_refined, tol,
+                      f"log_rhs_over_ratio_refined={lv.sqrt_refined - lv.ratio_refined:.6e}")
+        for lv in _log_bound_levels(a, b)
+    ]
 
 
 def check_hartfiel(a, b, tol: float = DEFAULT_TOL) -> InequalityReport:
     """The ratio-sum determinant bound sharpened by (2^n - 2n) sqrt(det A det B)."""
-    levels = _log_bound_levels(a, b)
-    detail = f"log_rhs_over_ratio_refined={levels.sqrt_refined - levels.ratio_refined:.6e}"
-    return scalar_report("hartfiel", levels.lhs, levels.sqrt_refined, tol, detail)
+    return check_hartfiel_stack(_one(a), _one(b), tol)[0]
 
 
-def check_schur_pd(a, b, p: int, tol: float = DEFAULT_TOL) -> InequalityReport:
-    """(A+B)/(A11+B11) >= A/A11 + B/B11 in the Loewner order for PD A, B."""
+def check_schur_pd_stack(a, b, p: int, tol: float = DEFAULT_TOL) -> list[InequalityReport]:
     ha = _require_pd(a, "A")
     hb = _require_pd(b, "B")
     _require_pair(ha, hb)
     lhs = schur.schur_complement(ha + hb, p)
     rhs = schur.schur_complement(ha, p) + schur.schur_complement(hb, p)
-    return loewner_report("schur-pd", lhs, rhs, tol)
+    return loewner_reports("schur-pd", lhs, rhs, tol)
+
+
+def check_schur_pd(a, b, p: int, tol: float = DEFAULT_TOL) -> InequalityReport:
+    """(A+B)/(A11+B11) >= A/A11 + B/B11 in the Loewner order for PD A, B."""
+    return check_schur_pd_stack(_one(a), _one(b), p, tol)[0]
+
+
+def check_inverse_real_part_stack(a, tol: float = DEFAULT_TOL) -> list[InequalityReport]:
+    re, _ = _require_accretive(a, "A")
+    inv_re = linalg.inverse_stack(re)
+    lhs = (inv_re + linalg.adjoint(inv_re)) / 2.0
+    rhs = linalg.cartesian_split_stack(linalg.inverse_stack(a)).re
+    return loewner_reports("lemma-2-4", lhs, rhs, tol)
 
 
 def check_inverse_real_part(a, tol: float = DEFAULT_TOL) -> InequalityReport:
     """(Re A)^{-1} >= Re(A^{-1}) when Re A is positive definite."""
-    m, re, _ = _require_accretive(a, "A")
-    inv_re = linalg.inverse(re)
-    lhs = (inv_re + inv_re.conj().T) / 2.0
-    rhs = linalg.cartesian_split(linalg.inverse(m)).re
-    return loewner_report("lemma-2-4", lhs, rhs, tol)
+    return check_inverse_real_part_stack(_one(a), tol)[0]
+
+
+def check_schur_real_part_stack(a, p: int, tol: float = DEFAULT_TOL) -> list[InequalityReport]:
+    re, _ = _require_accretive(a, "A")
+    lhs = linalg.cartesian_split_stack(schur.schur_complement(a, p)).re
+    rhs_raw = schur.schur_complement(re, p)
+    rhs = (rhs_raw + linalg.adjoint(rhs_raw)) / 2.0
+    return loewner_reports("lemma-2-5", lhs, rhs, tol)
 
 
 def check_schur_real_part(a, p: int, tol: float = DEFAULT_TOL) -> InequalityReport:
     """Re(A/A11) >= (Re A)/(Re A11) when Re A is positive definite."""
-    m, re, _ = _require_accretive(a, "A")
-    lhs = linalg.cartesian_split(schur.schur_complement(m, p)).re
-    rhs_raw = schur.schur_complement(re, p)
-    rhs = (rhs_raw + rhs_raw.conj().T) / 2.0
-    return loewner_report("lemma-2-5", lhs, rhs, tol)
+    return check_schur_real_part_stack(_one(a), p, tol)[0]
+
+
+def check_ostrowski_taussky_complement_stack(a, tol: float = DEFAULT_TOL) -> list[InequalityReport]:
+    alphas = sector.sector_angle_stack(a)
+    n = a.shape[-1]
+    log_det_re = linalg.log_abs_determinant_stack(linalg.cartesian_split_stack(a).re)
+    log_det_a = linalg.log_abs_determinant_stack(a)
+    return [
+        scalar_report("lemma-2-6", -n * math.log(math.cos(alpha)) + float(lre), float(la), tol,
+                      f"alpha={alpha:.9f}")
+        for alpha, lre, la in zip(alphas, log_det_re, log_det_a)
+    ]
 
 
 def check_ostrowski_taussky_complement(a, tol: float = DEFAULT_TOL) -> InequalityReport:
     """sec^n(alpha) det(Re A) >= |det A| with alpha the sector angle of A."""
-    m = linalg.as_square_matrix(a)
-    alpha = sector.sector_angle(m)
-    n = m.shape[0]
-    re = linalg.cartesian_split(m).re
-    log_lhs = -n * math.log(math.cos(alpha)) + linalg.log_abs_determinant(re)
-    log_rhs = linalg.log_abs_determinant(m)
-    return scalar_report("lemma-2-6", log_lhs, log_rhs, tol, f"alpha={alpha:.9f}")
+    return check_ostrowski_taussky_complement_stack(_one(a), tol)[0]
+
+
+def check_weak_log_majorization_stack(a, tol: float = DEFAULT_TOL) -> list[InequalityReport]:
+    _, thetas = sector.sectorial_decompose_stack(a)
+    n = thetas.shape[-1]
+    z = np.zeros(thetas.shape + (n,), dtype=np.complex128)
+    z[:, np.arange(n), np.arange(n)] = np.exp(1j * thetas)
+    sigs = np.linalg.svd(z, compute_uv=False)
+    alphas = [float(x) for x in np.max(np.abs(thetas), axis=-1)]
+    secs = np.array([1.0 / math.cos(alpha) for alpha in alphas])
+    lams = np.sort(secs[:, None] * np.cos(thetas), axis=-1)[:, ::-1]
+    reports = []
+    for alpha, lam, sig in zip(alphas, lams, sigs):
+        worst = math.inf
+        worst_k = 0
+        prod_l, prod_s = 1.0, 1.0
+        for k in range(n):
+            prod_l *= float(lam[k])
+            prod_s *= float(sig[k])
+            slack_k = (prod_l - prod_s) / max(abs(prod_l), abs(prod_s), 1.0)
+            if slack_k < worst:
+                worst, worst_k = slack_k, k + 1
+        detail = f"alpha={alpha:.9f} min_partial_slack_at_k={worst_k}"
+        reports.append(InequalityReport(
+            "weak-log-major", "scalar", float(worst), bool(worst >= -tol), float(tol), detail
+        ))
+    return reports
 
 
 def check_weak_log_majorization(a, tol: float = DEFAULT_TOL) -> InequalityReport:
     """Partial products of the eigenvalues of sec(alpha) Re Z dominate the
     matching partial products of the singular values of Z, where A = X Z X*
     is the canonical decomposition and alpha its angle."""
-    dec = sector.sectorial_decompose(a)
-    alpha = dec.angle
-    lam = np.sort((1.0 / math.cos(alpha)) * np.cos(dec.thetas))[::-1]
-    sig = linalg.singular_values(dec.z)
-    worst = math.inf
-    worst_k = 0
-    prod_l, prod_s = 1.0, 1.0
-    for k in range(lam.size):
-        prod_l *= float(lam[k])
-        prod_s *= float(sig[k])
-        slack_k = (prod_l - prod_s) / max(abs(prod_l), abs(prod_s), 1.0)
-        if slack_k < worst:
-            worst, worst_k = slack_k, k + 1
-    detail = f"alpha={alpha:.9f} min_partial_slack_at_k={worst_k}"
-    return InequalityReport(
-        "weak-log-major", "scalar", float(worst), bool(worst >= -tol), float(tol), detail
-    )
+    return check_weak_log_majorization_stack(_one(a), tol)[0]
+
+
+def check_claim1_stack(a, p: int, tol: float = DEFAULT_TOL) -> list[InequalityReport]:
+    re, _ = _require_accretive(a, "A")
+    alphas = sector.sector_angle_stack(a)
+    sec2 = np.array([(1.0 / math.cos(alpha)) ** 2 for alpha in alphas])
+    lhs_raw = schur.schur_complement(re, p)
+    lhs = sec2[:, None, None] * (lhs_raw + linalg.adjoint(lhs_raw)) / 2.0
+    rhs = linalg.cartesian_split_stack(schur.schur_complement(a, p)).re
+    return loewner_reports("claim1", lhs, rhs, tol, [f"alpha={alpha:.9f}" for alpha in alphas])
 
 
 def check_claim1(a, p: int, tol: float = DEFAULT_TOL) -> InequalityReport:
     """sec^2(alpha) (Re A)/(Re A11) >= Re(A/A11) with alpha the sector angle of A."""
-    m, re, _ = _require_accretive(a, "A")
-    alpha = sector.sector_angle(m)
-    sec2 = (1.0 / math.cos(alpha)) ** 2
-    lhs_raw = schur.schur_complement(re, p)
-    lhs = sec2 * (lhs_raw + lhs_raw.conj().T) / 2.0
-    rhs = linalg.cartesian_split(schur.schur_complement(m, p)).re
-    return loewner_report("claim1", lhs, rhs, tol, detail=f"alpha={alpha:.9f}")
+    return check_claim1_stack(_one(a), p, tol)[0]
 
 
-def real_schur_terms(a: np.ndarray, b: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+def real_schur_terms_stack(a: np.ndarray, b: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
     """Re((A+B)/(A11+B11)) and Re(A/A11) + Re(B/B11), the two sides of the
-    uncorrected Schur bound."""
+    uncorrected Schur bound, for each pair of stacked operands."""
 
     def re_schur(m):
-        return linalg.cartesian_split(schur.schur_complement(m, p)).re
+        return linalg.cartesian_split_stack(schur.schur_complement(m, p)).re
 
     return re_schur(a + b), re_schur(a) + re_schur(b)
+
+
+def real_schur_terms(a, b, p: int) -> tuple[np.ndarray, np.ndarray]:
+    lhs, rhs = real_schur_terms_stack(_one(a), _one(b), p)
+    return lhs[0], rhs[0]
+
+
+def check_main1_stack(a, b, alpha: float, p: int, tol: float = DEFAULT_TOL) -> list[InequalityReport]:
+    alpha = sector.validate_sector_angle(alpha)
+    _require_in_sector(a, alpha, tol, "A")
+    _require_in_sector(b, alpha, tol, "B")
+    _require_pair(a, b)
+    sec2 = (1.0 / math.cos(alpha)) ** 2
+    lhs, rhs = real_schur_terms_stack(a, b, p)
+    return loewner_reports("main1", sec2 * lhs, rhs, tol)
 
 
 def check_main1(a, b, alpha: float, p: int, tol: float = DEFAULT_TOL) -> InequalityReport:
     """sec^2(alpha) Re((A+B)/(A11+B11)) >= Re(A/A11) + Re(B/B11) for A, B
     with numerical range in the alpha sector."""
-    alpha = sector.validate_sector_angle(alpha)
-    ma = _require_in_sector(a, alpha, tol, "A")
-    mb = _require_in_sector(b, alpha, tol, "B")
-    _require_pair(ma, mb)
-    sec2 = (1.0 / math.cos(alpha)) ** 2
-    lhs, rhs = real_schur_terms(ma, mb, p)
-    return loewner_report("main1", sec2 * lhs, rhs, tol)
+    return check_main1_stack(_one(a), _one(b), alpha, p, tol)[0]
+
+
+def check_schur_wrongsec_stack(a, p: int, tol: float = DEFAULT_TOL) -> list[InequalityReport]:
+    _require_accretive(a, "A")
+    lhs, rhs = real_schur_terms_stack(a, linalg.adjoint(a), p)
+    return loewner_reports("schur-wrongsec", lhs, rhs, tol)
 
 
 def check_schur_wrongsec(a, p: int, tol: float = DEFAULT_TOL) -> InequalityReport:
     """The uncorrected bound Re((A+B)/(A11+B11)) >= Re(A/A11) + Re(B/B11)
     with B = A*; false in general, equality for Hermitian A."""
-    m, _, _ = _require_accretive(a, "A")
-    lhs, rhs = real_schur_terms(m, m.conj().T, p)
-    return loewner_report("schur-wrongsec", lhs, rhs, tol)
+    return check_schur_wrongsec_stack(_one(a), p, tol)[0]
+
+
+def check_det_step_stack(
+    a, b, alpha: float, k: int | None = None, tol: float = DEFAULT_TOL
+) -> list[InequalityReport]:
+    alpha = sector.validate_sector_angle(alpha)
+    _require_in_sector(a, alpha, tol, "A")
+    _require_in_sector(b, alpha, tol, "B")
+    _require_pair(a, b)
+    n = a.shape[-1]
+    if k is None:
+        if n < 2:
+            raise ValueError("det-step needs n >= 2")
+        first, size = 1, n
+    elif not 1 <= k <= n - 1:
+        raise ValueError(f"k must satisfy 1 <= k <= {n - 1}, got {k}")
+    else:
+        first, size = k, k + 1
+
+    def log_steps(m):
+        """log|det M_{j+1} / det M_j| for j = first..size-1."""
+        return np.diff(linalg.log_abs_leading_minors_stack(m[:, :size, :size]), axis=-1)[:, first - 1:]
+
+    log_lhs = -3.0 * math.log(math.cos(alpha)) + log_steps(a + b)
+    log_rhs = np.logaddexp(log_steps(a), log_steps(b))
+    worst = np.argmin(log_lhs - log_rhs, axis=-1)  # slack increases with the log gap
+    return [
+        scalar_report("det-step", lhs[w], rhs[w], tol, f"k={first + int(w)}")
+        for lhs, rhs, w in zip(log_lhs, log_rhs, worst)
+    ]
 
 
 def check_det_step(
@@ -328,57 +459,47 @@ def check_det_step(
     reported.  Sector membership is tested once, and each of A, B and A+B is
     factored once (only its leading (k+1)-by-(k+1) block for a single k).
     """
+    return check_det_step_stack(_one(a), _one(b), alpha, k, tol)[0]
+
+
+def check_main2_stack(a, b, alpha: float, tol: float = DEFAULT_TOL) -> list[InequalityReport]:
     alpha = sector.validate_sector_angle(alpha)
-    ma = _require_in_sector(a, alpha, tol, "A")
-    mb = _require_in_sector(b, alpha, tol, "B")
-    _require_pair(ma, mb)
-    n = ma.shape[0]
-    if k is None:
-        if n < 2:
-            raise ValueError("det-step needs n >= 2")
-        first, size = 1, n
-    elif not 1 <= k <= n - 1:
-        raise ValueError(f"k must satisfy 1 <= k <= {n - 1}, got {k}")
-    else:
-        first, size = k, k + 1
-
-    def log_steps(m):
-        """log|det M_{j+1} / det M_j| for j = first..size-1."""
-        return np.diff(linalg.log_abs_leading_minors(m[:size, :size]))[first - 1:]
-
-    log_lhs = -3.0 * math.log(math.cos(alpha)) + log_steps(ma + mb)
-    log_rhs = np.logaddexp(log_steps(ma), log_steps(mb))
-    worst = int(np.argmin(log_lhs - log_rhs))  # slack increases with the log gap
-    return scalar_report("det-step", log_lhs[worst], log_rhs[worst], tol, f"k={first + worst}")
+    _require_in_sector(a, alpha, tol, "A")
+    _require_in_sector(b, alpha, tol, "B")
+    _require_pair(a, b)
+    n = a.shape[-1]
+    shift = -(3 * n - 2) * math.log(math.cos(alpha))
+    return [
+        scalar_report("main2", shift + float(lhs), rhs, tol, f"alpha={alpha:.9f}")
+        for lhs, rhs in zip(linalg.log_abs_determinant_stack(a + b), _log_minor_ratio_sum(a, b))
+    ]
 
 
 def check_main2(a, b, alpha: float, tol: float = DEFAULT_TOL) -> InequalityReport:
     """sec^{3n-2}(alpha) |det(A+B)| >= the ratio-sum bound on |det A|, |det B|
     plus (2^n - 2n) sqrt(|det A det B|), for A, B in the alpha sector."""
-    alpha = sector.validate_sector_angle(alpha)
-    ma = _require_in_sector(a, alpha, tol, "A")
-    mb = _require_in_sector(b, alpha, tol, "B")
-    _require_pair(ma, mb)
-    n = ma.shape[0]
-    log_lhs = -(3 * n - 2) * math.log(math.cos(alpha)) + linalg.log_abs_determinant(ma + mb)
-    log_rhs = _log_minor_ratio_sum(ma, mb)
-    return scalar_report("main2", log_lhs, log_rhs, tol, f"alpha={alpha:.9f}")
+    return check_main2_stack(_one(a), _one(b), alpha, tol)[0]
+
+
+def check_corollary_ad_stack(a, b, tol: float = DEFAULT_TOL) -> list[InequalityReport]:
+    _require_pair(a, b)
+    for m, what in ((a, "A"), (b, "B")):
+        re, im = linalg.cartesian_split_stack(m)
+        scale = linalg.frobenius_stack(m)
+        if not np.all(linalg.positive_definite_stack(re, scale)
+                      & linalg.positive_definite_stack(im, scale)):
+            raise NotAccretiveDissipativeError(
+                f"{what} must have positive definite real and imaginary parts"
+            )
+    exponent = 1.5 * a.shape[-1] - 1.0
+    return [
+        scalar_report("corollary-ad", exponent * _LOG2 + float(lhs), rhs, tol,
+                      f"constant=2**{exponent!r}")
+        for lhs, rhs in zip(linalg.log_abs_determinant_stack(a + b), _log_minor_ratio_sum(a, b))
+    ]
 
 
 def check_corollary_ad(a, b, tol: float = DEFAULT_TOL) -> InequalityReport:
     """2^{3n/2 - 1} |det(A+B)| >= the sqrt-refined ratio bound, for
     accretive-dissipative A and B (Re and Im parts positive definite)."""
-    ma = linalg.as_square_matrix(a)
-    mb = linalg.as_square_matrix(b)
-    _require_pair(ma, mb)
-    for m, what in ((ma, "A"), (mb, "B")):
-        re, im = linalg.cartesian_split(m)
-        scale = linalg.frobenius(m)
-        if not (linalg.is_positive_definite(re, scale) and linalg.is_positive_definite(im, scale)):
-            raise NotAccretiveDissipativeError(
-                f"{what} must have positive definite real and imaginary parts"
-            )
-    exponent = 1.5 * ma.shape[0] - 1.0
-    log_lhs = exponent * _LOG2 + linalg.log_abs_determinant(ma + mb)
-    log_rhs = _log_minor_ratio_sum(ma, mb)
-    return scalar_report("corollary-ad", log_lhs, log_rhs, tol, f"constant=2**{exponent!r}")
+    return check_corollary_ad_stack(_one(a), _one(b), tol)[0]

@@ -3,6 +3,12 @@
 Every operation is a pure function of its inputs and never mutates its
 arguments.  All tolerances are relative to the Frobenius norm, so the
 contracts are invariant under the rescaling A -> c*A.
+
+Functions named ``*_stack`` work on a stack of T matrices of one size, an
+array of shape (T, n, n), and give each matrix exactly the bits that the
+single-matrix function gives it; the single-matrix functions are a stack of
+one over the same code.  A precondition that fails for any matrix of a stack
+raises, naming the first such matrix's failure.
 """
 
 from __future__ import annotations
@@ -25,19 +31,36 @@ HERMITIAN_RTOL = 1e-10
 # exceeds PD_RTOL times the reference scale.
 PD_RTOL = 1e-12
 
+_TINY = np.finfo(float).tiny
+_GETRF, _GETRS = scipy.linalg.get_lapack_funcs(("getrf", "getrs"), dtype=np.complex128)
+
 
 def as_square_matrix(a) -> np.ndarray:
     """Coerce ``a`` to an n-by-n complex128 array, validating shape and finiteness."""
     m = np.array(a, dtype=np.complex128, order="C")
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
+    if not np.isfinite(m).all():
         raise ValueError("matrix entries must be finite")
     return m
 
 
+def adjoint(m: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of a matrix or of each matrix of a stack."""
+    return m.conj().swapaxes(-1, -2)
+
+
 def frobenius(a) -> float:
     return float(np.linalg.norm(a))
+
+
+def frobenius_stack(m: np.ndarray) -> np.ndarray:
+    """Frobenius norm of each matrix of a stack, in the row-major order of
+    ``frobenius`` on a C-ordered matrix: np.linalg.norm sums the strided real
+    and imaginary parts of the raveled matrix with two dot products, and
+    ``vecdot`` on the strided parts of each raveled row does the same."""
+    v = m.reshape(len(m), -1)
+    return np.sqrt(np.vecdot(v.real, v.real) + np.vecdot(v.imag, v.imag))
 
 
 class CartesianPair(NamedTuple):
@@ -47,11 +70,15 @@ class CartesianPair(NamedTuple):
     im: np.ndarray
 
 
-def cartesian_split(a) -> CartesianPair:
+def cartesian_split_stack(m: np.ndarray) -> CartesianPair:
     """Return ((A + A*)/2, (A - A*)/(2i)); both parts are exactly Hermitian."""
-    m = as_square_matrix(a)
-    mh = m.conj().T
+    mh = adjoint(m)
     return CartesianPair((m + mh) / 2.0, (m - mh) / 2.0j)
+
+
+def cartesian_split(a) -> CartesianPair:
+    re, im = cartesian_split_stack(as_square_matrix(a)[None])
+    return CartesianPair(re[0], im[0])
 
 
 class HermitianEigenResult(NamedTuple):
@@ -61,33 +88,46 @@ class HermitianEigenResult(NamedTuple):
     eigenvectors: np.ndarray
 
 
-def as_hermitian(h) -> np.ndarray:
-    """Symmetrize H to (H + H*)/2 after checking that it deviates from exact
-    symmetry by at most ``HERMITIAN_RTOL * ||H||_F``."""
-    m = as_square_matrix(h)
-    if frobenius(m - m.conj().T) > HERMITIAN_RTOL * max(frobenius(m), np.finfo(float).tiny):
+def as_hermitian_stack(m: np.ndarray) -> np.ndarray:
+    """Symmetrize each H of a stack to (H + H*)/2 after checking that it
+    deviates from exact symmetry by at most ``HERMITIAN_RTOL * ||H||_F``."""
+    limit = HERMITIAN_RTOL * np.maximum(frobenius_stack(m), _TINY)
+    if np.any(frobenius_stack(m - adjoint(m)) > limit):
         raise ValueError("input is not Hermitian within tolerance")
-    return (m + m.conj().T) / 2.0
+    return (m + adjoint(m)) / 2.0
+
+
+def as_hermitian(h) -> np.ndarray:
+    return as_hermitian_stack(as_square_matrix(h)[None])[0]
+
+
+def positive_definite_stack(h: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """For each exactly Hermitian matrix of ``h``: is its minimum eigenvalue
+    above ``PD_RTOL`` times its entry of ``scale``?"""
+    return np.linalg.eigvalsh(h)[:, 0] > PD_RTOL * scale
 
 
 def is_positive_definite(h: np.ndarray, scale: float) -> bool:
-    """Does the exactly Hermitian ``h`` have minimum eigenvalue above
-    ``PD_RTOL * scale``?"""
-    return float(np.linalg.eigvalsh(h)[0]) > PD_RTOL * scale
+    return bool(positive_definite_stack(h[None], np.array([scale]))[0])
 
 
-def hermitian_eigen(h) -> HermitianEigenResult:
-    """Eigendecomposition H = V diag(w) V* of a Hermitian matrix.
+def hermitian_eigen_stack(h: np.ndarray) -> HermitianEigenResult:
+    """Eigendecomposition H = V diag(w) V* of each Hermitian matrix of a stack.
 
-    The input may deviate from exact symmetry by at most
+    Each input may deviate from exact symmetry by at most
     ``HERMITIAN_RTOL * ||H||_F``; it is symmetrized before factoring.
     """
-    sym = as_hermitian(h)
+    sym = as_hermitian_stack(h)
     try:
         w, v = np.linalg.eigh(sym)
     except np.linalg.LinAlgError as exc:
         raise NotConvergedError(str(exc)) from exc
     return HermitianEigenResult(w, v)
+
+
+def hermitian_eigen(h) -> HermitianEigenResult:
+    w, v = hermitian_eigen_stack(as_square_matrix(h)[None])
+    return HermitianEigenResult(w[0], v[0])
 
 
 def hermitian_eigenvalues(h) -> np.ndarray:
@@ -99,9 +139,10 @@ def hermitian_eigenvalues(h) -> np.ndarray:
         raise NotConvergedError(str(exc)) from exc
 
 
-def _require_pivot(pivot_abs: float, scale: float) -> None:
-    """Reject a pivot magnitude below ``PIVOT_RTOL * ||A||_F`` (or NaN)."""
-    if scale == 0.0 or not pivot_abs >= PIVOT_RTOL * scale:
+def _require_pivots(pivot_abs, scale) -> None:
+    """Reject a pivot magnitude below ``PIVOT_RTOL * ||A||_F`` (or NaN), and
+    any pivot of a zero matrix; elementwise for matching arrays."""
+    if not ((pivot_abs >= PIVOT_RTOL * scale) & (scale != 0.0)).all():
         raise SingularMatrixError(
             f"pivot below {PIVOT_RTOL:g} * ||A||_F; matrix is numerically singular"
         )
@@ -109,28 +150,44 @@ def _require_pivot(pivot_abs: float, scale: float) -> None:
 
 def _lu_factor(m: np.ndarray):
     """LU with partial pivoting; rejects pivots below the relative threshold."""
-    scale = frobenius(m)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        lu, piv = scipy.linalg.lu_factor(m, check_finite=False)
-    _require_pivot(float(np.min(np.abs(np.diag(lu)))), scale)
+    lu, piv, _ = _GETRF(m)
+    _require_pivots(np.abs(lu.diagonal()).min(), frobenius(m))
     return lu, piv
 
 
 def solve(a, b) -> np.ndarray:
     """Solve A X = B via LU with partial pivoting."""
-    m = as_square_matrix(a)
-    lu, piv = _lu_factor(m)
-    rhs = np.asarray(b, dtype=np.complex128)
-    return scipy.linalg.lu_solve((lu, piv), rhs, check_finite=False)
+    lu, piv = _lu_factor(as_square_matrix(a))
+    return _GETRS(lu, piv, np.asarray(b, dtype=np.complex128))[0]
 
 
 def inverse(a) -> np.ndarray:
     """Inverse of A via LU with partial pivoting."""
     m = as_square_matrix(a)
     lu, piv = _lu_factor(m)
-    eye = np.eye(m.shape[0], dtype=np.complex128)
-    return scipy.linalg.lu_solve((lu, piv), eye, check_finite=False)
+    return _GETRS(lu, piv, np.eye(m.shape[0], dtype=np.complex128))[0]
+
+
+def _column_major_stack(shape) -> np.ndarray:
+    """An empty (T, r, c) stack whose matrices are column-major, as LAPACK returns them."""
+    return np.empty((shape[0], shape[2], shape[1]), dtype=np.complex128).swapaxes(1, 2)
+
+
+def solve_stack(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``solve`` for each pair of matrices of two stacks; LAPACK factors one
+    matrix per call, so this is a loop."""
+    out = _column_major_stack(b.shape)
+    for t in range(len(a)):
+        out[t] = solve(a[t], b[t])
+    return out
+
+
+def inverse_stack(m: np.ndarray) -> np.ndarray:
+    """``inverse`` of each matrix of a stack."""
+    out = _column_major_stack(m.shape)
+    for t in range(len(m)):
+        out[t] = inverse(m[t])
+    return out
 
 
 def determinant(a) -> complex:
@@ -152,9 +209,26 @@ def leading_principal_submatrix(a, k: int) -> np.ndarray:
     return m[:k, :k].copy()
 
 
+def log_abs_determinant_stack(m: np.ndarray) -> np.ndarray:
+    """log|det A| of each matrix of a stack from one pivoted LU each (-inf if singular)."""
+    return np.linalg.slogdet(m)[1]
+
+
 def log_abs_determinant(a) -> float:
     """log|det A| as the sum of log|u_jj| over one pivoted LU (-inf if singular)."""
-    return float(np.linalg.slogdet(as_square_matrix(a))[1])
+    return float(log_abs_determinant_stack(as_square_matrix(a)[None])[0])
+
+
+def multiply_unfused(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x * y for complex arrays with each part rounded as
+    (xr yr - xi yi) + i (xr yi + xi yr) with no fused multiply-add.
+
+    numpy takes this scalar route for a broadcast product with a single
+    element, and its SIMD loop, which rounds differently, for longer ones; a
+    stack of such single-element products uses this to keep their bits.
+    """
+    xr, xi, yr, yi = x.real, x.imag, y.real, y.imag
+    return (xr * yr - xi * yi) + 1j * (xr * yi + xi * yr)
 
 
 # Blocks up to this order are eliminated one column at a time; a larger one
@@ -162,29 +236,51 @@ def log_abs_determinant(a) -> float:
 _ELIMINATION_BLOCK = 32
 
 
-def _eliminate(u: np.ndarray, scale: float, pivots: np.ndarray) -> None:
-    """Overwrite the square view ``u`` with its LU factors without pivoting
-    (unit lower L below the diagonal, U on and above it) and store the pivot
-    magnitudes |u_jj| in ``pivots``."""
-    n = u.shape[0]
+def _eliminate(u: np.ndarray, scale: np.ndarray, pivots: np.ndarray) -> None:
+    """Overwrite each square matrix of the stack view ``u`` with its LU
+    factors without pivoting (unit lower L below the diagonal, U on and above
+    it) and store the pivot magnitudes |u_jj| in ``pivots``, each at least
+    ``PIVOT_RTOL`` times its matrix's entry of ``scale``, the norm ||A||_F.
+
+    A block of order up to ``_ELIMINATION_BLOCK`` is checked once it is
+    eliminated, before anything else reads it; a pivot below the threshold
+    may leave inf or NaN in that block, which the check then rejects.
+    """
+    n = u.shape[-1]
     if n <= _ELIMINATION_BLOCK:
-        for j in range(n):
-            pivots[j] = abs(u[j, j])
-            _require_pivot(pivots[j], scale)
-            column = u[j + 1:, j]
-            column /= u[j, j]
-            u[j + 1:, j + 1:] -= np.multiply.outer(column, u[j, j + 1:])
+        with np.errstate(all="ignore"):
+            for j in range(n - 1):
+                column = u[:, j + 1:, j]
+                column /= u[:, j, j, None]
+                row = u[:, j, None, j + 1:]
+                if j == n - 2:
+                    u[:, j + 1:, j + 1:] -= multiply_unfused(column[:, :, None], row)
+                else:
+                    u[:, j + 1:, j + 1:] -= column[:, :, None] * row
+        diagonal = np.diagonal(u, axis1=1, axis2=2)
+        # abs() of a complex scalar, which np.abs of an array does not match
+        pivots[:] = np.hypot(diagonal.real, diagonal.imag)
+        _require_pivots(pivots, scale[:, None])
         return
     h = n // 2
-    _eliminate(u[:h, :h], scale, pivots[:h])
-    u[:h, h:] = scipy.linalg.solve_triangular(
-        u[:h, :h], u[:h, h:], lower=True, unit_diagonal=True, check_finite=False
-    )
-    u[h:, :h] = scipy.linalg.solve_triangular(
-        u[:h, :h], u[h:, :h].T, trans="T", check_finite=False
-    ).T
-    u[h:, h:] -= u[h:, :h] @ u[:h, h:]
-    _eliminate(u[h:, h:], scale, pivots[h:])
+    _eliminate(u[:, :h, :h], scale, pivots[:, :h])
+    for t in range(len(u)):
+        u[t, :h, h:] = scipy.linalg.solve_triangular(
+            u[t, :h, :h], u[t, :h, h:], lower=True, unit_diagonal=True, check_finite=False
+        )
+        u[t, h:, :h] = scipy.linalg.solve_triangular(
+            u[t, :h, :h], u[t, h:, :h].T, trans="T", check_finite=False
+        ).T
+    u[:, h:, h:] -= u[:, h:, :h] @ u[:, :h, h:]
+    _eliminate(u[:, h:, h:], scale, pivots[:, h:])
+
+
+def log_abs_leading_minors_stack(m: np.ndarray) -> np.ndarray:
+    """log|det A_k| for k = 1..n of each matrix of a stack, shape (T, n)."""
+    u = np.array(m, dtype=np.complex128, order="C")  # a fresh copy, eliminated in place
+    pivots = np.empty(u.shape[:2])
+    _eliminate(u, frobenius_stack(u), pivots)
+    return np.cumsum(np.log(pivots), axis=-1)
 
 
 def log_abs_leading_minors(a) -> np.ndarray:
@@ -196,10 +292,7 @@ def log_abs_leading_minors(a) -> np.ndarray:
     positive definite (Golub & Van Loan, Matrix Computations, 4.4); a pivot
     below ``PIVOT_RTOL * ||A||_F`` raises :class:`SingularMatrixError`.
     """
-    u = as_square_matrix(a)  # a fresh copy, eliminated in place
-    pivots = np.empty(u.shape[0])
-    _eliminate(u, frobenius(u), pivots)
-    return np.cumsum(np.log(pivots))
+    return log_abs_leading_minors_stack(as_square_matrix(a)[None])[0]
 
 
 def hermitian_sqrt(h) -> np.ndarray:

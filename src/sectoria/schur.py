@@ -29,16 +29,24 @@ def split_blocks(a, p: int):
     return m[:p, :p], m[:p, p:], m[p:, :p], m[p:, p:]
 
 
-def schur_complement(a, p: int) -> np.ndarray:
-    """A22 - A21 A11^{-1} A12, computed by an LU solve against A12."""
-    a11, a12, a21, a22 = split_blocks(a, p)
+def _schur_complement(m: np.ndarray, p: int) -> np.ndarray:
+    p = validate_partition(m.shape[-1], p)
+    m = np.ascontiguousarray(m)  # the row-major blocks that BLAS sees for one matrix
     try:
-        y = linalg.solve(a11, a12)
+        y = linalg.solve_stack(m[:, :p, :p], m[:, :p, p:])
     except SingularMatrixError as exc:
         raise SingularLeadingBlockError(
             f"leading {p}-by-{p} block is numerically singular"
         ) from exc
-    return a22 - a21 @ y
+    return m[:, p:, p:] - m[:, p:, :p] @ y
+
+
+def schur_complement(a, p: int) -> np.ndarray:
+    """A22 - A21 A11^{-1} A12, computed by an LU solve against A12, of a
+    matrix, or of each matrix of a (T, n, n) stack."""
+    if np.ndim(a) == 3:
+        return _schur_complement(a, p)
+    return _schur_complement(linalg.as_square_matrix(a)[None], p)[0]
 
 
 def inverse_block_identity(a, p: int) -> float:

@@ -22,11 +22,14 @@ def validate_sector_angle(alpha: float) -> float:
     return a
 
 
+def _rotated_real_part(m: np.ndarray, beta: float) -> np.ndarray:
+    w = complex(math.cos(beta), math.sin(beta))
+    return (w * m + np.conj(w) * linalg.adjoint(m)) / 2.0
+
+
 def rotated_real_part(a, beta: float) -> np.ndarray:
     """Hermitian part of e^{i beta} A, i.e. (e^{i beta} A + e^{-i beta} A*)/2."""
-    m = linalg.as_square_matrix(a)
-    w = complex(math.cos(beta), math.sin(beta))
-    return (w * m + np.conj(w) * m.conj().T) / 2.0
+    return _rotated_real_part(linalg.as_square_matrix(a), beta)
 
 
 @dataclass(frozen=True)
@@ -54,26 +57,41 @@ def _witness(m: np.ndarray, h: np.ndarray, beta: float) -> SectorWitness:
     return SectorWitness(beta, float(w[0]), x, complex(x.conj() @ m @ x))
 
 
-def in_sector(a, alpha: float, tol: float = MEMBERSHIP_TOL) -> SectorMembership:
+def _in_sector(m: np.ndarray, alpha: float, tol: float) -> list[SectorMembership]:
+    alpha = validate_sector_angle(alpha)
+    scale = linalg.frobenius_stack(m)
+    floor = -tol * scale
+    out = [SectorMembership(True)] * len(m)
+    # A matrix leaves the later tests once one fails, as it does on its own.
+    live = np.arange(len(m))
+    for beta in (math.pi / 2 - alpha, alpha - math.pi / 2, 0.0):
+        h = _rotated_real_part(m, beta)
+        if beta:
+            fails = np.linalg.eigvalsh(h)[:, 0] < floor
+        else:  # the real part must be strictly positive definite
+            fails = ~linalg.positive_definite_stack(h, scale)
+        if fails.any():
+            for k in np.flatnonzero(fails):
+                out[live[k]] = SectorMembership(False, _witness(m[k], h[k], beta))
+            keep = ~fails
+            live, m, scale, floor = live[keep], m[keep], scale[keep], floor[keep]
+            if not len(live):
+                break
+    return out
+
+
+def in_sector(a, alpha: float, tol: float = MEMBERSHIP_TOL):
     """Does the numerical range of ``a`` lie in the sector of half-angle alpha?
 
     Membership holds when min-eig(Re(e^{i beta} A)) >= -tol * ||A||_F for
     both beta = +-(pi/2 - alpha) and the plain real part is strictly
     positive definite (the sector excludes the imaginary axis).  On failure
-    the violating eigenpair is returned as a witness.
+    the violating eigenpair is returned as a witness.  For a (T, n, n) stack
+    the result is the list of the T memberships.
     """
-    m = linalg.as_square_matrix(a)
-    alpha = validate_sector_angle(alpha)
-    scale = linalg.frobenius(m)
-    floor = -tol * scale
-    for beta in (math.pi / 2 - alpha, alpha - math.pi / 2):
-        h = rotated_real_part(m, beta)
-        if float(np.linalg.eigvalsh(h)[0]) < floor:
-            return SectorMembership(False, _witness(m, h, beta))
-    h = rotated_real_part(m, 0.0)
-    if not linalg.is_positive_definite(h, scale):
-        return SectorMembership(False, _witness(m, h, 0.0))
-    return SectorMembership(True)
+    if np.ndim(a) == 3:
+        return _in_sector(a, alpha, tol)
+    return _in_sector(linalg.as_square_matrix(a)[None], alpha, tol)[0]
 
 
 @dataclass(frozen=True)
@@ -97,6 +115,28 @@ class SectorialDecomposition:
         return (self.x * np.exp(1j * self.thetas)) @ self.x.conj().T
 
 
+def sectorial_decompose_stack(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``sectorial_decompose`` of each matrix of a (T, n, n) stack: the
+    factors X, shape (T, n, n), and the angles, shape (T, n)."""
+    re, im = linalg.cartesian_split_stack(m)
+    scale = linalg.frobenius_stack(m)
+    hw, hv = linalg.hermitian_eigen_stack(re)
+    for low, floor in zip(hw[:, 0], linalg.PD_RTOL * scale):
+        if low <= floor:
+            raise NotSectorialError(
+                f"real part is not positive definite (min eigenvalue {low:.3e})"
+            )
+    root = (hv * np.sqrt(hw)[:, None, :]) @ linalg.adjoint(hv)
+    root_inv = (hv * (1.0 / np.sqrt(hw))[:, None, :]) @ linalg.adjoint(hv)
+    c = root_inv @ im @ linalg.adjoint(root_inv)
+    d, u = linalg.hermitian_eigen_stack(c)
+    thetas = np.arctan(d)
+    x = (root @ u) / np.sqrt(np.cos(thetas))[:, None, :]
+    order = np.argsort(-thetas, axis=-1, kind="stable")
+    return (np.take_along_axis(x, order[:, None, :], axis=-1),
+            np.take_along_axis(thetas, order, axis=-1))
+
+
 def sectorial_decompose(a) -> SectorialDecomposition:
     """Canonical congruence diagonalization A = X diag(e^{i theta_j}) X*.
 
@@ -105,22 +145,13 @@ def sectorial_decompose(a) -> SectorialDecomposition:
     rescaled by cos(theta_j)^{-1/2} so the diagonal unitary carries all the
     phase and X Z X* reproduces A.
     """
-    m = linalg.as_square_matrix(a)
-    re, im = linalg.cartesian_split(m)
-    scale = linalg.frobenius(m)
-    hw, hv = linalg.hermitian_eigen(re)
-    if float(hw[0]) <= linalg.PD_RTOL * scale:
-        raise NotSectorialError(
-            f"real part is not positive definite (min eigenvalue {hw[0]:.3e})"
-        )
-    root = (hv * np.sqrt(hw)) @ hv.conj().T
-    root_inv = (hv * (1.0 / np.sqrt(hw))) @ hv.conj().T
-    c = root_inv @ im @ root_inv.conj().T
-    d, u = linalg.hermitian_eigen(c)
-    thetas = np.arctan(d)
-    x = (root @ u) / np.sqrt(np.cos(thetas))
-    order = np.argsort(-thetas, kind="stable")
-    return SectorialDecomposition(x[:, order], thetas[order])
+    x, thetas = sectorial_decompose_stack(linalg.as_square_matrix(a)[None])
+    return SectorialDecomposition(x[0], thetas[0])
+
+
+def sector_angle_stack(m: np.ndarray) -> list[float]:
+    """``sector_angle`` of each matrix of a (T, n, n) stack."""
+    return [float(a) for a in np.max(np.abs(sectorial_decompose_stack(m)[1]), axis=-1)]
 
 
 def sector_angle(a) -> float:
