@@ -17,26 +17,29 @@ import math
 
 import numpy as np
 
-import sectoria as s
-from sectoria.inequalities import log_ratio_sum_rhs, real_schur_terms
-from sectoria.linalg import log_abs_determinant, log_abs_leading_minors
+from sectoria.cli import FAMILIES, chunk_size
+from sectoria.generators import TrialConfig
+from sectoria.inequalities import log_ratio_sum_rhs_stack, real_schur_terms_stack
+from sectoria.linalg import adjoint, log_abs_determinant_stack, log_abs_leading_minors_stack
 
 
-def needed_det_exponent(a, b, alpha):
-    la = log_abs_leading_minors(a)
-    log_rhs = log_ratio_sum_rhs(la[-1], log_abs_leading_minors(b) - la, with_sqrt=True)
-    return (log_rhs - log_abs_determinant(a + b)) / -math.log(math.cos(alpha))
+def needed_det_exponents(a, b, alpha):
+    """Per pair of stacked operands: the e with sec^e |det(A+B)| = the bound."""
+    la = log_abs_leading_minors_stack(a)
+    log_rhs = log_ratio_sum_rhs_stack(la[:, -1], log_abs_leading_minors_stack(b) - la, with_sqrt=True)
+    log_lhs = log_abs_determinant_stack(a + b)
+    return [(rhs - lhs) / -math.log(math.cos(alpha)) for rhs, lhs in zip(log_rhs, log_lhs.tolist())]
 
 
-def needed_loewner_exponent(a, b, alpha, p):
-    lhs, rhs = real_schur_terms(a, b, p)
-    # smallest c with sec^c L >= R: sec^c must cover the top generalized eigenvalue
+def needed_loewner_exponents(a, b, alpha, p):
+    """Per pair of stacked operands: the smallest c with sec^c L >= R, so
+    that sec^c covers the top generalized eigenvalue of (R, L)."""
+    lhs, rhs = real_schur_terms_stack(a, b, p)
     w, v = np.linalg.eigh(lhs)
-    root_inv = (v * (1.0 / np.sqrt(w))) @ v.conj().T
-    top = float(np.linalg.eigvalsh(root_inv @ rhs @ root_inv.conj().T)[-1])
-    if top <= 0.0:
-        return -math.inf
-    return math.log(top) / math.log(1.0 / math.cos(alpha))
+    root_inv = (v * (1.0 / np.sqrt(w))[:, None, :]) @ adjoint(v)
+    tops = np.linalg.eigvalsh(root_inv @ rhs @ adjoint(root_inv))[:, -1]
+    return [math.log(top) / math.log(1.0 / math.cos(alpha)) if top > 0.0 else -math.inf
+            for top in tops.tolist()]
 
 
 def main():
@@ -55,14 +58,15 @@ def main():
     n = args.n
     p = max(n // 2, 1)
     print(f"n={n} trials={args.trials} proven exponents: det {3 * n - 2}, loewner 2")
+    step = chunk_size(n)
     for alpha in args.alphas:
+        config = TrialConfig(seed=args.seed, n=n, alpha=alpha, trials=args.trials)
         worst_det = -math.inf
         worst_loewner = -math.inf
-        for t in range(args.trials):
-            a = s.gen_sectorial(n, alpha, s.child_seed(args.seed, t, 0))
-            b = s.gen_sectorial(n, alpha, s.child_seed(args.seed, t, 1))
-            worst_det = max(worst_det, needed_det_exponent(a, b, alpha))
-            worst_loewner = max(worst_loewner, needed_loewner_exponent(a, b, alpha, p))
+        for lo in range(0, args.trials, step):
+            a, b = FAMILIES["sectorial_pair"](config, lo, min(lo + step, args.trials))
+            worst_det = max([worst_det] + needed_det_exponents(a, b, alpha))
+            worst_loewner = max([worst_loewner] + needed_loewner_exponents(a, b, alpha, p))
         print(
             f"alpha={alpha:.4f}  max needed det exponent {worst_det:8.4f} "
             f"(proven {3 * n - 2})  max needed loewner exponent {worst_loewner:8.4f} (proven 2)"

@@ -53,14 +53,12 @@ from .inequalities import (
     check_schur_wrongsec,
     check_weak_log_majorization,
     determinant_bound_levels,
-    loewner_report,
     scalar_report,
 )
 from .linalg import (
     CartesianPair,
     HermitianEigenResult,
     cartesian_split,
-    determinant,
     frobenius,
     hermitian_eigen,
     hermitian_eigenvalues,
@@ -76,7 +74,6 @@ from .schur import (
     inverse_block_identity,
     real_inverse_identity,
     schur_complement,
-    split_blocks,
 )
 from .sector import (
     SectorialDecomposition,

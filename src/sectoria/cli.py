@@ -103,53 +103,39 @@ def _block(a: np.ndarray, partition: int | None) -> int:
 
 
 class Check(NamedTuple):
-    """A named check: its operand family, its evaluator, whether it splits A
-    into a leading block and the rest (or steps k = 1..n-1), so that it needs
-    n >= 2, and whether the evaluator takes stacks.
+    """A named check: its operand family, its evaluator, and whether it splits
+    A into a leading block and the rest (or steps k = 1..n-1), so that it
+    needs n >= 2.
 
-    A stacked evaluator is ``evaluate(a, b, alpha, partition, tol)`` on
-    operand stacks of shape (T, n, n) and returns T reports; otherwise it
-    takes one trial's operands and returns one report.  ``b`` is None for the
+    The evaluator is ``evaluate(a, b, alpha, partition, tol)`` on operand
+    stacks of shape (T, n, n) and returns T reports.  ``b`` is None for the
     single family, ``a`` and ``b`` are the two sequences (rows of length
     n + 1) for the sequence family, and a ``partition`` of None selects the
     default.
     """
 
     family: str
-    evaluate: Callable[..., object]
+    evaluate: Callable[..., list]
     partitioned: bool = False
-    stacked: bool = False
-
-
-def _stacked(family: str, evaluate, partitioned: bool = False) -> Check:
-    return Check(family, evaluate, partitioned, stacked=True)
 
 
 CHECKS = {
-    "det-superadditivity": _stacked("pd_pair", lambda a, b, alpha, p, tol: ineq.check_det_superadditivity_stack(a, b, tol)),
-    "haynsworth": _stacked("pd_pair", lambda a, b, alpha, p, tol: ineq.check_haynsworth_stack(a, b, tol)),
-    "hartfiel": _stacked("pd_pair", lambda a, b, alpha, p, tol: ineq.check_hartfiel_stack(a, b, tol)),
-    "schur-pd": _stacked("pd_pair", lambda a, b, alpha, p, tol: ineq.check_schur_pd_stack(a, b, _block(a, p), tol), True),
-    "main1": _stacked("sectorial_pair", lambda a, b, alpha, p, tol: ineq.check_main1_stack(a, b, alpha, _block(a, p), tol), True),
-    "main2": _stacked("sectorial_pair", lambda a, b, alpha, p, tol: ineq.check_main2_stack(a, b, alpha, tol)),
-    "det-step": _stacked("sectorial_pair", lambda a, b, alpha, p, tol: ineq.check_det_step_stack(a, b, alpha, p, tol), True),
-    "lemma-2-4": _stacked("single", lambda a, b, alpha, p, tol: ineq.check_inverse_real_part_stack(a, tol)),
-    "lemma-2-5": _stacked("single", lambda a, b, alpha, p, tol: ineq.check_schur_real_part_stack(a, _block(a, p), tol), True),
-    "lemma-2-6": _stacked("single", lambda a, b, alpha, p, tol: ineq.check_ostrowski_taussky_complement_stack(a, tol)),
-    "claim1": _stacked("single", lambda a, b, alpha, p, tol: ineq.check_claim1_stack(a, _block(a, p), tol), True),
-    "weak-log-major": _stacked("single", lambda a, b, alpha, p, tol: ineq.check_weak_log_majorization_stack(a, tol)),
-    "schur-wrongsec": _stacked("single", lambda a, b, alpha, p, tol: ineq.check_schur_wrongsec_stack(a, _block(a, p), tol), True),
-    "corollary-ad": _stacked("ad_pair", lambda a, b, alpha, p, tol: ineq.check_corollary_ad_stack(a, b, tol)),
-    "claim2": _stacked("sequence", lambda a, b, alpha, p, tol: claim2_mod.check_claim2_stack(a, b, tol)),
+    "det-superadditivity": Check("pd_pair", lambda a, b, alpha, p, tol: ineq.check_det_superadditivity_stack(a, b, tol)),
+    "haynsworth": Check("pd_pair", lambda a, b, alpha, p, tol: ineq.check_haynsworth_stack(a, b, tol)),
+    "hartfiel": Check("pd_pair", lambda a, b, alpha, p, tol: ineq.check_hartfiel_stack(a, b, tol)),
+    "schur-pd": Check("pd_pair", lambda a, b, alpha, p, tol: ineq.check_schur_pd_stack(a, b, _block(a, p), tol), True),
+    "main1": Check("sectorial_pair", lambda a, b, alpha, p, tol: ineq.check_main1_stack(a, b, alpha, _block(a, p), tol), True),
+    "main2": Check("sectorial_pair", lambda a, b, alpha, p, tol: ineq.check_main2_stack(a, b, alpha, tol)),
+    "det-step": Check("sectorial_pair", lambda a, b, alpha, p, tol: ineq.check_det_step_stack(a, b, alpha, p, tol), True),
+    "lemma-2-4": Check("single", lambda a, b, alpha, p, tol: ineq.check_inverse_real_part_stack(a, tol)),
+    "lemma-2-5": Check("single", lambda a, b, alpha, p, tol: ineq.check_schur_real_part_stack(a, _block(a, p), tol), True),
+    "lemma-2-6": Check("single", lambda a, b, alpha, p, tol: ineq.check_ostrowski_taussky_complement_stack(a, tol)),
+    "claim1": Check("single", lambda a, b, alpha, p, tol: ineq.check_claim1_stack(a, _block(a, p), tol), True),
+    "weak-log-major": Check("single", lambda a, b, alpha, p, tol: ineq.check_weak_log_majorization_stack(a, tol)),
+    "schur-wrongsec": Check("single", lambda a, b, alpha, p, tol: ineq.check_schur_wrongsec_stack(a, _block(a, p), tol), True),
+    "corollary-ad": Check("ad_pair", lambda a, b, alpha, p, tol: ineq.check_corollary_ad_stack(a, b, tol)),
+    "claim2": Check("sequence", lambda a, b, alpha, p, tol: claim2_mod.check_claim2_stack(a, b, tol)),
 }
-
-
-def _evaluate_stack(check: Check, a, b, alpha, partition, tol) -> list[ineq.InequalityReport]:
-    """Run ``check`` on operand stacks, trial by trial if its evaluator takes one trial."""
-    if check.stacked:
-        return check.evaluate(a, b, alpha, partition, tol)
-    return [check.evaluate(a[t], None if b is None else b[t], alpha, partition, tol)
-            for t in range(len(a))]
 
 
 def _seeds(c: TrialConfig, lo: int, hi: int, *path: int) -> list[int]:
@@ -210,7 +196,7 @@ def run_check(
         raise UsageError(f"check {name!r} requires --alpha")
     if family == "sequence":
         a, b = _minor_sequences(a, b)
-    return _evaluate_stack(check, a[None], None if b is None else b[None], alpha, partition, tol)[0]
+    return check.evaluate(a[None], None if b is None else b[None], alpha, partition, tol)[0]
 
 
 @dataclass(frozen=True)
@@ -261,7 +247,7 @@ def _trial_reports(name: str, config: TrialConfig, tol: float) -> list[ineq.Ineq
     draw = FAMILIES[check.family]
 
     def run(lo, hi):
-        return _evaluate_stack(check, *draw(config, lo, hi), config.alpha, config.partition, tol)
+        return check.evaluate(*draw(config, lo, hi), config.alpha, config.partition, tol)
 
     reports = []
     step = chunk_size(config.n, check.family)

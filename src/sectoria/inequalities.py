@@ -112,10 +112,6 @@ def loewner_reports(name: str, lhs: np.ndarray, rhs: np.ndarray, tol: float,
     ]
 
 
-def loewner_report(name: str, lhs: np.ndarray, rhs: np.ndarray, tol: float, detail: str = "") -> InequalityReport:
-    return loewner_reports(name, lhs[None], rhs[None], tol, [detail] if detail else None)[0]
-
-
 def _one(a) -> np.ndarray:
     """One operand as a stack of one."""
     return linalg.as_square_matrix(a)[None]
@@ -155,10 +151,32 @@ def _require_pair(a: np.ndarray, b: np.ndarray) -> None:
         raise ValueError(f"operands must share a dimension, got {a.shape[1:]} and {b.shape[1:]}")
 
 
+def _require_pd_pair(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Validate stacks of PD operands A and B of one size; returns them symmetrized."""
+    ha = _require_pd(a, "A")
+    hb = _require_pd(b, "B")
+    _require_pair(ha, hb)
+    return ha, hb
+
+
+def _require_sectorial_pair(a: np.ndarray, b: np.ndarray, alpha: float, tol: float) -> float:
+    """Validate alpha, then stacks of A and B in its sector and of one size;
+    returns alpha as a float."""
+    alpha = sector.validate_sector_angle(alpha)
+    _require_in_sector(a, alpha, tol, "A")
+    _require_in_sector(b, alpha, tol, "B")
+    _require_pair(a, b)
+    return alpha
+
+
 def log_ratio_sum_rhs_stack(log_an, x: np.ndarray, with_sqrt: bool) -> list[float]:
-    """``log_ratio_sum_rhs`` for each row of ``x``, shape (T, n), with the
-    matching entry of ``log_an``.  The sum of the 2n - 2 ratio terms is one
-    stacked ``exp``; the few scalar terms of each row are Python floats."""
+    """log of (1 + sum b_k/a_k) a_n + (1 + sum a_k/b_k) b_n, optionally plus
+    (2^n - 2n) sqrt(a_n b_n), with the sums over k = 1..n-1, for positive
+    sequences a_1..a_n and b_1..b_n given as log a_n (the matching entry of
+    ``log_an``) and x_k = log(b_k / a_k) for k = 1..n (a row of ``x``, shape
+    (T, n)).  Evaluated as a logsumexp of the 2n (or 2n + 1) terms, so it
+    never overflows: the sum of the 2n - 2 ratio terms is one stacked
+    ``exp``, and the few scalar terms of each row are Python floats."""
     n = x.shape[-1]
     head = x[:, :-1]
     r = x[:, -1]  # log(b_n / a_n)
@@ -180,18 +198,9 @@ def log_ratio_sum_rhs_stack(log_an, x: np.ndarray, with_sqrt: bool) -> list[floa
     return out
 
 
-def log_ratio_sum_rhs(log_an: float, x: np.ndarray, with_sqrt: bool) -> float:
-    """log of (1 + sum b_k/a_k) a_n + (1 + sum a_k/b_k) b_n, optionally plus
-    (2^n - 2n) sqrt(a_n b_n), with the sums over k = 1..n-1, for positive
-    sequences a_1..a_n and b_1..b_n given as ``log_an`` = log a_n and
-    x_k = log(b_k / a_k) for k = 1..n.  Evaluated as a logsumexp of the 2n (or
-    2n + 1) terms, so it never overflows."""
-    return log_ratio_sum_rhs_stack([log_an], np.asarray(x, dtype=float)[None], with_sqrt)[0]
-
-
 def _log_minor_ratio_sum(a: np.ndarray, b: np.ndarray) -> list[float]:
-    """log_ratio_sum_rhs, with the sqrt term, of the leading minors of each
-    pair of stacked operands."""
+    """log_ratio_sum_rhs_stack, with the sqrt term, of the leading minors of
+    each pair of stacked operands."""
     la = linalg.log_abs_leading_minors_stack(a)
     return log_ratio_sum_rhs_stack(la[:, -1], linalg.log_abs_leading_minors_stack(b) - la, with_sqrt=True)
 
@@ -208,9 +217,7 @@ class DeterminantBoundLevels(NamedTuple):
 def _log_bound_levels(a: np.ndarray, b: np.ndarray) -> list[DeterminantBoundLevels]:
     """The logs of det(A+B) and of its three lower bounds for each pair of
     stacked PD operands."""
-    ha = _require_pd(a, "A")
-    hb = _require_pd(b, "B")
-    _require_pair(ha, hb)
+    ha, hb = _require_pd_pair(a, b)
     la = linalg.log_abs_leading_minors_stack(ha)
     x = linalg.log_abs_leading_minors_stack(hb) - la
     an = la[:, -1]
@@ -271,9 +278,7 @@ def check_hartfiel(a, b, tol: float = DEFAULT_TOL) -> InequalityReport:
 
 
 def check_schur_pd_stack(a, b, p: int, tol: float = DEFAULT_TOL) -> list[InequalityReport]:
-    ha = _require_pd(a, "A")
-    hb = _require_pd(b, "B")
-    _require_pair(ha, hb)
+    ha, hb = _require_pd_pair(a, b)
     lhs = schur.schur_complement(ha + hb, p)
     rhs = schur.schur_complement(ha, p) + schur.schur_complement(hb, p)
     return loewner_reports("schur-pd", lhs, rhs, tol)
@@ -286,9 +291,10 @@ def check_schur_pd(a, b, p: int, tol: float = DEFAULT_TOL) -> InequalityReport:
 
 def check_inverse_real_part_stack(a, tol: float = DEFAULT_TOL) -> list[InequalityReport]:
     re, _ = _require_accretive(a, "A")
-    inv_re = linalg.inverse_stack(re)
+    eye = np.broadcast_to(np.eye(a.shape[-1]), a.shape)
+    inv_re = linalg.solve_stack(re, eye)
     lhs = (inv_re + linalg.adjoint(inv_re)) / 2.0
-    rhs = linalg.cartesian_split_stack(linalg.inverse_stack(a)).re
+    rhs = linalg.cartesian_split_stack(linalg.solve_stack(a, eye)).re
     return loewner_reports("lemma-2-4", lhs, rhs, tol)
 
 
@@ -386,16 +392,8 @@ def real_schur_terms_stack(a: np.ndarray, b: np.ndarray, p: int) -> tuple[np.nda
     return re_schur(a + b), re_schur(a) + re_schur(b)
 
 
-def real_schur_terms(a, b, p: int) -> tuple[np.ndarray, np.ndarray]:
-    lhs, rhs = real_schur_terms_stack(_one(a), _one(b), p)
-    return lhs[0], rhs[0]
-
-
 def check_main1_stack(a, b, alpha: float, p: int, tol: float = DEFAULT_TOL) -> list[InequalityReport]:
-    alpha = sector.validate_sector_angle(alpha)
-    _require_in_sector(a, alpha, tol, "A")
-    _require_in_sector(b, alpha, tol, "B")
-    _require_pair(a, b)
+    alpha = _require_sectorial_pair(a, b, alpha, tol)
     sec2 = (1.0 / math.cos(alpha)) ** 2
     lhs, rhs = real_schur_terms_stack(a, b, p)
     return loewner_reports("main1", sec2 * lhs, rhs, tol)
@@ -422,10 +420,7 @@ def check_schur_wrongsec(a, p: int, tol: float = DEFAULT_TOL) -> InequalityRepor
 def check_det_step_stack(
     a, b, alpha: float, k: int | None = None, tol: float = DEFAULT_TOL
 ) -> list[InequalityReport]:
-    alpha = sector.validate_sector_angle(alpha)
-    _require_in_sector(a, alpha, tol, "A")
-    _require_in_sector(b, alpha, tol, "B")
-    _require_pair(a, b)
+    alpha = _require_sectorial_pair(a, b, alpha, tol)
     n = a.shape[-1]
     if k is None:
         if n < 2:
@@ -463,10 +458,7 @@ def check_det_step(
 
 
 def check_main2_stack(a, b, alpha: float, tol: float = DEFAULT_TOL) -> list[InequalityReport]:
-    alpha = sector.validate_sector_angle(alpha)
-    _require_in_sector(a, alpha, tol, "A")
-    _require_in_sector(b, alpha, tol, "B")
-    _require_pair(a, b)
+    alpha = _require_sectorial_pair(a, b, alpha, tol)
     n = a.shape[-1]
     shift = -(3 * n - 2) * math.log(math.cos(alpha))
     return [

@@ -13,7 +13,6 @@ raises, naming the first such matrix's failure.
 
 from __future__ import annotations
 
-import warnings
 from typing import NamedTuple
 
 import numpy as np
@@ -112,21 +111,20 @@ def is_positive_definite(h: np.ndarray, scale: float) -> bool:
 
 
 def hermitian_eigen_stack(h: np.ndarray) -> HermitianEigenResult:
-    """Eigendecomposition H = V diag(w) V* of each Hermitian matrix of a stack.
-
-    Each input may deviate from exact symmetry by at most
-    ``HERMITIAN_RTOL * ||H||_F``; it is symmetrized before factoring.
-    """
-    sym = as_hermitian_stack(h)
+    """Eigendecomposition H = V diag(w) V* of each exactly Hermitian matrix
+    of a stack (eigh reads one triangle)."""
     try:
-        w, v = np.linalg.eigh(sym)
+        w, v = np.linalg.eigh(h)
     except np.linalg.LinAlgError as exc:
         raise NotConvergedError(str(exc)) from exc
     return HermitianEigenResult(w, v)
 
 
 def hermitian_eigen(h) -> HermitianEigenResult:
-    w, v = hermitian_eigen_stack(as_square_matrix(h)[None])
+    """Eigendecomposition of a Hermitian matrix, which may deviate from exact
+    symmetry by at most ``HERMITIAN_RTOL * ||H||_F``; it is symmetrized
+    before factoring."""
+    w, v = hermitian_eigen_stack(as_hermitian(h)[None])
     return HermitianEigenResult(w[0], v[0])
 
 
@@ -162,10 +160,9 @@ def solve(a, b) -> np.ndarray:
 
 
 def inverse(a) -> np.ndarray:
-    """Inverse of A via LU with partial pivoting."""
+    """Inverse of A: ``solve`` against the identity."""
     m = as_square_matrix(a)
-    lu, piv = _lu_factor(m)
-    return _GETRS(lu, piv, np.eye(m.shape[0], dtype=np.complex128))[0]
+    return solve(m, np.eye(m.shape[0], dtype=np.complex128))
 
 
 def _column_major_stack(shape) -> np.ndarray:
@@ -180,25 +177,6 @@ def solve_stack(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     for t in range(len(a)):
         out[t] = solve(a[t], b[t])
     return out
-
-
-def inverse_stack(m: np.ndarray) -> np.ndarray:
-    """``inverse`` of each matrix of a stack."""
-    out = _column_major_stack(m.shape)
-    for t in range(len(m)):
-        out[t] = inverse(m[t])
-    return out
-
-
-def determinant(a) -> complex:
-    """det(A) as the signed product of LU pivots (0-ish for singular input)."""
-    m = as_square_matrix(a)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        lu, piv = scipy.linalg.lu_factor(m, check_finite=False)
-    swaps = int(np.sum(piv != np.arange(m.shape[0])))
-    sign = -1.0 if swaps % 2 else 1.0
-    return complex(sign * np.prod(np.diag(lu)))
 
 
 def leading_principal_submatrix(a, k: int) -> np.ndarray:

@@ -22,13 +22,6 @@ def validate_partition(n: int, p: int) -> int:
     return p
 
 
-def split_blocks(a, p: int):
-    """Blocks (A11, A12, A21, A22) for the leading p-by-p partition."""
-    m = linalg.as_square_matrix(a)
-    p = validate_partition(m.shape[0], p)
-    return m[:p, :p], m[:p, p:], m[p:, :p], m[p:, p:]
-
-
 def _schur_complement(m: np.ndarray, p: int) -> np.ndarray:
     p = validate_partition(m.shape[-1], p)
     m = np.ascontiguousarray(m)  # the row-major blocks that BLAS sees for one matrix

@@ -23,13 +23,9 @@ def validate_sector_angle(alpha: float) -> float:
 
 
 def _rotated_real_part(m: np.ndarray, beta: float) -> np.ndarray:
+    """Hermitian part of e^{i beta} A, i.e. (e^{i beta} A + e^{-i beta} A*)/2."""
     w = complex(math.cos(beta), math.sin(beta))
     return (w * m + np.conj(w) * linalg.adjoint(m)) / 2.0
-
-
-def rotated_real_part(a, beta: float) -> np.ndarray:
-    """Hermitian part of e^{i beta} A, i.e. (e^{i beta} A + e^{-i beta} A*)/2."""
-    return _rotated_real_part(linalg.as_square_matrix(a), beta)
 
 
 @dataclass(frozen=True)
@@ -128,8 +124,10 @@ def sectorial_decompose_stack(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             )
     root = (hv * np.sqrt(hw)[:, None, :]) @ linalg.adjoint(hv)
     root_inv = (hv * (1.0 / np.sqrt(hw))[:, None, :]) @ linalg.adjoint(hv)
+    # C = H^{-1/2} K H^{-1/2} is Hermitian by construction; only rounding
+    # breaks its symmetry, so it is symmetrized rather than tested.
     c = root_inv @ im @ linalg.adjoint(root_inv)
-    d, u = linalg.hermitian_eigen_stack(c)
+    d, u = linalg.hermitian_eigen_stack((c + linalg.adjoint(c)) / 2.0)
     thetas = np.arctan(d)
     x = (root @ u) / np.sqrt(np.cos(thetas))[:, None, :]
     order = np.argsort(-thetas, axis=-1, kind="stable")
@@ -191,7 +189,7 @@ def numerical_range_boundary(a, m_points: int) -> np.ndarray:
     points = np.empty(m_points, dtype=np.complex128)
     for t in range(m_points):
         phi = 2.0 * math.pi * t / m_points
-        _, v = np.linalg.eigh(rotated_real_part(mat, -phi))
+        _, v = np.linalg.eigh(_rotated_real_part(mat, -phi))
         top = v[:, -1]
         points[t] = top.conj() @ mat @ top
     return points

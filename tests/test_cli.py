@@ -251,13 +251,59 @@ class TestLargeSuites:
         assert math.isfinite(doc["min_slack"]) and math.isfinite(doc["median_slack"])
 
 
+class TestHermitianGuardAborts:
+    # Both suites used to exit 2 ("input is not Hermitian within tolerance"):
+    # the decomposition held its internal C = H^{-1/2} K H^{-1/2} to the
+    # Hermitian tolerance meant for inputs.
+    @pytest.mark.parametrize("argv", [
+        ["weak-log-major", "--n", "6", "--trials", "75", "--seed", "933685295028113377"],
+        ["lemma-2-6", "--n", "128", "--trials", "4", "--seed", "8141632112549200525"],
+    ])
+    def test_suite_finishes(self, argv, capsys):
+        assert main(["trials", *argv, "--alpha", "0.785"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["failures"] == 0
+        assert math.isfinite(doc["min_slack"]) and math.isfinite(doc["median_slack"])
+
+
+class TestSectorialPairPreconditionOrder:
+    """A in the sector, then B in the sector, then equal shapes: membership
+    is tested before the shapes are compared."""
+
+    ALPHA = 0.785
+
+    @pytest.fixture
+    def run(self, tmp_path, capsys):
+        def run(name, a, b):
+            paths = [str(tmp_path / "a.json"), str(tmp_path / "b.json")]
+            write_matrix(paths[0], a)
+            write_matrix(paths[1], b)
+            assert main(["check", name, *paths, "--alpha", str(self.ALPHA)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            return captured.err
+        return run
+
+    def outside(self, what, m):
+        w = s.in_sector(m, self.ALPHA, s.DEFAULT_TOL).witness
+        return (f"error: {what} is not inside the sector of half-angle {self.ALPHA:.6g} "
+                f"(witness point {w.point!r})\n")
+
+    @pytest.mark.parametrize("name", ["main1", "main2", "det-step"])
+    def test_order(self, name, run):
+        a3, b3, b4 = (s.gen_sectorial(n, self.ALPHA, seed) for n, seed in ((3, 31), (3, 32), (4, 33)))
+        assert run(name, -a3, -b3) == self.outside("A", -a3)
+        assert run(name, a3, -b4) == self.outside("B", -b4)
+        assert run(name, a3, b4) == "error: operands must share a dimension, got (3, 3) and (4, 4)\n"
+
+
 class TestSuiteReduction:
     def test_nan_slack_is_not_hidden(self, monkeypatch, capsys):
         slacks = iter([0.5, math.nan, 0.25])
 
         def evaluate(a, b, alpha, p, tol):
-            slack = next(slacks)
-            return s.InequalityReport("hartfiel", "scalar", slack, slack >= -tol, tol)
+            return [s.InequalityReport("hartfiel", "scalar", x, x >= -tol, tol)
+                    for x in (next(slacks) for _ in range(len(a)))]
 
         monkeypatch.setitem(CHECKS, "hartfiel", Check("pd_pair", evaluate))
         assert main(["trials", "hartfiel", "--n", "2", "--trials", "3"]) == 3

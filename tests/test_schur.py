@@ -11,7 +11,6 @@ from sectoria import (
     SingularLeadingBlockError,
     cartesian_schur_identity,
     cartesian_split,
-    determinant,
     frobenius,
     gen_accretive_dissipative,
     gen_positive_definite,
@@ -23,6 +22,7 @@ from sectoria import (
     real_inverse_identity,
     schur_complement,
 )
+from oracles import determinant
 
 
 class TestSchurComplement:

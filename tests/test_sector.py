@@ -23,6 +23,8 @@ from sectoria import (
     sector_angle_bisect,
     sectorial_decompose,
 )
+from sectoria.cli import FAMILIES
+from sectoria.generators import TrialConfig
 from oracles import numerical_range_samples
 
 
@@ -102,6 +104,16 @@ class TestSectorialDecompose:
         first = sectorial_decompose(a)
         second = sectorial_decompose(first.reconstruct())
         np.testing.assert_allclose(first.thetas, second.thetas, atol=1e-8)
+
+    def test_ill_conditioned_real_part(self):
+        # Trial 22 of this weak-log-major suite: cond(Re A) is about 1.3e7, and
+        # the rounding of H^{-1/2} K H^{-1/2} broke the 1e-10 input guard.
+        c = TrialConfig(seed=933685295028113377, n=6, alpha=0.785, trials=75)
+        (a,), _ = FAMILIES["single"](c, 22, 23)
+        assert np.linalg.cond(a + a.conj().T) > 1e7
+        dec = sectorial_decompose(a)
+        assert np.all(np.abs(dec.thetas) < math.pi / 2)
+        assert frobenius(dec.reconstruct() - a) <= 1e-10 * frobenius(a)
 
     def test_rejects_non_accretive(self):
         with pytest.raises(NotSectorialError):
