@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import OmegaPrimeEmptyError
-from .generators import rng_stream
+from .generators import stream_key, uniform_stack
 from .inequalities import DEFAULT_TOL, InequalityReport, log_ratio_sum_rhs_stack, scalar_report
 
 MAX_SUBSET_N = 20
@@ -54,18 +54,15 @@ class PositiveSequencePair:
 
 
 def random_sequence_pair_stack(
-    n: int, seeds, low: float = 1e-3, high: float = 1e3
+    n: int, keys: np.ndarray, low: float = 1e-3, high: float = 1e3
 ) -> tuple[np.ndarray, np.ndarray]:
-    """``random_sequence_pair(n, seed, low, high)`` for each seed: the a and
-    the b sequences, each of shape (T, n + 1)."""
+    """``random_sequence_pair`` on the stream of each Philox key (T, 2): the
+    a and the b sequences, each of shape (T, n + 1)."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    logs = np.empty((len(seeds), 2, n))
-    for seed, out in zip(seeds, logs):
-        out[:] = rng_stream(seed).uniform(math.log(low), math.log(high), size=(2, n))
-    vals = np.exp(logs)
-    a = np.ones((len(seeds), n + 1))
-    b = np.ones((len(seeds), n + 1))
+    vals = np.exp(uniform_stack(keys, math.log(low), math.log(high), (2, n)))
+    a = np.ones((len(keys), n + 1))
+    b = np.ones((len(keys), n + 1))
     a[:, 1:] = vals[:, 0]
     b[:, 1:] = vals[:, 1]
     _require_sequences(a, b)
@@ -76,7 +73,7 @@ def random_sequence_pair(
     n: int, seed: int, low: float = 1e-3, high: float = 1e3
 ) -> PositiveSequencePair:
     """Log-uniform positive sequence pair with the leading entries pinned to 1."""
-    a, b = random_sequence_pair_stack(n, [seed], low, high)
+    a, b = random_sequence_pair_stack(n, stream_key(seed)[None], low, high)
     return PositiveSequencePair(a[0], b[0])
 
 

@@ -27,10 +27,10 @@ from . import linalg, sector
 from .errors import SectoriaError
 from .generators import (
     TrialConfig,
-    child_seed,
     gen_accretive_dissipative_stack,
     gen_positive_definite_stack,
     gen_sectorial_stack,
+    trial_keys,
 )
 
 EXIT_OK = 0
@@ -138,23 +138,39 @@ CHECKS = {
 }
 
 
-def _seeds(c: TrialConfig, lo: int, hi: int, *path: int) -> list[int]:
-    """The seeds of trials lo..hi-1: substream (trial index, *path) of the suite seed."""
-    return [child_seed(c.seed, i, *path) for i in range(lo, hi)]
+@functools.lru_cache(maxsize=1)
+def _suite_keys(seed: int, trials: int, paths: tuple, nested: int) -> np.ndarray:
+    """The Philox keys of every trial of a suite, derived once for the suite;
+    its chunks and one-trial replays slice them."""
+    keys = trial_keys(seed, 0, trials, paths, nested)
+    keys.flags.writeable = False
+    return keys
 
 
-def _pair(gen):
-    """Draw two operand stacks ``gen(config, seeds)`` from substreams (index, 0) and (index, 1)."""
-    return lambda c, lo, hi: (gen(c, _seeds(c, lo, hi, 0)), gen(c, _seeds(c, lo, hi, 1)))
+def _keys(c: TrialConfig, lo: int, hi: int, paths=((),), nested: int = 0) -> np.ndarray:
+    """The keys of trials lo..hi-1 (0 <= lo < hi <= c.trials): of substreams
+    (trial index, *path) of the suite seed, or of their substreams j < nested."""
+    return _suite_keys(c.seed, c.trials, paths, nested)[lo:hi]
+
+
+def _pair(gen, nested: int = 0):
+    """Draw two operand stacks ``gen(config, keys)`` from substreams (index, 0) and (index, 1)."""
+
+    def draw(c, lo, hi):
+        keys = _keys(c, lo, hi, ((0,), (1,)), nested)
+        return gen(c, keys[:, 0]), gen(c, keys[:, 1])
+
+    return draw
 
 
 # Operand family -> draw(config, lo, hi) giving the stacked (a, b) of trials lo..hi-1.
 FAMILIES = {
-    "pd_pair": _pair(lambda c, seeds: gen_positive_definite_stack(c.n, seeds)),
-    "sectorial_pair": _pair(lambda c, seeds: gen_sectorial_stack(c.n, c.alpha, seeds)),
-    "ad_pair": _pair(lambda c, seeds: gen_accretive_dissipative_stack(c.n, seeds)),
-    "single": lambda c, lo, hi: (gen_sectorial_stack(c.n, c.alpha, _seeds(c, lo, hi)), None),
-    "sequence": lambda c, lo, hi: claim2_mod.random_sequence_pair_stack(c.n, _seeds(c, lo, hi)),
+    "pd_pair": _pair(lambda c, keys: gen_positive_definite_stack(c.n, keys)),
+    "sectorial_pair": _pair(lambda c, keys: gen_sectorial_stack(c.n, c.alpha, keys)),
+    # An accretive-dissipative operand draws H and K from its substreams 0 and 1.
+    "ad_pair": _pair(lambda c, keys: gen_accretive_dissipative_stack(c.n, keys), nested=2),
+    "single": lambda c, lo, hi: (gen_sectorial_stack(c.n, c.alpha, _keys(c, lo, hi)[:, 0]), None),
+    "sequence": lambda c, lo, hi: claim2_mod.random_sequence_pair_stack(c.n, _keys(c, lo, hi)[:, 0]),
 }
 
 

@@ -210,6 +210,13 @@ class TestTrialsCommand:
         assert main(["trials", "nope", "--n", "3"]) == 1
         assert main(["trials", "main1", "--n", "3", "--partition", "5"]) == 1
 
+    def test_negative_seed_is_usage_error(self, capsys):
+        argv = ["trials", "main1", "--n", "4", "--alpha", "0.5", "--trials", "3", "--seed", "-1"]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: seed must be >= 0\n"
+
 
 OPERANDS = {
     "pd_pair": ("p", "q"),

@@ -98,21 +98,22 @@ def test_family_draw_equals_per_trial_generators(family, n):
             np.testing.assert_array_equal(b[t], one_b)
 
 
+def gaussian_oracle(n: int, rng) -> np.ndarray:
+    """Box-Muller on the stream's next 2 n**2 uniforms, one matrix at a time."""
+    u1 = rng.random((n, n))
+    u2 = rng.random((n, n))
+    radius = np.sqrt(-2.0 * np.log1p(-u1))
+    phase = 2.0 * np.pi * u2
+    return radius * np.cos(phase) + 1j * (radius * np.sin(phase))
+
+
 def sectorial_oracle(n: int, alpha: float, seed: int) -> np.ndarray:
     """The per-matrix sectorial draw written out: Box-Muller on the stream's
     uniforms, redrawn while the factor is nearly singular, then X Z X*."""
     rng = s.rng_stream(seed)
-
-    def gaussian():
-        u1 = rng.random((n, n))
-        u2 = rng.random((n, n))
-        radius = np.sqrt(-2.0 * np.log1p(-u1))
-        phase = 2.0 * np.pi * u2
-        return radius * np.cos(phase) + 1j * (radius * np.sin(phase))
-
-    x = gaussian()
+    x = gaussian_oracle(n, rng)
     while float(np.linalg.svd(x, compute_uv=False)[-1]) < MIN_FACTOR_SIGMA:
-        x = gaussian()
+        x = gaussian_oracle(n, rng)
     thetas = rng.uniform(-alpha, alpha, size=n)
     thetas[0] = alpha
     return (x * np.exp(1j * thetas)) @ x.conj().T
@@ -128,10 +129,11 @@ def test_redraw_seed_redraws():
     assert np.linalg.svd(first, compute_uv=False)[-1] < MIN_FACTOR_SIGMA
 
 
-@pytest.mark.parametrize("n", [1, 2, 6])
+@pytest.mark.parametrize("n", [1, 2, 3, 6])
 def test_sectorial_stack_matches_the_per_matrix_draw(n):
     seeds = [3, REDRAW_SEED, 4, 5] if n == 6 else [3, 4, 5]
-    stack = s.generators.gen_sectorial_stack(n, ALPHA, seeds)
+    keys = np.array([s.generators.stream_key(seed) for seed in seeds])
+    stack = s.generators.gen_sectorial_stack(n, ALPHA, keys)
     for m, seed in zip(stack, seeds):
         np.testing.assert_array_equal(m, sectorial_oracle(n, ALPHA, seed))
         np.testing.assert_array_equal(m, s.gen_sectorial(n, ALPHA, seed))
@@ -146,6 +148,42 @@ def first_error(name: str, c: TrialConfig, draw):
         except s.SectoriaError as exc:
             return i, str(exc)
     raise AssertionError("no trial raised")
+
+
+def pd_oracle(n: int, seed: int) -> np.ndarray:
+    g = gaussian_oracle(n, s.rng_stream(seed))
+    h = g @ g.conj().T + 0.1 * np.eye(n)
+    return (h + h.conj().T) / 2.0
+
+
+def reference_operands(family: str, c: TrialConfig, i: int):
+    """Trial i's operands drawn from numpy's own streams, rng_stream(child_seed(...))."""
+    pair = (s.child_seed(c.seed, i, 0), s.child_seed(c.seed, i, 1))
+    if family == "pd_pair":
+        return [pd_oracle(c.n, x) for x in pair]
+    if family == "sectorial_pair":
+        return [sectorial_oracle(c.n, c.alpha, x) for x in pair]
+    if family == "ad_pair":
+        return [pd_oracle(c.n, s.child_seed(x, 0)) + 1j * pd_oracle(c.n, s.child_seed(x, 1)) for x in pair]
+    seed = s.child_seed(c.seed, i)
+    if family == "single":
+        return [sectorial_oracle(c.n, c.alpha, seed)]
+    logs = s.rng_stream(seed).uniform(math.log(1e-3), math.log(1e3), size=(2, c.n))
+    return [np.concatenate(([1.0], np.exp(row))) for row in logs]
+
+
+@pytest.mark.parametrize("n", [3, 40])
+@pytest.mark.parametrize("family", list(FAMILIES))
+def test_family_chunks_draw_from_numpys_streams(family, n):
+    # At n = 40 the 25 trials are the three chunks of a suite.
+    c = TrialConfig(seed=2**64 + 5, n=n, alpha=ALPHA, trials=25)
+    step = chunk_size(n, family)
+    for lo in range(0, c.trials, step):
+        hi = min(lo + step, c.trials)
+        drawn = [m for m in FAMILIES[family](c, lo, hi) if m is not None]
+        for i in range(lo, hi):
+            for stack, expected in zip(drawn, reference_operands(family, c, i)):
+                np.testing.assert_array_equal(stack[i - lo], expected)
 
 
 def leave_sector(m: np.ndarray) -> np.ndarray:

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from sectoria import (
     TrialConfig,
     child_seed,
+    random_sequence_pair,
+    rng_stream,
     frobenius,
     gen_accretive_dissipative,
     gen_positive_definite,
@@ -17,6 +19,7 @@ from sectoria import (
     in_sector,
     sector_angle,
 )
+from sectoria import generators
 
 
 class TestDeterminism:
@@ -123,8 +126,90 @@ class TestTrialConfig:
             dict(seed=0, n=2, alpha=-0.1),
             dict(seed=0, n=2, partition=2),
             dict(seed=0, n=2, partition=0),
+            dict(seed=-1, n=2),
         ],
     )
     def test_invalid(self, kwargs):
         with pytest.raises(ValueError):
             TrialConfig(**kwargs)
+
+
+def reference_key(seed: int, *path: int) -> list[int]:
+    """The Philox key of numpy's own generator for substream ``path`` of ``seed``."""
+    return rng_stream(seed, *path).bit_generator.state["state"]["key"].tolist()
+
+
+SUITE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**130 + 9]
+
+
+class TestBulkSubstreams:
+    """``trial_keys`` against numpy's ``SeedSequence``, trial by trial."""
+
+    @pytest.mark.parametrize("seed", SUITE_SEEDS)
+    @pytest.mark.parametrize("paths", [((),), ((0,), (1,))])
+    def test_trial_keys_match_seed_sequence(self, seed, paths):
+        # 25 trials: three chunks of a suite at n = 40.
+        keys = generators.trial_keys(seed, 0, 25, paths)
+        assert keys.shape == (25, len(paths), 2) and keys.dtype == np.uint64
+        for i in range(25):
+            for p, path in enumerate(paths):
+                assert keys[i, p].tolist() == reference_key(child_seed(seed, i, *path))
+
+    @pytest.mark.parametrize("seed", SUITE_SEEDS)
+    def test_nested_keys_match_seed_sequence(self, seed):
+        keys = generators.trial_keys(seed, 3, 9, ((0,), (1,)), nested=2)
+        assert keys.shape == (6, 2, 2, 2)
+        for i in range(3, 9):
+            for k in (0, 1):
+                for j in (0, 1):
+                    expected = reference_key(child_seed(child_seed(seed, i, k), j))
+                    assert keys[i - 3, k, j].tolist() == expected
+
+    def test_trial_index_past_32_bits(self):
+        # From 2**32 on a trial index is two entropy words, not one.
+        lo = 2**32 - 2
+        keys = generators.trial_keys(7, lo, lo + 4, ((1,),))
+        for t in range(4):
+            assert keys[t, 0].tolist() == reference_key(child_seed(7, lo + t, 1))
+
+    def test_seeds_below_32_bits_hash_as_one_word(self):
+        # numpy hashes a seed below 2**32 as one entropy word, the helper as
+        # two with a zero high word; both leave the same pool.
+        seeds = np.array([0, 1, 622_951, 2**32 - 1, 2**32, 2**64 - 1], dtype=np.uint64)
+        keys = generators._generate(generators._pool(generators._seed_words(seeds)), 2)
+        assert keys.tolist() == [reference_key(int(x)) for x in seeds]
+
+    def test_reset_state_is_a_fresh_philox(self):
+        key = generators.trial_keys(5, 0, 1)[0, 0].tolist()
+        fresh = rng_stream(child_seed(5, 0)).bit_generator.state
+        state = generators._stream(key).bit_generator.state
+        assert state.keys() == fresh.keys()
+        for field in ("bit_generator", "buffer_pos", "has_uint32", "uinteger"):
+            assert state[field] == fresh[field]
+        for field in ("counter", "key"):
+            np.testing.assert_array_equal(state["state"][field], fresh["state"][field])
+        np.testing.assert_array_equal(state["buffer"], fresh["buffer"])
+
+    @pytest.mark.parametrize("n", [3, 6])
+    def test_reset_stream_draws_numpys_bits(self, n):
+        # At n = 3 the 18 Gaussian uniforms leave two of the four words of a
+        # Philox block unused, and the angle draw starts with them.
+        rng = rng_stream(child_seed(9, 4, 1))
+        expected = (rng.random((2, n, n)), rng.uniform(-0.785, 0.785, size=n))
+        # A stream used before must not leak into the reset one.
+        generators._stream([1, 2]).random(5)
+        reset = generators._stream(generators.trial_keys(9, 4, 5, ((1,),))[0, 0].tolist())
+        np.testing.assert_array_equal(reset.random((2, n, n)), expected[0])
+        np.testing.assert_array_equal(reset.uniform(-0.785, 0.785, size=n), expected[1])
+
+    def test_negative_seeds_raise_value_error(self):
+        for make in (
+            lambda: child_seed(-1, 0),
+            lambda: gen_positive_definite(3, -1),
+            lambda: gen_sectorial(3, 0.5, -1),
+            lambda: gen_accretive_dissipative(3, -1),
+            lambda: random_sequence_pair(3, -1),
+            lambda: generators.trial_keys(-1, 0, 2),
+        ):
+            with pytest.raises(ValueError):
+                make()
