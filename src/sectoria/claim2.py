@@ -139,11 +139,11 @@ def product_expansion_check(x) -> float:
     return abs(lhs - rhs) / lhs
 
 
-def check_claim2_stack(a: np.ndarray, b: np.ndarray, tol: float = DEFAULT_TOL) -> list[InequalityReport]:
-    """``check_claim2`` for each row pair of the (T, n + 1) sequence stacks a, b."""
-    _require_sequences(a, b)
-    x = np.log(b / a)
-    log_an = [math.log(v) for v in a[:, -1]]
+def check_claim2_logs(log_an, x: np.ndarray, tol: float = DEFAULT_TOL) -> list[InequalityReport]:
+    """``check_claim2`` for positive sequences given in logs, so that no
+    entry has to be a float: log a_n (one entry of ``log_an`` per row) and
+    x_k = log(b_k / a_k) for k = 0..n (a row of ``x``, shape (T, n + 1),
+    with x_0 = 0)."""
     # a_k/a_{k-1} + b_k/b_{k-1} = (a_k/a_{k-1}) (1 + e^{x_k - x_{k-1}}), and the
     # first factors telescope to a_n.
     steps = np.logaddexp(0.0, x[:, 1:] - x[:, :-1]).sum(axis=-1)
@@ -152,6 +152,12 @@ def check_claim2_stack(a: np.ndarray, b: np.ndarray, tol: float = DEFAULT_TOL) -
         scalar_report("claim2", an + float(step), rhs, tol)
         for an, step, rhs in zip(log_an, steps, log_rhs)
     ]
+
+
+def check_claim2_stack(a: np.ndarray, b: np.ndarray, tol: float = DEFAULT_TOL) -> list[InequalityReport]:
+    """``check_claim2`` for each row pair of the (T, n + 1) sequence stacks a, b."""
+    _require_sequences(a, b)
+    return check_claim2_logs([math.log(v) for v in a[:, -1]], np.log(b / a), tol)
 
 
 def check_claim2(pair: PositiveSequencePair, tol: float = DEFAULT_TOL) -> InequalityReport:

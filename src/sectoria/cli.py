@@ -186,13 +186,6 @@ def _lookup(name: str, n: int | None = None) -> Check:
     return check
 
 
-def _minor_sequences(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """claim2's sequences (1, |det A_1|, ..., |det A_n|) from the two operands;
-    a minor outside the float range fails the sequences' positivity check."""
-    da, db = (np.exp(np.concatenate(([0.0], linalg.log_abs_leading_minors(m)))) for m in (a, b))
-    return da, db
-
-
 def run_check(
     name: str,
     a: np.ndarray,
@@ -211,7 +204,11 @@ def run_check(
     if family == "sectorial_pair" and alpha is None:
         raise UsageError(f"check {name!r} requires --alpha")
     if family == "sequence":
-        a, b = _minor_sequences(a, b)
+        # claim2's sequences are (1, |det A_1|, ..., |det A_n|) and the same
+        # for B; they go in as logs, since a minor may lie outside the float range.
+        ineq._require_pair(a[None], b[None])
+        la, lb = (linalg.log_abs_leading_minors(m) for m in (a, b))
+        return claim2_mod.check_claim2_logs(la[-1:], np.concatenate(([0.0], lb - la))[None], tol)[0]
     return check.evaluate(a[None], None if b is None else b[None], alpha, partition, tol)[0]
 
 

@@ -170,12 +170,51 @@ def _column_major_stack(shape) -> np.ndarray:
     return np.empty((shape[0], shape[2], shape[1]), dtype=np.complex128).swapaxes(1, 2)
 
 
+# Stacks of more than one matrix up to this order may be solved as one batch.
+# It factors each matrix twice, and above this order that costs more than the
+# LAPACK call per matrix that it saves.
+BATCHED_SOLVE_MAX_ORDER = 15
+
+
+def _pivots_pass(m: np.ndarray) -> bool:
+    """Does every matrix of a stack pass ``_lu_factor``'s pivot test?
+
+    True only if its determinant shows that each does.  Partial pivoting
+    keeps |l_ij| <= sqrt(2), so ||L||_2 <= n, and every pivot of an n-by-n A
+    is |u_kk| >= sigma_min(U) >= sigma_min(A) / n.  By the AM-GM inequality
+    on the other n - 1 squared singular values, whose sum is at most
+    ||A||_F^2, sigma_min(A) >= |det A| (n - 1)^((n-1)/2) / ||A||_F^(n-1).
+    A matrix with |det A| (n - 1)^((n-1)/2) >= 2 n PIVOT_RTOL ||A||_F^n
+    therefore passes; the factor 2 covers rounding, since the computed
+    factors are exact for A plus a perturbation of relative size about
+    n eps.  ``slogdet`` factors with ``getrf``, as ``_lu_factor`` does.  A
+    zero matrix, or one with a non-finite entry, never shows it: its margin
+    below is NaN or -inf.
+    """
+    n = m.shape[-1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        margin = np.linalg.slogdet(m)[1] - n * np.log(frobenius_stack(m))
+    return bool((margin >= np.log(2 * n * PIVOT_RTOL) - (n - 1) / 2 * np.log(max(n - 1, 1))).all())
+
+
 def solve_stack(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``solve`` for each pair of matrices of two stacks; LAPACK factors one
-    matrix per call, so this is a loop."""
+    """``solve`` for each pair of matrices of two stacks, with ``solve``'s bits.
+
+    A stack of more than one matrix of order up to
+    ``BATCHED_SOLVE_MAX_ORDER``, each with at least two right-hand sides and
+    each shown by ``_pivots_pass`` to be nonsingular, is solved by one
+    ``np.linalg.solve``, whose ``gesv`` is ``getrf`` then ``getrs``.
+    (``getrs`` takes another route for a single right-hand side, which
+    ``gesv`` does not share.)  Any other stack is solved one matrix at a
+    time, so that the first failing matrix raises.
+    """
     out = _column_major_stack(b.shape)
-    for t in range(len(a)):
-        out[t] = solve(a[t], b[t])
+    m = np.asarray(a, dtype=np.complex128)
+    if len(m) > 1 and m.shape[-1] <= BATCHED_SOLVE_MAX_ORDER and b.shape[-1] > 1 and _pivots_pass(m):
+        out[...] = np.linalg.solve(m, b)
+        return out
+    for t in range(len(m)):
+        out[t] = solve(m[t], b[t])
     return out
 
 

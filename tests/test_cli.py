@@ -257,6 +257,30 @@ class TestLargeSuites:
         assert doc["failures"] == 0
         assert math.isfinite(doc["min_slack"]) and math.isfinite(doc["median_slack"])
 
+    @pytest.mark.parametrize("seeds", [(1, 2), (2, 1)])
+    def test_check_claim2_at_n256_agrees_with_main2(self, seeds, tmp_path, capsys):
+        # The leading minors overflow a float; claim2 used to exit 2 here
+        # ("sequence entries must be finite") while main2 held.
+        paths = [str(tmp_path / f"{seed}.json") for seed in seeds]
+        for path, seed in zip(paths, seeds):
+            write_matrix(path, s.gen_sectorial(256, 0.785, seed))
+        docs = []
+        for argv in (["claim2", *paths], ["main2", *paths, "--alpha", "0.785"]):
+            assert main(["check", *argv]) == 0
+            docs.append(json.loads(capsys.readouterr().out))
+        claim2, main2 = docs
+        assert claim2["holds"] and math.isfinite(claim2["slack"])
+        # both bound the same ratio sum of the same minors
+        log_rhs = re.compile(r"log_rhs=(\S+)")
+        assert log_rhs.search(claim2["detail"]).group(1) == log_rhs.search(main2["detail"]).group(1)
+
+    def test_check_claim2_needs_operands_of_one_size(self, tmp_path, capsys):
+        paths = [str(tmp_path / "a.json"), str(tmp_path / "b.json")]
+        write_matrix(paths[0], s.gen_sectorial(3, 0.785, 1))
+        write_matrix(paths[1], s.gen_sectorial(4, 0.785, 2))
+        assert main(["check", "claim2", *paths]) == 2
+        assert capsys.readouterr().err == "error: operands must share a dimension, got (3, 3) and (4, 4)\n"
+
 
 class TestHermitianGuardAborts:
     # Both suites used to exit 2 ("input is not Hermitian within tolerance"):

@@ -73,10 +73,11 @@ def test_chunk_size():
     assert [chunk_size(n, "sequence") for n in (6, 128, 16383, 16384)] == [2340, 127, 1, 1]
 
 
-@pytest.mark.parametrize("n, trials", [(2, 9), (3, 9), (6, 12), (40, 25)])
+@pytest.mark.parametrize("n, trials", [(2, 9), (3, 9), (6, 12), (16, 66), (40, 25)])
 @pytest.mark.parametrize("name", list(CHECKS))
 def test_engine_equals_per_trial_checks(name, n, trials):
-    # n = 40 runs in three chunks of 10, 10 and 5 trials.
+    # n = 16 runs in chunks of 64 and 2 trials, whose order-8 Schur blocks
+    # are solved as one batch; n = 40 runs in three chunks of 10, 10 and 5.
     c = TrialConfig(seed=11, n=n, alpha=ALPHA, trials=trials)
     engine = [bits(r) for r in cli._trial_reports(name, c, s.DEFAULT_TOL)]
     assert engine == [bits(r) for r in per_trial_reports(name, c)]
@@ -222,6 +223,45 @@ def test_first_failing_trial_reports_its_error(name, n, trials, bad_b, bad_a, mo
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("reach_the_solve", [False, True])
+@pytest.mark.parametrize("name", ["main1", "schur-pd", "lemma-2-5", "claim1"])
+def test_singular_leading_block_in_a_batched_chunk(name, reach_the_solve, monkeypatch, capsys):
+    # Trial 7 of a 20-trial chunk at n = 6 gets a zero leading 3-by-3 block.
+    # Its preconditions reject it first; with them switched off, the chunk's
+    # batched solve meets the singular block.  Either way the suite prints
+    # what the per-trial loop (chunks of one trial) prints.
+    family = CHECKS[name].family
+    original = FAMILIES[family]
+
+    def patched(c, lo, hi):
+        a, b = original(c, lo, hi)
+        a = a.copy()
+        if lo <= 7 < hi:
+            a[7 - lo, :3, :3] = 0.0
+        return a, b
+
+    monkeypatch.setitem(FAMILIES, family, patched)
+    if reach_the_solve:
+        ineq = s.inequalities
+        monkeypatch.setattr(ineq, "_require_sectorial_pair", lambda a, b, alpha, tol: alpha)
+        monkeypatch.setattr(ineq, "_require_pd_pair", lambda a, b: (a, b))
+        monkeypatch.setattr(ineq, "_require_accretive", lambda m, what: s.linalg.cartesian_split_stack(m))
+        monkeypatch.setattr(s.sector, "sector_angle_stack", lambda m: np.zeros(len(m)))
+    argv = ["trials", name, "--n", "6", "--alpha", str(ALPHA), "--trials", "20", "--seed", "3"]
+
+    def run():
+        rc = main(argv)
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        return rc, captured.err
+
+    batched = run()
+    monkeypatch.setattr(cli, "chunk_size", lambda n, family="single": 1)
+    assert batched == run()
+    assert batched[0] == 2
+    assert ("leading 3-by-3 block is numerically singular" in batched[1]) == reach_the_solve
 
 
 def test_falsifier_keeps_the_lowest_index_on_ties(monkeypatch):

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -140,6 +141,113 @@ class TestInverse:
         a = random_matrix(4, 11)
         b = random_matrix(4, 12)
         np.testing.assert_allclose(solve(a, b), inverse(a) @ b, atol=1e-12)
+
+
+def gaussian_stack(t, n, k, seed):
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal((t, n, k)) + 1j * rng.standard_normal((t, n, k))
+
+
+class TestSolveStackRoutes:
+    """A small stack is solved as one batch, any other one matrix at a time;
+    both routes give every matrix the bits of ``solve``."""
+
+    LIMIT = sectoria.linalg.BATCHED_SOLVE_MAX_ORDER
+
+    @staticmethod
+    def per_matrix(a, b):
+        return np.stack([solve(a[t], b[t]) for t in range(len(a))])
+
+    @staticmethod
+    def batched(a, b):
+        return len(a) > 1 and a.shape[-1] <= TestSolveStackRoutes.LIMIT and b.shape[-1] > 1
+
+    @pytest.fixture
+    def route(self, monkeypatch):
+        """Solve a stack through ``solve_stack``, recording whether it called ``solve``."""
+        calls = []
+
+        def counted(a, b):
+            calls.append(1)
+            return solve(a, b)
+
+        monkeypatch.setattr(sectoria.linalg, "solve", counted)
+
+        def run(a, b):
+            calls.clear()
+            out = sectoria.linalg.solve_stack(a, b)
+            return out, not calls
+
+        return run
+
+    @pytest.mark.parametrize("t", [2, 64])
+    @pytest.mark.parametrize("n", [1, 2, 3, 6, 12, 15, 16, 20])
+    @pytest.mark.parametrize("k", [1, 2, 5, "eye"])
+    def test_equals_per_matrix_solve(self, route, t, n, k):
+        a = gaussian_stack(t, n, n, 100 * n + t)
+        b = (np.broadcast_to(np.eye(n), a.shape) if k == "eye"
+             else gaussian_stack(t, n, k, 100 * n + t + 1))
+        out, batched = route(a, b)
+        assert batched == self.batched(a, b)
+        assert out.tobytes() == self.per_matrix(a, b).tobytes()
+        # column-major matrices, as LAPACK returns them, on both routes
+        assert all(m.flags.f_contiguous for m in out)
+
+    @pytest.mark.parametrize("n", [2, 3, 6, 12])
+    def test_real_stack_is_solved_in_complex_arithmetic(self, route, n):
+        a = gaussian_stack(64, n, n, n).real
+        b = gaussian_stack(64, n, 3, n + 1).real
+        out, batched = route(a, b)
+        assert batched and out.dtype == np.complex128
+        assert out.tobytes() == self.per_matrix(a, b).tobytes()
+
+    @pytest.mark.parametrize("k", [0, 1, 63])
+    def test_singular_matrix_raises_what_solve_raises(self, route, k):
+        a = gaussian_stack(64, 3, 3, 7)
+        a[k, :, 0] = 2.0 * a[k, :, 1]
+        with pytest.raises(SingularMatrixError) as expected:
+            solve(a[k], a[k])
+        with pytest.raises(SingularMatrixError) as raised:
+            route(a, gaussian_stack(64, 3, 2, 8))
+        assert str(raised.value) == str(expected.value)
+
+    @pytest.mark.parametrize("n", [2, 3, 6, 15])
+    def test_determinant_bound_never_passes_a_failing_pivot(self, n, route):
+        # sigma_min = 10**-e sigma_max takes the matrices across both the
+        # determinant bound and the pivot threshold 1e-13 ||A||_F.
+        exponents = np.arange(0.0, 18.0, 0.5)
+        shown, nonsingular = 0, 0
+        for i, e in enumerate(exponents):
+            q1, q2 = (np.linalg.qr(m)[0] for m in gaussian_stack(2, n, n, 1000 * n + i))
+            sigma = np.linspace(2.0, 0.5, n)
+            sigma[-1] = 10.0 ** -e
+            stack = np.stack([np.eye(n), (q1 * sigma) @ q2.conj().T])
+            b = gaussian_stack(2, n, 2, i)
+            try:
+                sectoria.linalg._lu_factor(stack[1])
+            except SingularMatrixError:
+                assert not sectoria.linalg._pivots_pass(stack)
+                with pytest.raises(SingularMatrixError):
+                    route(stack, b)
+                continue
+            nonsingular += 1
+            out, batched = route(stack, b)
+            assert batched == sectoria.linalg._pivots_pass(stack)
+            shown += batched
+            assert out.tobytes() == self.per_matrix(stack, b).tobytes()
+        # the bound shows some nonsingular matrices and leaves the others to
+        # the per-matrix loop, which rejects some
+        assert 0 < shown < nonsingular < len(exponents)
+
+    def test_non_finite_stack_raises_the_first_failure(self, route):
+        a = gaussian_stack(64, 3, 3, 9)
+        b = gaussian_stack(64, 3, 2, 10)
+        a[5, 1, 1] = np.nan
+        with pytest.raises(ValueError, match="^matrix entries must be finite$"):
+            route(a, b)
+        a[2] = 0.0  # a singular matrix before the non-finite one raises first
+        with pytest.raises(SingularMatrixError):
+            route(a, b)
 
 
 class TestDeterminant:

@@ -43,6 +43,23 @@ class TestSchurComplement:
         with pytest.raises(SingularLeadingBlockError):
             schur_complement(np.array([[0.0, 1.0], [1.0, 0.0]]), 1)
 
+    @pytest.mark.parametrize("t", [2, 64])
+    @pytest.mark.parametrize("n, p", [(n, p) for n in (2, 3, 6, 16, 24)
+                                      for p in sorted({1, n // 2, n - 1})])
+    def test_stack_equals_each_matrix(self, n, p, t):
+        # Small leading blocks are solved as one batch, larger ones one
+        # matrix at a time; the complements keep their bits either way.
+        a = np.stack([gen_sectorial(n, 0.9, 1000 * n + i) for i in range(t)])
+        stacked = schur_complement(a, p)
+        assert stacked.tobytes() == np.stack([schur_complement(m, p) for m in a]).tobytes()
+
+    def test_singular_leading_block_in_a_stack(self):
+        a = np.stack([gen_sectorial(6, 0.9, i) for i in range(64)])
+        a[40, :3, :3] = 0.0
+        with pytest.raises(SingularLeadingBlockError,
+                           match=r"^leading 3-by-3 block is numerically singular$"):
+            schur_complement(a, 3)
+
     @pytest.mark.parametrize("p", [0, 4, -1])
     def test_partition_out_of_range(self, p):
         with pytest.raises(ValueError):
