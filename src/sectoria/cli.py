@@ -39,6 +39,11 @@ EXIT_PRECONDITION = 2
 EXIT_VIOLATION = 3
 
 
+# A check raises one of these when an operand fails its preconditions or its
+# arithmetic fails: exit code 2, and a chunk of trials is replayed one by one.
+_PRECONDITION_ERRORS = (SectoriaError, ValueError, ArithmeticError, IndexError)
+
+
 class UsageError(Exception):
     """Bad flags or operands; maps to exit code 1."""
 
@@ -107,11 +112,12 @@ class Check(NamedTuple):
     A into a leading block and the rest (or steps k = 1..n-1), so that it
     needs n >= 2.
 
-    The evaluator is ``evaluate(a, b, alpha, partition, tol)`` on operand
-    stacks of shape (T, n, n) and returns T reports.  ``b`` is None for the
-    single family, ``a`` and ``b`` are the two sequences (rows of length
-    n + 1) for the sequence family, and a ``partition`` of None selects the
-    default.
+    The evaluator is ``evaluate(a, b, alpha, partition, tol)``.  It calls
+    the check's one function, ``check_*``, on operand stacks of shape
+    (T, n, n), and returns T reports; ``check`` passes a stack of one.
+    ``b`` is None for the single family, ``a`` and ``b`` are the two
+    sequences (rows of length n + 1) for the sequence family, and a
+    ``partition`` of None selects the default.
     """
 
     family: str
@@ -120,20 +126,20 @@ class Check(NamedTuple):
 
 
 CHECKS = {
-    "det-superadditivity": Check("pd_pair", lambda a, b, alpha, p, tol: ineq.check_det_superadditivity_stack(a, b, tol)),
-    "haynsworth": Check("pd_pair", lambda a, b, alpha, p, tol: ineq.check_haynsworth_stack(a, b, tol)),
-    "hartfiel": Check("pd_pair", lambda a, b, alpha, p, tol: ineq.check_hartfiel_stack(a, b, tol)),
-    "schur-pd": Check("pd_pair", lambda a, b, alpha, p, tol: ineq.check_schur_pd_stack(a, b, _block(a, p), tol), True),
-    "main1": Check("sectorial_pair", lambda a, b, alpha, p, tol: ineq.check_main1_stack(a, b, alpha, _block(a, p), tol), True),
-    "main2": Check("sectorial_pair", lambda a, b, alpha, p, tol: ineq.check_main2_stack(a, b, alpha, tol)),
-    "det-step": Check("sectorial_pair", lambda a, b, alpha, p, tol: ineq.check_det_step_stack(a, b, alpha, p, tol), True),
-    "lemma-2-4": Check("single", lambda a, b, alpha, p, tol: ineq.check_inverse_real_part_stack(a, tol)),
-    "lemma-2-5": Check("single", lambda a, b, alpha, p, tol: ineq.check_schur_real_part_stack(a, _block(a, p), tol), True),
-    "lemma-2-6": Check("single", lambda a, b, alpha, p, tol: ineq.check_ostrowski_taussky_complement_stack(a, tol)),
-    "claim1": Check("single", lambda a, b, alpha, p, tol: ineq.check_claim1_stack(a, _block(a, p), tol), True),
-    "weak-log-major": Check("single", lambda a, b, alpha, p, tol: ineq.check_weak_log_majorization_stack(a, tol)),
-    "schur-wrongsec": Check("single", lambda a, b, alpha, p, tol: ineq.check_schur_wrongsec_stack(a, _block(a, p), tol), True),
-    "corollary-ad": Check("ad_pair", lambda a, b, alpha, p, tol: ineq.check_corollary_ad_stack(a, b, tol)),
+    "det-superadditivity": Check("pd_pair", lambda a, b, alpha, p, tol: ineq.check_det_superadditivity(a, b, tol)),
+    "haynsworth": Check("pd_pair", lambda a, b, alpha, p, tol: ineq.check_haynsworth(a, b, tol)),
+    "hartfiel": Check("pd_pair", lambda a, b, alpha, p, tol: ineq.check_hartfiel(a, b, tol)),
+    "schur-pd": Check("pd_pair", lambda a, b, alpha, p, tol: ineq.check_schur_pd(a, b, _block(a, p), tol), True),
+    "main1": Check("sectorial_pair", lambda a, b, alpha, p, tol: ineq.check_main1(a, b, alpha, _block(a, p), tol), True),
+    "main2": Check("sectorial_pair", lambda a, b, alpha, p, tol: ineq.check_main2(a, b, alpha, tol)),
+    "det-step": Check("sectorial_pair", lambda a, b, alpha, p, tol: ineq.check_det_step(a, b, alpha, p, tol), True),
+    "lemma-2-4": Check("single", lambda a, b, alpha, p, tol: ineq.check_inverse_real_part(a, tol)),
+    "lemma-2-5": Check("single", lambda a, b, alpha, p, tol: ineq.check_schur_real_part(a, _block(a, p), tol), True),
+    "lemma-2-6": Check("single", lambda a, b, alpha, p, tol: ineq.check_ostrowski_taussky_complement(a, tol)),
+    "claim1": Check("single", lambda a, b, alpha, p, tol: ineq.check_claim1(a, _block(a, p), tol), True),
+    "weak-log-major": Check("single", lambda a, b, alpha, p, tol: ineq.check_weak_log_majorization(a, tol)),
+    "schur-wrongsec": Check("single", lambda a, b, alpha, p, tol: ineq.check_schur_wrongsec(a, _block(a, p), tol), True),
+    "corollary-ad": Check("ad_pair", lambda a, b, alpha, p, tol: ineq.check_corollary_ad(a, b, tol)),
     "claim2": Check("sequence", lambda a, b, alpha, p, tol: claim2_mod.check_claim2_stack(a, b, tol)),
 }
 
@@ -268,7 +274,7 @@ def _trial_reports(name: str, config: TrialConfig, tol: float) -> list[ineq.Ineq
         hi = min(lo + step, config.trials)
         try:
             reports += run(lo, hi)
-        except (SectoriaError, ValueError, ArithmeticError, IndexError):
+        except _PRECONDITION_ERRORS:
             if hi - lo == 1:
                 raise
             for i in range(lo, hi):
@@ -428,7 +434,7 @@ def main(argv=None) -> int:
     except (UsageError, MatrixFileError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (SectoriaError, ValueError, IndexError) as exc:
+    except _PRECONDITION_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
 

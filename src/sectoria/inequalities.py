@@ -7,13 +7,15 @@ scale-free: scalar checks evaluate (LHS - RHS) / max(LHS, RHS) from log LHS
 and log RHS, so products of determinants never overflow; Loewner checks
 divide the minimum eigenvalue of LHS - RHS by ||LHS||_F.
 
-Each ``check_NAME_stack`` evaluates a stack of T operands, arrays of shape
-(T, n, n), and returns T reports; ``check_NAME`` is the same code on a stack
-of one.  A precondition that fails for any trial of a stack raises.
+Each ``check_NAME`` takes one matrix per operand and returns one report, or
+a stack of T operands, arrays of shape (T, n, n), and returns the list of T
+reports; a matrix is evaluated as a stack of one, by the same code.  A
+precondition that fails for any trial of a stack raises.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -24,7 +26,6 @@ import numpy as np
 from . import linalg, schur, sector
 from .errors import (
     NotAccretiveDissipativeError,
-    NotAccretiveError,
     NotPositiveDefiniteError,
     NotSectorialError,
 )
@@ -112,9 +113,33 @@ def loewner_reports(name: str, lhs: np.ndarray, rhs: np.ndarray, tol: float,
     ]
 
 
-def _one(a) -> np.ndarray:
-    """One operand as a stack of one."""
-    return linalg.as_square_matrix(a)[None]
+# What a check returns: one report for matrices, a list of T for (T, n, n) stacks.
+Reports = InequalityReport | list[InequalityReport]
+
+
+def _matrix_or_stack(operands: int):
+    """Let a check written for (T, n, n) stacks take one matrix per operand.
+
+    The first of the check's leading ``operands`` arguments decides: a stack
+    is passed on as is, with the other operands, which must be stacks too,
+    and the check returns its T reports; a matrix is validated by
+    ``as_square_matrix``, as are the other operands, and the check returns
+    the one report of their stack of one.
+    """
+
+    def wrap(check):
+        @functools.wraps(check)
+        def either(*args, **kwargs):
+            if np.ndim(args[0]) == 3:
+                if any(np.ndim(m) != 3 for m in args[1:operands]):
+                    raise ValueError("operands must be all matrices or all (T, n, n) stacks")
+                return check(*args, **kwargs)
+            stacks = [linalg.as_square_matrix(m)[None] for m in args[:operands]]
+            return check(*stacks, *args[operands:], **kwargs)[0]
+
+        return either
+
+    return wrap
 
 
 def _require_pd(m: np.ndarray, what: str) -> np.ndarray:
@@ -126,14 +151,6 @@ def _require_pd(m: np.ndarray, what: str) -> np.ndarray:
     if not np.all(linalg.positive_definite_stack(sym, linalg.frobenius_stack(m))):
         raise NotPositiveDefiniteError(f"{what} is not positive definite")
     return sym
-
-
-def _require_accretive(m: np.ndarray, what: str) -> linalg.CartesianPair:
-    """Validate Re A positive definite for a stack; returns (Re A, Im A)."""
-    parts = linalg.cartesian_split_stack(m)
-    if not np.all(linalg.positive_definite_stack(parts.re, linalg.frobenius_stack(m))):
-        raise NotAccretiveError(f"real part of {what} is not positive definite")
-    return parts
 
 
 def _require_in_sector(m: np.ndarray, alpha: float, tol: float, what: str) -> None:
@@ -235,22 +252,23 @@ def _log_bound_levels(a: np.ndarray, b: np.ndarray) -> list[DeterminantBoundLeve
 def determinant_bound_levels(a, b) -> DeterminantBoundLevels:
     """Evaluate det(A+B) and the nested bound ladder for PD operands; a
     level too large for a float is inf."""
-    return DeterminantBoundLevels(*(_exp(x) for x in _log_bound_levels(_one(a), _one(b))[0]))
+    levels = _log_bound_levels(linalg.as_square_matrix(a)[None], linalg.as_square_matrix(b)[None])[0]
+    return DeterminantBoundLevels(*(_exp(x) for x in levels))
 
 
-def check_det_superadditivity_stack(a, b, tol: float = DEFAULT_TOL) -> list[InequalityReport]:
+@_matrix_or_stack(2)
+def check_det_superadditivity(a, b, tol: float = DEFAULT_TOL) -> Reports:
+    """det(A+B) >= det A + det B for Hermitian positive definite A and B."""
     return [
         scalar_report("det-superadditivity", lv.lhs, lv.superadditive, tol)
         for lv in _log_bound_levels(a, b)
     ]
 
 
-def check_det_superadditivity(a, b, tol: float = DEFAULT_TOL) -> InequalityReport:
-    """det(A+B) >= det A + det B for Hermitian positive definite A and B."""
-    return check_det_superadditivity_stack(_one(a), _one(b), tol)[0]
-
-
-def check_haynsworth_stack(a, b, tol: float = DEFAULT_TOL) -> list[InequalityReport]:
+@_matrix_or_stack(2)
+def check_haynsworth(a, b, tol: float = DEFAULT_TOL) -> Reports:
+    """det(A+B) >= (1 + sum det B_k / det A_k) det A
+    + (1 + sum det A_k / det B_k) det B for PD operands."""
     return [
         scalar_report("haynsworth", lv.lhs, lv.ratio_refined, tol,
                       f"log_rhs_over_superadditive={lv.ratio_refined - lv.superadditive:.6e}")
@@ -258,13 +276,9 @@ def check_haynsworth_stack(a, b, tol: float = DEFAULT_TOL) -> list[InequalityRep
     ]
 
 
-def check_haynsworth(a, b, tol: float = DEFAULT_TOL) -> InequalityReport:
-    """det(A+B) >= (1 + sum det B_k / det A_k) det A
-    + (1 + sum det A_k / det B_k) det B for PD operands."""
-    return check_haynsworth_stack(_one(a), _one(b), tol)[0]
-
-
-def check_hartfiel_stack(a, b, tol: float = DEFAULT_TOL) -> list[InequalityReport]:
+@_matrix_or_stack(2)
+def check_hartfiel(a, b, tol: float = DEFAULT_TOL) -> Reports:
+    """The ratio-sum determinant bound sharpened by (2^n - 2n) sqrt(det A det B)."""
     return [
         scalar_report("hartfiel", lv.lhs, lv.sqrt_refined, tol,
                       f"log_rhs_over_ratio_refined={lv.sqrt_refined - lv.ratio_refined:.6e}")
@@ -272,25 +286,19 @@ def check_hartfiel_stack(a, b, tol: float = DEFAULT_TOL) -> list[InequalityRepor
     ]
 
 
-def check_hartfiel(a, b, tol: float = DEFAULT_TOL) -> InequalityReport:
-    """The ratio-sum determinant bound sharpened by (2^n - 2n) sqrt(det A det B)."""
-    return check_hartfiel_stack(_one(a), _one(b), tol)[0]
-
-
-def check_schur_pd_stack(a, b, p: int, tol: float = DEFAULT_TOL) -> list[InequalityReport]:
+@_matrix_or_stack(2)
+def check_schur_pd(a, b, p: int, tol: float = DEFAULT_TOL) -> Reports:
+    """(A+B)/(A11+B11) >= A/A11 + B/B11 in the Loewner order for PD A, B."""
     ha, hb = _require_pd_pair(a, b)
     lhs = schur.schur_complement(ha + hb, p)
     rhs = schur.schur_complement(ha, p) + schur.schur_complement(hb, p)
     return loewner_reports("schur-pd", lhs, rhs, tol)
 
 
-def check_schur_pd(a, b, p: int, tol: float = DEFAULT_TOL) -> InequalityReport:
-    """(A+B)/(A11+B11) >= A/A11 + B/B11 in the Loewner order for PD A, B."""
-    return check_schur_pd_stack(_one(a), _one(b), p, tol)[0]
-
-
-def check_inverse_real_part_stack(a, tol: float = DEFAULT_TOL) -> list[InequalityReport]:
-    re, _ = _require_accretive(a, "A")
+@_matrix_or_stack(1)
+def check_inverse_real_part(a, tol: float = DEFAULT_TOL) -> Reports:
+    """(Re A)^{-1} >= Re(A^{-1}) when Re A is positive definite."""
+    re, _ = linalg.accretive_parts(a)
     eye = np.broadcast_to(np.eye(a.shape[-1]), a.shape)
     inv_re = linalg.solve_stack(re, eye)
     lhs = (inv_re + linalg.adjoint(inv_re)) / 2.0
@@ -298,25 +306,19 @@ def check_inverse_real_part_stack(a, tol: float = DEFAULT_TOL) -> list[Inequalit
     return loewner_reports("lemma-2-4", lhs, rhs, tol)
 
 
-def check_inverse_real_part(a, tol: float = DEFAULT_TOL) -> InequalityReport:
-    """(Re A)^{-1} >= Re(A^{-1}) when Re A is positive definite."""
-    return check_inverse_real_part_stack(_one(a), tol)[0]
-
-
-def check_schur_real_part_stack(a, p: int, tol: float = DEFAULT_TOL) -> list[InequalityReport]:
-    re, _ = _require_accretive(a, "A")
+@_matrix_or_stack(1)
+def check_schur_real_part(a, p: int, tol: float = DEFAULT_TOL) -> Reports:
+    """Re(A/A11) >= (Re A)/(Re A11) when Re A is positive definite."""
+    re, _ = linalg.accretive_parts(a)
     lhs = linalg.cartesian_split_stack(schur.schur_complement(a, p)).re
     rhs_raw = schur.schur_complement(re, p)
     rhs = (rhs_raw + linalg.adjoint(rhs_raw)) / 2.0
     return loewner_reports("lemma-2-5", lhs, rhs, tol)
 
 
-def check_schur_real_part(a, p: int, tol: float = DEFAULT_TOL) -> InequalityReport:
-    """Re(A/A11) >= (Re A)/(Re A11) when Re A is positive definite."""
-    return check_schur_real_part_stack(_one(a), p, tol)[0]
-
-
-def check_ostrowski_taussky_complement_stack(a, tol: float = DEFAULT_TOL) -> list[InequalityReport]:
+@_matrix_or_stack(1)
+def check_ostrowski_taussky_complement(a, tol: float = DEFAULT_TOL) -> Reports:
+    """sec^n(alpha) det(Re A) >= |det A| with alpha the sector angle of A."""
     alphas = sector.sector_angle_stack(a)
     n = a.shape[-1]
     log_det_re = linalg.log_abs_determinant_stack(linalg.cartesian_split_stack(a).re)
@@ -328,12 +330,11 @@ def check_ostrowski_taussky_complement_stack(a, tol: float = DEFAULT_TOL) -> lis
     ]
 
 
-def check_ostrowski_taussky_complement(a, tol: float = DEFAULT_TOL) -> InequalityReport:
-    """sec^n(alpha) det(Re A) >= |det A| with alpha the sector angle of A."""
-    return check_ostrowski_taussky_complement_stack(_one(a), tol)[0]
-
-
-def check_weak_log_majorization_stack(a, tol: float = DEFAULT_TOL) -> list[InequalityReport]:
+@_matrix_or_stack(1)
+def check_weak_log_majorization(a, tol: float = DEFAULT_TOL) -> Reports:
+    """Partial products of the eigenvalues of sec(alpha) Re Z dominate the
+    matching partial products of the singular values of Z, where A = X Z X*
+    is the canonical decomposition and alpha its angle."""
     _, thetas = sector.sectorial_decompose_stack(a)
     n = thetas.shape[-1]
     z = np.zeros(thetas.shape + (n,), dtype=np.complex128)
@@ -360,26 +361,16 @@ def check_weak_log_majorization_stack(a, tol: float = DEFAULT_TOL) -> list[Inequ
     return reports
 
 
-def check_weak_log_majorization(a, tol: float = DEFAULT_TOL) -> InequalityReport:
-    """Partial products of the eigenvalues of sec(alpha) Re Z dominate the
-    matching partial products of the singular values of Z, where A = X Z X*
-    is the canonical decomposition and alpha its angle."""
-    return check_weak_log_majorization_stack(_one(a), tol)[0]
-
-
-def check_claim1_stack(a, p: int, tol: float = DEFAULT_TOL) -> list[InequalityReport]:
-    re, _ = _require_accretive(a, "A")
+@_matrix_or_stack(1)
+def check_claim1(a, p: int, tol: float = DEFAULT_TOL) -> Reports:
+    """sec^2(alpha) (Re A)/(Re A11) >= Re(A/A11) with alpha the sector angle of A."""
+    re, _ = linalg.accretive_parts(a)
     alphas = sector.sector_angle_stack(a)
     sec2 = np.array([(1.0 / math.cos(alpha)) ** 2 for alpha in alphas])
     lhs_raw = schur.schur_complement(re, p)
     lhs = sec2[:, None, None] * (lhs_raw + linalg.adjoint(lhs_raw)) / 2.0
     rhs = linalg.cartesian_split_stack(schur.schur_complement(a, p)).re
     return loewner_reports("claim1", lhs, rhs, tol, [f"alpha={alpha:.9f}" for alpha in alphas])
-
-
-def check_claim1(a, p: int, tol: float = DEFAULT_TOL) -> InequalityReport:
-    """sec^2(alpha) (Re A)/(Re A11) >= Re(A/A11) with alpha the sector angle of A."""
-    return check_claim1_stack(_one(a), p, tol)[0]
 
 
 def real_schur_terms_stack(a: np.ndarray, b: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
@@ -392,34 +383,36 @@ def real_schur_terms_stack(a: np.ndarray, b: np.ndarray, p: int) -> tuple[np.nda
     return re_schur(a + b), re_schur(a) + re_schur(b)
 
 
-def check_main1_stack(a, b, alpha: float, p: int, tol: float = DEFAULT_TOL) -> list[InequalityReport]:
+@_matrix_or_stack(2)
+def check_main1(a, b, alpha: float, p: int, tol: float = DEFAULT_TOL) -> Reports:
+    """sec^2(alpha) Re((A+B)/(A11+B11)) >= Re(A/A11) + Re(B/B11) for A, B
+    with numerical range in the alpha sector."""
     alpha = _require_sectorial_pair(a, b, alpha, tol)
     sec2 = (1.0 / math.cos(alpha)) ** 2
     lhs, rhs = real_schur_terms_stack(a, b, p)
     return loewner_reports("main1", sec2 * lhs, rhs, tol)
 
 
-def check_main1(a, b, alpha: float, p: int, tol: float = DEFAULT_TOL) -> InequalityReport:
-    """sec^2(alpha) Re((A+B)/(A11+B11)) >= Re(A/A11) + Re(B/B11) for A, B
-    with numerical range in the alpha sector."""
-    return check_main1_stack(_one(a), _one(b), alpha, p, tol)[0]
-
-
-def check_schur_wrongsec_stack(a, p: int, tol: float = DEFAULT_TOL) -> list[InequalityReport]:
-    _require_accretive(a, "A")
+@_matrix_or_stack(1)
+def check_schur_wrongsec(a, p: int, tol: float = DEFAULT_TOL) -> Reports:
+    """The uncorrected bound Re((A+B)/(A11+B11)) >= Re(A/A11) + Re(B/B11)
+    with B = A*; false in general, equality for Hermitian A."""
+    linalg.accretive_parts(a)
     lhs, rhs = real_schur_terms_stack(a, linalg.adjoint(a), p)
     return loewner_reports("schur-wrongsec", lhs, rhs, tol)
 
 
-def check_schur_wrongsec(a, p: int, tol: float = DEFAULT_TOL) -> InequalityReport:
-    """The uncorrected bound Re((A+B)/(A11+B11)) >= Re(A/A11) + Re(B/B11)
-    with B = A*; false in general, equality for Hermitian A."""
-    return check_schur_wrongsec_stack(_one(a), p, tol)[0]
-
-
-def check_det_step_stack(
+@_matrix_or_stack(2)
+def check_det_step(
     a, b, alpha: float, k: int | None = None, tol: float = DEFAULT_TOL
-) -> list[InequalityReport]:
+) -> Reports:
+    """sec^3(alpha) |det(A_{k+1}+B_{k+1}) / det(A_k+B_k)|
+    >= |det A_{k+1} / det A_k| + |det B_{k+1} / det B_k|.
+
+    With ``k`` None every step k = 1..n-1 is checked and the worst one is
+    reported.  Sector membership is tested once, and each of A, B and A+B is
+    factored once (only its leading (k+1)-by-(k+1) block for a single k).
+    """
     alpha = _require_sectorial_pair(a, b, alpha, tol)
     n = a.shape[-1]
     if k is None:
@@ -444,20 +437,10 @@ def check_det_step_stack(
     ]
 
 
-def check_det_step(
-    a, b, alpha: float, k: int | None = None, tol: float = DEFAULT_TOL
-) -> InequalityReport:
-    """sec^3(alpha) |det(A_{k+1}+B_{k+1}) / det(A_k+B_k)|
-    >= |det A_{k+1} / det A_k| + |det B_{k+1} / det B_k|.
-
-    With ``k`` None every step k = 1..n-1 is checked and the worst one is
-    reported.  Sector membership is tested once, and each of A, B and A+B is
-    factored once (only its leading (k+1)-by-(k+1) block for a single k).
-    """
-    return check_det_step_stack(_one(a), _one(b), alpha, k, tol)[0]
-
-
-def check_main2_stack(a, b, alpha: float, tol: float = DEFAULT_TOL) -> list[InequalityReport]:
+@_matrix_or_stack(2)
+def check_main2(a, b, alpha: float, tol: float = DEFAULT_TOL) -> Reports:
+    """sec^{3n-2}(alpha) |det(A+B)| >= the ratio-sum bound on |det A|, |det B|
+    plus (2^n - 2n) sqrt(|det A det B|), for A, B in the alpha sector."""
     alpha = _require_sectorial_pair(a, b, alpha, tol)
     n = a.shape[-1]
     shift = -(3 * n - 2) * math.log(math.cos(alpha))
@@ -467,13 +450,10 @@ def check_main2_stack(a, b, alpha: float, tol: float = DEFAULT_TOL) -> list[Ineq
     ]
 
 
-def check_main2(a, b, alpha: float, tol: float = DEFAULT_TOL) -> InequalityReport:
-    """sec^{3n-2}(alpha) |det(A+B)| >= the ratio-sum bound on |det A|, |det B|
-    plus (2^n - 2n) sqrt(|det A det B|), for A, B in the alpha sector."""
-    return check_main2_stack(_one(a), _one(b), alpha, tol)[0]
-
-
-def check_corollary_ad_stack(a, b, tol: float = DEFAULT_TOL) -> list[InequalityReport]:
+@_matrix_or_stack(2)
+def check_corollary_ad(a, b, tol: float = DEFAULT_TOL) -> Reports:
+    """2^{3n/2 - 1} |det(A+B)| >= the sqrt-refined ratio bound, for
+    accretive-dissipative A and B (Re and Im parts positive definite)."""
     _require_pair(a, b)
     for m, what in ((a, "A"), (b, "B")):
         re, im = linalg.cartesian_split_stack(m)
@@ -489,9 +469,3 @@ def check_corollary_ad_stack(a, b, tol: float = DEFAULT_TOL) -> list[InequalityR
                       f"constant=2**{exponent!r}")
         for lhs, rhs in zip(linalg.log_abs_determinant_stack(a + b), _log_minor_ratio_sum(a, b))
     ]
-
-
-def check_corollary_ad(a, b, tol: float = DEFAULT_TOL) -> InequalityReport:
-    """2^{3n/2 - 1} |det(A+B)| >= the sqrt-refined ratio bound, for
-    accretive-dissipative A and B (Re and Im parts positive definite)."""
-    return check_corollary_ad_stack(_one(a), _one(b), tol)[0]

@@ -18,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 import scipy.linalg
 
-from .errors import NotConvergedError, NotPositiveDefiniteError, SingularMatrixError
+from .errors import NotAccretiveError, NotConvergedError, NotPositiveDefiniteError, SingularMatrixError
 
 # Pivot magnitudes below PIVOT_RTOL * ||A||_F count as singular.
 PIVOT_RTOL = 1e-13
@@ -106,8 +106,13 @@ def positive_definite_stack(h: np.ndarray, scale: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(h)[:, 0] > PD_RTOL * scale
 
 
-def is_positive_definite(h: np.ndarray, scale: float) -> bool:
-    return bool(positive_definite_stack(h[None], np.array([scale]))[0])
+def accretive_parts(m: np.ndarray) -> CartesianPair:
+    """The Cartesian parts (Re A, Im A) of each matrix A of a stack, after
+    checking that every real part is positive definite."""
+    parts = cartesian_split_stack(m)
+    if not np.all(positive_definite_stack(parts.re, frobenius_stack(m))):
+        raise NotAccretiveError("real part of A is not positive definite")
+    return parts
 
 
 def hermitian_eigen_stack(h: np.ndarray) -> HermitianEigenResult:

@@ -8,7 +8,6 @@ import numpy as np
 
 from . import linalg
 from .errors import (
-    NotAccretiveError,
     SingularBlockError,
     SingularLeadingBlockError,
     SingularMatrixError,
@@ -75,9 +74,8 @@ def cartesian_schur_identity(a, p: int) -> CartesianSchurParts:
     """
     m = linalg.as_square_matrix(a)
     p = validate_partition(m.shape[0], p)
-    re, im = linalg.cartesian_split(m)
-    if not linalg.is_positive_definite(re, linalg.frobenius(m)):
-        raise NotAccretiveError("real part is not positive definite")
+    parts = linalg.accretive_parts(m[None])
+    re, im = parts.re[0], parts.im[0]
 
     m11 = re[:p, :p]
     n11 = im[:p, :p]
@@ -114,9 +112,8 @@ def real_inverse_identity(a) -> float:
     Returns the gap in Frobenius norm divided by ||A^{-1}||_F.
     """
     m = linalg.as_square_matrix(a)
-    re, im = linalg.cartesian_split(m)
-    if not linalg.is_positive_definite(re, linalg.frobenius(m)):
-        raise NotAccretiveError("real part is not positive definite")
+    parts = linalg.accretive_parts(m[None])
+    re, im = parts.re[0], parts.im[0]
     inv_a = linalg.inverse(m)
     lhs = linalg.cartesian_split(inv_a).re
     rhs = linalg.inverse(re + im @ linalg.solve(re, im))

@@ -58,21 +58,19 @@ def _in_sector(m: np.ndarray, alpha: float, tol: float) -> list[SectorMembership
     scale = linalg.frobenius_stack(m)
     floor = -tol * scale
     out = [SectorMembership(True)] * len(m)
-    # A matrix leaves the later tests once one fails, as it does on its own.
-    live = np.arange(len(m))
+    inside = np.ones(len(m), dtype=bool)
     for beta in (math.pi / 2 - alpha, alpha - math.pi / 2, 0.0):
         h = _rotated_real_part(m, beta)
         if beta:
             fails = np.linalg.eigvalsh(h)[:, 0] < floor
         else:  # the real part must be strictly positive definite
             fails = ~linalg.positive_definite_stack(h, scale)
-        if fails.any():
-            for k in np.flatnonzero(fails):
-                out[live[k]] = SectorMembership(False, _witness(m[k], h[k], beta))
-            keep = ~fails
-            live, m, scale, floor = live[keep], m[keep], scale[keep], floor[keep]
-            if not len(live):
-                break
+        # A matrix's witness is its first failing rotation, as on its own.
+        for k in np.flatnonzero(fails & inside):
+            out[k] = SectorMembership(False, _witness(m[k], h[k], beta))
+        inside &= ~fails
+        if not inside.any():
+            break
     return out
 
 

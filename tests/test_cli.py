@@ -52,6 +52,20 @@ class TestMatrixFiles:
     def test_missing_file(self, tmp_path):
         assert main(["angle", str(tmp_path / "nope.json")]) == 1
 
+    @pytest.mark.parametrize("text, message", [
+        ("[[1.0]]", "expected JSON object with n, re, im"),
+        ('{"n": 1, "re": [[1.0]]}', "expected JSON object with n, re, im"),
+        ('{"n": "one", "re": [[1.0]], "im": [[0.0]]}', "expected JSON object with n, re, im"),
+        ('{"n": 1, "re": [[NaN]], "im": [[0.0]]}', "entries must be finite"),
+    ])
+    def test_malformed_contents(self, tmp_path, capsys, text, message):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        assert main(["angle", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {path}: {message}\n"
+
 
 class TestAngleCommand:
     def test_identity(self, files, capsys):
@@ -216,6 +230,24 @@ class TestTrialsCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: seed must be >= 0\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "lemma-2-6", "A"],
+    ["trials", "lemma-2-6", "--n", "3", "--trials", "4"],
+])
+def test_arithmetic_error_of_a_check_is_a_precondition_failure(argv, files, monkeypatch, capsys):
+    _, paths = files
+    argv = [paths["sect_a"] if x == "A" else x for x in argv]
+
+    def overflow(a, b, alpha, p, tol):
+        raise OverflowError("math range error")
+
+    monkeypatch.setitem(CHECKS, "lemma-2-6", CHECKS["lemma-2-6"]._replace(evaluate=overflow))
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: math range error\n"
 
 
 OPERANDS = {

@@ -247,7 +247,7 @@ def test_singular_leading_block_in_a_batched_chunk(name, reach_the_solve, monkey
         ineq = s.inequalities
         monkeypatch.setattr(ineq, "_require_sectorial_pair", lambda a, b, alpha, tol: alpha)
         monkeypatch.setattr(ineq, "_require_pd_pair", lambda a, b: (a, b))
-        monkeypatch.setattr(ineq, "_require_accretive", lambda m, what: s.linalg.cartesian_split_stack(m))
+        monkeypatch.setattr(s.linalg, "accretive_parts", lambda m: s.linalg.cartesian_split_stack(m))
         monkeypatch.setattr(s.sector, "sector_angle_stack", lambda m: np.zeros(len(m)))
     argv = ["trials", name, "--n", "6", "--alpha", str(ALPHA), "--trials", "20", "--seed", "3"]
 

@@ -13,6 +13,7 @@ from sectoria import (
     NotPositiveDefiniteError,
     NotSectorialError,
     TrialConfig,
+    cli,
 )
 from oracles import determinant
 
@@ -460,3 +461,62 @@ class TestScalarSlack:
             assert "log_lhs=" in report.detail
         # the public ladder reports a level beyond the float range as inf
         assert s.determinant_bound_levels(p, q).lhs == math.inf
+
+
+def _pd(n, seed):
+    return s.gen_positive_definite(n, seed)
+
+
+def _sectorial(n, seed):
+    return s.gen_sectorial(n, 0.6, seed)
+
+
+# name -> (check, operand generator, operand count, the arguments after the operands)
+MATRIX_CHECKS = {
+    "det-superadditivity": (s.check_det_superadditivity, _pd, 2, ()),
+    "haynsworth": (s.check_haynsworth, _pd, 2, ()),
+    "hartfiel": (s.check_hartfiel, _pd, 2, ()),
+    "schur-pd": (s.check_schur_pd, _pd, 2, (2,)),
+    "lemma-2-4": (s.check_inverse_real_part, _sectorial, 1, ()),
+    "lemma-2-5": (s.check_schur_real_part, _sectorial, 1, (2,)),
+    "lemma-2-6": (s.check_ostrowski_taussky_complement, _sectorial, 1, ()),
+    "weak-log-major": (s.check_weak_log_majorization, _sectorial, 1, ()),
+    "claim1": (s.check_claim1, _sectorial, 1, (2,)),
+    "main1": (s.check_main1, _sectorial, 2, (0.6, 2)),
+    "main2": (s.check_main2, _sectorial, 2, (0.6,)),
+    "det-step": (s.check_det_step, _sectorial, 2, (0.6,)),
+    "corollary-ad": (s.check_corollary_ad, s.gen_accretive_dissipative, 2, ()),
+    "schur-wrongsec": (s.check_schur_wrongsec, _sectorial, 1, (2,)),
+}
+
+
+class TestStackedContract:
+    """Every matrix check takes one matrix per operand or a (T, n, n) stack."""
+
+    def test_table_covers_every_matrix_check(self):
+        names = {name for name, check in cli.CHECKS.items() if check.family != "sequence"}
+        assert set(MATRIX_CHECKS) == names
+
+    @pytest.mark.parametrize("name", list(MATRIX_CHECKS))
+    def test_stack_gives_the_per_matrix_reports(self, name):
+        check, gen, count, rest = MATRIX_CHECKS[name]
+        operands = [[gen(4, s.child_seed(90, t, k)) for t in range(3)] for k in range(count)]
+        stacked = check(*(np.stack(ops) for ops in operands), *rest)
+        assert isinstance(stacked, list) and len(stacked) == 3
+        singles = [check(*(ops[t] for ops in operands), *rest) for t in range(3)]
+        assert all(isinstance(r, s.InequalityReport) for r in singles)
+
+        def bits(r):
+            return r.slack.hex(), r.holds, r.detail
+
+        assert [bits(r) for r in stacked] == [bits(r) for r in singles]
+
+    @pytest.mark.parametrize("name", [n for n, (_, _, count, _) in MATRIX_CHECKS.items() if count == 2])
+    def test_matrix_with_stack_is_a_shape_error(self, name):
+        check, gen, _, rest = MATRIX_CHECKS[name]
+        a = gen(4, 1)
+        stack = np.stack([gen(4, 2)] * 3)
+        with pytest.raises(ValueError):
+            check(a, stack, *rest)
+        with pytest.raises(ValueError, match="all matrices or all"):
+            check(stack, a, *rest)

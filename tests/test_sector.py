@@ -43,6 +43,24 @@ class TestInSector:
         # the witness point is the numerical-range point that leaves the sector
         assert abs(np.angle(res.witness.point)) > math.pi / 4
 
+    def test_stack_gives_each_matrix_its_own_membership(self):
+        # Inside; outside at each of the two rotated half-planes; and inside
+        # both of them but with a singular real part.
+        wide = gen_sectorial(4, 1.2, 2)
+        stack = np.stack([gen_sectorial(4, 0.5, 1), wide, wide.conj(), np.diag([1.0, 0.0, 0.0, 0.0])])
+        stacked = in_sector(stack, 0.6, 1e-9)
+        singles = [in_sector(m, 0.6, 1e-9) for m in stack]
+        assert [bool(r) for r in stacked] == [True, False, False, False]
+        assert len({r.witness.rotation for r in singles[1:]}) == 3
+        for res, one in zip(stacked, singles):
+            assert bool(res) == bool(one)
+            if one.witness is None:
+                assert res.witness is None
+                continue
+            w, v = res.witness, one.witness
+            assert (w.rotation, w.eigenvalue.hex(), w.point) == (v.rotation, v.eigenvalue.hex(), v.point)
+            np.testing.assert_array_equal(w.vector, v.vector)
+
     def test_disk_touching_imaginary_axis(self):
         # W(A) is the unit disk centered at 1, tangent to Re z = 0
         a = np.array([[1.0, 2.0], [0.0, 1.0]])
