@@ -53,6 +53,7 @@ class PositiveSequencePair:
         return self.a.size - 1
 
 
+# Kept beside random_sequence_pair: the stacked form takes Philox keys, not a seed.
 def random_sequence_pair_stack(
     n: int, keys: np.ndarray, low: float = 1e-3, high: float = 1e3
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -154,6 +155,7 @@ def check_claim2_logs(log_an, x: np.ndarray, tol: float = DEFAULT_TOL) -> list[I
     ]
 
 
+# Kept beside check_claim2: the operands are sequences, not matrices.
 def check_claim2_stack(a: np.ndarray, b: np.ndarray, tol: float = DEFAULT_TOL) -> list[InequalityReport]:
     """``check_claim2`` for each row pair of the (T, n + 1) sequence stacks a, b."""
     _require_sequences(a, b)

@@ -114,14 +114,15 @@ class Check(NamedTuple):
 
     The evaluator is ``evaluate(a, b, alpha, partition, tol)``.  It calls
     the check's one function, ``check_*``, on operand stacks of shape
-    (T, n, n), and returns T reports; ``check`` passes a stack of one.
-    ``b`` is None for the single family, ``a`` and ``b`` are the two
-    sequences (rows of length n + 1) for the sequence family, and a
-    ``partition`` of None selects the default.
+    (T, n, n), as ``trials`` does, and returns T reports, or on one matrix
+    per operand, as ``check`` does, and returns one report.  ``b`` is None
+    for the single family, ``a`` and ``b`` are stacks of the two sequences
+    (rows of length n + 1) for the sequence family, and a ``partition`` of
+    None selects the default.
     """
 
     family: str
-    evaluate: Callable[..., list]
+    evaluate: Callable[..., ineq.Reports]
     partitioned: bool = False
 
 
@@ -215,7 +216,7 @@ def run_check(
         ineq._require_pair(a[None], b[None])
         la, lb = (linalg.log_abs_leading_minors(m) for m in (a, b))
         return claim2_mod.check_claim2_logs(la[-1:], np.concatenate(([0.0], lb - la))[None], tol)[0]
-    return check.evaluate(a[None], None if b is None else b[None], alpha, partition, tol)[0]
+    return check.evaluate(a, b, alpha, partition, tol)
 
 
 @dataclass(frozen=True)

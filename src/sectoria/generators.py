@@ -230,6 +230,7 @@ def complex_gaussian(n: int, rng: np.random.Generator) -> np.ndarray:
     return _box_muller(rng.random((1, 2, n, n)))[0]
 
 
+# Each gen_* keeps its gen_*_stack: the stacked form takes Philox keys, not a seed.
 def gen_positive_definite_stack(n: int, keys: np.ndarray) -> np.ndarray:
     """``gen_positive_definite`` on the stream of each Philox key (T, 2), stacked."""
     u = np.empty((len(keys), 2, n, n))

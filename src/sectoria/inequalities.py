@@ -7,15 +7,15 @@ scale-free: scalar checks evaluate (LHS - RHS) / max(LHS, RHS) from log LHS
 and log RHS, so products of determinants never overflow; Loewner checks
 divide the minimum eigenvalue of LHS - RHS by ||LHS||_F.
 
-Each ``check_NAME`` takes one matrix per operand and returns one report, or
-a stack of T operands, arrays of shape (T, n, n), and returns the list of T
-reports; a matrix is evaluated as a stack of one, by the same code.  A
-precondition that fails for any trial of a stack raises.
+Each ``check_NAME`` is written for stacks of T operands, arrays of shape
+(T, n, n), and returns the list of T reports.  ``linalg.matrix_or_stack``
+lets it take one matrix per operand as well, and then it returns the one
+report of their stack of one.  A precondition that fails for any trial of a
+stack raises.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -117,35 +117,10 @@ def loewner_reports(name: str, lhs: np.ndarray, rhs: np.ndarray, tol: float,
 Reports = InequalityReport | list[InequalityReport]
 
 
-def _matrix_or_stack(operands: int):
-    """Let a check written for (T, n, n) stacks take one matrix per operand.
-
-    The first of the check's leading ``operands`` arguments decides: a stack
-    is passed on as is, with the other operands, which must be stacks too,
-    and the check returns its T reports; a matrix is validated by
-    ``as_square_matrix``, as are the other operands, and the check returns
-    the one report of their stack of one.
-    """
-
-    def wrap(check):
-        @functools.wraps(check)
-        def either(*args, **kwargs):
-            if np.ndim(args[0]) == 3:
-                if any(np.ndim(m) != 3 for m in args[1:operands]):
-                    raise ValueError("operands must be all matrices or all (T, n, n) stacks")
-                return check(*args, **kwargs)
-            stacks = [linalg.as_square_matrix(m)[None] for m in args[:operands]]
-            return check(*stacks, *args[operands:], **kwargs)[0]
-
-        return either
-
-    return wrap
-
-
 def _require_pd(m: np.ndarray, what: str) -> np.ndarray:
     """Validate a stack of Hermitian positive definite operands; returns them symmetrized."""
     try:
-        sym = linalg.as_hermitian_stack(m)
+        sym = linalg.as_hermitian(m)
     except ValueError as exc:
         raise NotPositiveDefiniteError(f"{what} must be Hermitian positive definite") from exc
     if not np.all(linalg.positive_definite_stack(sym, linalg.frobenius_stack(m))):
@@ -218,8 +193,8 @@ def log_ratio_sum_rhs_stack(log_an, x: np.ndarray, with_sqrt: bool) -> list[floa
 def _log_minor_ratio_sum(a: np.ndarray, b: np.ndarray) -> list[float]:
     """log_ratio_sum_rhs_stack, with the sqrt term, of the leading minors of
     each pair of stacked operands."""
-    la = linalg.log_abs_leading_minors_stack(a)
-    return log_ratio_sum_rhs_stack(la[:, -1], linalg.log_abs_leading_minors_stack(b) - la, with_sqrt=True)
+    la = linalg.log_abs_leading_minors(a)
+    return log_ratio_sum_rhs_stack(la[:, -1], linalg.log_abs_leading_minors(b) - la, with_sqrt=True)
 
 
 class DeterminantBoundLevels(NamedTuple):
@@ -235,13 +210,13 @@ def _log_bound_levels(a: np.ndarray, b: np.ndarray) -> list[DeterminantBoundLeve
     """The logs of det(A+B) and of its three lower bounds for each pair of
     stacked PD operands."""
     ha, hb = _require_pd_pair(a, b)
-    la = linalg.log_abs_leading_minors_stack(ha)
-    x = linalg.log_abs_leading_minors_stack(hb) - la
+    la = linalg.log_abs_leading_minors(ha)
+    x = linalg.log_abs_leading_minors(hb) - la
     an = la[:, -1]
     return [
         DeterminantBoundLevels(float(lhs), *rest)
         for lhs, *rest in zip(
-            linalg.log_abs_determinant_stack(ha + hb),
+            linalg.log_abs_determinant(ha + hb),
             log_ratio_sum_rhs_stack(an, x[:, -1:], with_sqrt=False),  # det A + det B
             log_ratio_sum_rhs_stack(an, x, with_sqrt=False),
             log_ratio_sum_rhs_stack(an, x, with_sqrt=True),
@@ -249,14 +224,14 @@ def _log_bound_levels(a: np.ndarray, b: np.ndarray) -> list[DeterminantBoundLeve
     ]
 
 
-def determinant_bound_levels(a, b) -> DeterminantBoundLevels:
+@linalg.matrix_or_stack(2)
+def determinant_bound_levels(a, b) -> DeterminantBoundLevels | list[DeterminantBoundLevels]:
     """Evaluate det(A+B) and the nested bound ladder for PD operands; a
     level too large for a float is inf."""
-    levels = _log_bound_levels(linalg.as_square_matrix(a)[None], linalg.as_square_matrix(b)[None])[0]
-    return DeterminantBoundLevels(*(_exp(x) for x in levels))
+    return [DeterminantBoundLevels(*(_exp(x) for x in levels)) for levels in _log_bound_levels(a, b)]
 
 
-@_matrix_or_stack(2)
+@linalg.matrix_or_stack(2)
 def check_det_superadditivity(a, b, tol: float = DEFAULT_TOL) -> Reports:
     """det(A+B) >= det A + det B for Hermitian positive definite A and B."""
     return [
@@ -265,7 +240,7 @@ def check_det_superadditivity(a, b, tol: float = DEFAULT_TOL) -> Reports:
     ]
 
 
-@_matrix_or_stack(2)
+@linalg.matrix_or_stack(2)
 def check_haynsworth(a, b, tol: float = DEFAULT_TOL) -> Reports:
     """det(A+B) >= (1 + sum det B_k / det A_k) det A
     + (1 + sum det A_k / det B_k) det B for PD operands."""
@@ -276,7 +251,7 @@ def check_haynsworth(a, b, tol: float = DEFAULT_TOL) -> Reports:
     ]
 
 
-@_matrix_or_stack(2)
+@linalg.matrix_or_stack(2)
 def check_hartfiel(a, b, tol: float = DEFAULT_TOL) -> Reports:
     """The ratio-sum determinant bound sharpened by (2^n - 2n) sqrt(det A det B)."""
     return [
@@ -286,7 +261,7 @@ def check_hartfiel(a, b, tol: float = DEFAULT_TOL) -> Reports:
     ]
 
 
-@_matrix_or_stack(2)
+@linalg.matrix_or_stack(2)
 def check_schur_pd(a, b, p: int, tol: float = DEFAULT_TOL) -> Reports:
     """(A+B)/(A11+B11) >= A/A11 + B/B11 in the Loewner order for PD A, B."""
     ha, hb = _require_pd_pair(a, b)
@@ -295,34 +270,34 @@ def check_schur_pd(a, b, p: int, tol: float = DEFAULT_TOL) -> Reports:
     return loewner_reports("schur-pd", lhs, rhs, tol)
 
 
-@_matrix_or_stack(1)
+@linalg.matrix_or_stack(1)
 def check_inverse_real_part(a, tol: float = DEFAULT_TOL) -> Reports:
     """(Re A)^{-1} >= Re(A^{-1}) when Re A is positive definite."""
     re, _ = linalg.accretive_parts(a)
     eye = np.broadcast_to(np.eye(a.shape[-1]), a.shape)
     inv_re = linalg.solve_stack(re, eye)
     lhs = (inv_re + linalg.adjoint(inv_re)) / 2.0
-    rhs = linalg.cartesian_split_stack(linalg.solve_stack(a, eye)).re
+    rhs = linalg.cartesian_split(linalg.solve_stack(a, eye)).re
     return loewner_reports("lemma-2-4", lhs, rhs, tol)
 
 
-@_matrix_or_stack(1)
+@linalg.matrix_or_stack(1)
 def check_schur_real_part(a, p: int, tol: float = DEFAULT_TOL) -> Reports:
     """Re(A/A11) >= (Re A)/(Re A11) when Re A is positive definite."""
     re, _ = linalg.accretive_parts(a)
-    lhs = linalg.cartesian_split_stack(schur.schur_complement(a, p)).re
+    lhs = linalg.cartesian_split(schur.schur_complement(a, p)).re
     rhs_raw = schur.schur_complement(re, p)
     rhs = (rhs_raw + linalg.adjoint(rhs_raw)) / 2.0
     return loewner_reports("lemma-2-5", lhs, rhs, tol)
 
 
-@_matrix_or_stack(1)
+@linalg.matrix_or_stack(1)
 def check_ostrowski_taussky_complement(a, tol: float = DEFAULT_TOL) -> Reports:
     """sec^n(alpha) det(Re A) >= |det A| with alpha the sector angle of A."""
-    alphas = sector.sector_angle_stack(a)
+    alphas = sector.sector_angle(a)
     n = a.shape[-1]
-    log_det_re = linalg.log_abs_determinant_stack(linalg.cartesian_split_stack(a).re)
-    log_det_a = linalg.log_abs_determinant_stack(a)
+    log_det_re = linalg.log_abs_determinant(linalg.cartesian_split(a).re)
+    log_det_a = linalg.log_abs_determinant(a)
     return [
         scalar_report("lemma-2-6", -n * math.log(math.cos(alpha)) + float(lre), float(la), tol,
                       f"alpha={alpha:.9f}")
@@ -330,12 +305,12 @@ def check_ostrowski_taussky_complement(a, tol: float = DEFAULT_TOL) -> Reports:
     ]
 
 
-@_matrix_or_stack(1)
+@linalg.matrix_or_stack(1)
 def check_weak_log_majorization(a, tol: float = DEFAULT_TOL) -> Reports:
     """Partial products of the eigenvalues of sec(alpha) Re Z dominate the
     matching partial products of the singular values of Z, where A = X Z X*
     is the canonical decomposition and alpha its angle."""
-    _, thetas = sector.sectorial_decompose_stack(a)
+    _, thetas = sector.sectorial_decompose(a)
     n = thetas.shape[-1]
     z = np.zeros(thetas.shape + (n,), dtype=np.complex128)
     z[:, np.arange(n), np.arange(n)] = np.exp(1j * thetas)
@@ -361,15 +336,15 @@ def check_weak_log_majorization(a, tol: float = DEFAULT_TOL) -> Reports:
     return reports
 
 
-@_matrix_or_stack(1)
+@linalg.matrix_or_stack(1)
 def check_claim1(a, p: int, tol: float = DEFAULT_TOL) -> Reports:
     """sec^2(alpha) (Re A)/(Re A11) >= Re(A/A11) with alpha the sector angle of A."""
     re, _ = linalg.accretive_parts(a)
-    alphas = sector.sector_angle_stack(a)
+    alphas = sector.sector_angle(a)
     sec2 = np.array([(1.0 / math.cos(alpha)) ** 2 for alpha in alphas])
     lhs_raw = schur.schur_complement(re, p)
     lhs = sec2[:, None, None] * (lhs_raw + linalg.adjoint(lhs_raw)) / 2.0
-    rhs = linalg.cartesian_split_stack(schur.schur_complement(a, p)).re
+    rhs = linalg.cartesian_split(schur.schur_complement(a, p)).re
     return loewner_reports("claim1", lhs, rhs, tol, [f"alpha={alpha:.9f}" for alpha in alphas])
 
 
@@ -378,12 +353,12 @@ def real_schur_terms_stack(a: np.ndarray, b: np.ndarray, p: int) -> tuple[np.nda
     uncorrected Schur bound, for each pair of stacked operands."""
 
     def re_schur(m):
-        return linalg.cartesian_split_stack(schur.schur_complement(m, p)).re
+        return linalg.cartesian_split(schur.schur_complement(m, p)).re
 
     return re_schur(a + b), re_schur(a) + re_schur(b)
 
 
-@_matrix_or_stack(2)
+@linalg.matrix_or_stack(2)
 def check_main1(a, b, alpha: float, p: int, tol: float = DEFAULT_TOL) -> Reports:
     """sec^2(alpha) Re((A+B)/(A11+B11)) >= Re(A/A11) + Re(B/B11) for A, B
     with numerical range in the alpha sector."""
@@ -393,7 +368,7 @@ def check_main1(a, b, alpha: float, p: int, tol: float = DEFAULT_TOL) -> Reports
     return loewner_reports("main1", sec2 * lhs, rhs, tol)
 
 
-@_matrix_or_stack(1)
+@linalg.matrix_or_stack(1)
 def check_schur_wrongsec(a, p: int, tol: float = DEFAULT_TOL) -> Reports:
     """The uncorrected bound Re((A+B)/(A11+B11)) >= Re(A/A11) + Re(B/B11)
     with B = A*; false in general, equality for Hermitian A."""
@@ -402,7 +377,7 @@ def check_schur_wrongsec(a, p: int, tol: float = DEFAULT_TOL) -> Reports:
     return loewner_reports("schur-wrongsec", lhs, rhs, tol)
 
 
-@_matrix_or_stack(2)
+@linalg.matrix_or_stack(2)
 def check_det_step(
     a, b, alpha: float, k: int | None = None, tol: float = DEFAULT_TOL
 ) -> Reports:
@@ -426,7 +401,7 @@ def check_det_step(
 
     def log_steps(m):
         """log|det M_{j+1} / det M_j| for j = first..size-1."""
-        return np.diff(linalg.log_abs_leading_minors_stack(m[:, :size, :size]), axis=-1)[:, first - 1:]
+        return np.diff(linalg.log_abs_leading_minors(m[:, :size, :size]), axis=-1)[:, first - 1:]
 
     log_lhs = -3.0 * math.log(math.cos(alpha)) + log_steps(a + b)
     log_rhs = np.logaddexp(log_steps(a), log_steps(b))
@@ -437,7 +412,7 @@ def check_det_step(
     ]
 
 
-@_matrix_or_stack(2)
+@linalg.matrix_or_stack(2)
 def check_main2(a, b, alpha: float, tol: float = DEFAULT_TOL) -> Reports:
     """sec^{3n-2}(alpha) |det(A+B)| >= the ratio-sum bound on |det A|, |det B|
     plus (2^n - 2n) sqrt(|det A det B|), for A, B in the alpha sector."""
@@ -446,17 +421,17 @@ def check_main2(a, b, alpha: float, tol: float = DEFAULT_TOL) -> Reports:
     shift = -(3 * n - 2) * math.log(math.cos(alpha))
     return [
         scalar_report("main2", shift + float(lhs), rhs, tol, f"alpha={alpha:.9f}")
-        for lhs, rhs in zip(linalg.log_abs_determinant_stack(a + b), _log_minor_ratio_sum(a, b))
+        for lhs, rhs in zip(linalg.log_abs_determinant(a + b), _log_minor_ratio_sum(a, b))
     ]
 
 
-@_matrix_or_stack(2)
+@linalg.matrix_or_stack(2)
 def check_corollary_ad(a, b, tol: float = DEFAULT_TOL) -> Reports:
     """2^{3n/2 - 1} |det(A+B)| >= the sqrt-refined ratio bound, for
     accretive-dissipative A and B (Re and Im parts positive definite)."""
     _require_pair(a, b)
     for m, what in ((a, "A"), (b, "B")):
-        re, im = linalg.cartesian_split_stack(m)
+        re, im = linalg.cartesian_split(m)
         scale = linalg.frobenius_stack(m)
         if not np.all(linalg.positive_definite_stack(re, scale)
                       & linalg.positive_definite_stack(im, scale)):
@@ -467,5 +442,5 @@ def check_corollary_ad(a, b, tol: float = DEFAULT_TOL) -> Reports:
     return [
         scalar_report("corollary-ad", exponent * _LOG2 + float(lhs), rhs, tol,
                       f"constant=2**{exponent!r}")
-        for lhs, rhs in zip(linalg.log_abs_determinant_stack(a + b), _log_minor_ratio_sum(a, b))
+        for lhs, rhs in zip(linalg.log_abs_determinant(a + b), _log_minor_ratio_sum(a, b))
     ]

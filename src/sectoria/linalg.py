@@ -4,15 +4,19 @@ Every operation is a pure function of its inputs and never mutates its
 arguments.  All tolerances are relative to the Frobenius norm, so the
 contracts are invariant under the rescaling A -> c*A.
 
-Functions named ``*_stack`` work on a stack of T matrices of one size, an
-array of shape (T, n, n), and give each matrix exactly the bits that the
-single-matrix function gives it; the single-matrix functions are a stack of
-one over the same code.  A precondition that fails for any matrix of a stack
-raises, naming the first such matrix's failure.
+A function decorated with ``matrix_or_stack`` takes one n-by-n matrix per
+operand, or a stack of T matrices of one size, an array of shape (T, n, n),
+and gives each matrix of a stack exactly the bits that it gives that matrix
+alone: a matrix is evaluated as a stack of one, by the same code.  A
+precondition that fails for any matrix of a stack raises, naming the first
+such matrix's failure.  Only functions that take stacks alone keep the
+``*_stack`` name: helpers of the stacked kernels, and the stacked forms of
+``frobenius``, ``hermitian_eigen`` and ``solve``.
 """
 
 from __future__ import annotations
 
+import functools
 from typing import NamedTuple
 
 import numpy as np
@@ -44,11 +48,44 @@ def as_square_matrix(a) -> np.ndarray:
     return m
 
 
+def matrix_or_stack(operands: int):
+    """Let a function written for (T, n, n) stacks take one matrix per operand.
+
+    This is the one place that tells a matrix from a stack.  The first of
+    the function's leading ``operands`` arguments decides.  A stack is passed
+    on as is, with the other operands, which must be stacks of the same
+    length.  A matrix is validated by ``as_square_matrix``, as are the other
+    operands, and the function runs on their stack of one; the result is
+    entry 0 of what it returns, or of each field of a named tuple.
+    """
+
+    def wrap(kernel):
+        @functools.wraps(kernel)
+        def either(*args, **kwargs):
+            if np.ndim(args[0]) != 3:
+                stacks = [as_square_matrix(m)[None] for m in args[:operands]]
+                result = kernel(*stacks, *args[operands:], **kwargs)
+                if isinstance(result, tuple):
+                    return result._make(field[0] for field in result)
+                return result[0]
+            if any(np.ndim(m) != 3 for m in args[1:operands]):
+                raise ValueError("operands must be all matrices or all (T, n, n) stacks")
+            lengths = [len(m) for m in args[:operands]]
+            if len(set(lengths)) > 1:
+                raise ValueError(f"operand stacks differ in length: {' and '.join(map(str, lengths))}")
+            return kernel(*args, **kwargs)
+
+        return either
+
+    return wrap
+
+
 def adjoint(m: np.ndarray) -> np.ndarray:
     """Conjugate transpose of a matrix or of each matrix of a stack."""
     return m.conj().swapaxes(-1, -2)
 
 
+# Kept beside frobenius_stack: this takes any array, and runs per matrix in the LU of solve.
 def frobenius(a) -> float:
     return float(np.linalg.norm(a))
 
@@ -69,15 +106,11 @@ class CartesianPair(NamedTuple):
     im: np.ndarray
 
 
-def cartesian_split_stack(m: np.ndarray) -> CartesianPair:
+@matrix_or_stack(1)
+def cartesian_split(m) -> CartesianPair:
     """Return ((A + A*)/2, (A - A*)/(2i)); both parts are exactly Hermitian."""
     mh = adjoint(m)
     return CartesianPair((m + mh) / 2.0, (m - mh) / 2.0j)
-
-
-def cartesian_split(a) -> CartesianPair:
-    re, im = cartesian_split_stack(as_square_matrix(a)[None])
-    return CartesianPair(re[0], im[0])
 
 
 class HermitianEigenResult(NamedTuple):
@@ -87,17 +120,14 @@ class HermitianEigenResult(NamedTuple):
     eigenvectors: np.ndarray
 
 
-def as_hermitian_stack(m: np.ndarray) -> np.ndarray:
-    """Symmetrize each H of a stack to (H + H*)/2 after checking that it
-    deviates from exact symmetry by at most ``HERMITIAN_RTOL * ||H||_F``."""
+@matrix_or_stack(1)
+def as_hermitian(m) -> np.ndarray:
+    """Symmetrize H to (H + H*)/2 after checking that it deviates from exact
+    symmetry by at most ``HERMITIAN_RTOL * ||H||_F``."""
     limit = HERMITIAN_RTOL * np.maximum(frobenius_stack(m), _TINY)
     if np.any(frobenius_stack(m - adjoint(m)) > limit):
         raise ValueError("input is not Hermitian within tolerance")
     return (m + adjoint(m)) / 2.0
-
-
-def as_hermitian(h) -> np.ndarray:
-    return as_hermitian_stack(as_square_matrix(h)[None])[0]
 
 
 def positive_definite_stack(h: np.ndarray, scale: np.ndarray) -> np.ndarray:
@@ -106,10 +136,11 @@ def positive_definite_stack(h: np.ndarray, scale: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(h)[:, 0] > PD_RTOL * scale
 
 
-def accretive_parts(m: np.ndarray) -> CartesianPair:
-    """The Cartesian parts (Re A, Im A) of each matrix A of a stack, after
-    checking that every real part is positive definite."""
-    parts = cartesian_split_stack(m)
+@matrix_or_stack(1)
+def accretive_parts(m) -> CartesianPair:
+    """The Cartesian parts (Re A, Im A), after checking that Re A is
+    positive definite."""
+    parts = cartesian_split(m)
     if not np.all(positive_definite_stack(parts.re, frobenius_stack(m))):
         raise NotAccretiveError("real part of A is not positive definite")
     return parts
@@ -125,6 +156,7 @@ def hermitian_eigen_stack(h: np.ndarray) -> HermitianEigenResult:
     return HermitianEigenResult(w, v)
 
 
+# Kept beside hermitian_eigen_stack: the Hermitian guard applies to inputs only.
 def hermitian_eigen(h) -> HermitianEigenResult:
     """Eigendecomposition of a Hermitian matrix, which may deviate from exact
     symmetry by at most ``HERMITIAN_RTOL * ||H||_F``; it is symmetrized
@@ -158,6 +190,7 @@ def _lu_factor(m: np.ndarray):
     return lu, piv
 
 
+# Kept beside solve_stack: perfbench traces each LAPACK solve as one solve call of one matrix.
 def solve(a, b) -> np.ndarray:
     """Solve A X = B via LU with partial pivoting."""
     lu, piv = _lu_factor(as_square_matrix(a))
@@ -231,14 +264,10 @@ def leading_principal_submatrix(a, k: int) -> np.ndarray:
     return m[:k, :k].copy()
 
 
-def log_abs_determinant_stack(m: np.ndarray) -> np.ndarray:
-    """log|det A| of each matrix of a stack from one pivoted LU each (-inf if singular)."""
-    return np.linalg.slogdet(m)[1]
-
-
-def log_abs_determinant(a) -> float:
+@matrix_or_stack(1)
+def log_abs_determinant(m) -> float | np.ndarray:
     """log|det A| as the sum of log|u_jj| over one pivoted LU (-inf if singular)."""
-    return float(log_abs_determinant_stack(as_square_matrix(a)[None])[0])
+    return np.linalg.slogdet(m)[1]
 
 
 def multiply_unfused(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -297,15 +326,8 @@ def _eliminate(u: np.ndarray, scale: np.ndarray, pivots: np.ndarray) -> None:
     _eliminate(u[:, h:, h:], scale, pivots[:, h:])
 
 
-def log_abs_leading_minors_stack(m: np.ndarray) -> np.ndarray:
-    """log|det A_k| for k = 1..n of each matrix of a stack, shape (T, n)."""
-    u = np.array(m, dtype=np.complex128, order="C")  # a fresh copy, eliminated in place
-    pivots = np.empty(u.shape[:2])
-    _eliminate(u, frobenius_stack(u), pivots)
-    return np.cumsum(np.log(pivots), axis=-1)
-
-
-def log_abs_leading_minors(a) -> np.ndarray:
+@matrix_or_stack(1)
+def log_abs_leading_minors(m) -> np.ndarray:
     """log|det A_k| for k = 1..n from one elimination without pivoting.
 
     Without row exchanges the k-th pivot is the scalar Schur complement
@@ -314,7 +336,10 @@ def log_abs_leading_minors(a) -> np.ndarray:
     positive definite (Golub & Van Loan, Matrix Computations, 4.4); a pivot
     below ``PIVOT_RTOL * ||A||_F`` raises :class:`SingularMatrixError`.
     """
-    return log_abs_leading_minors_stack(as_square_matrix(a)[None])[0]
+    u = np.array(m, dtype=np.complex128, order="C")  # a fresh copy, eliminated in place
+    pivots = np.empty(u.shape[:2])
+    _eliminate(u, frobenius_stack(u), pivots)
+    return np.cumsum(np.log(pivots), axis=-1)
 
 
 def hermitian_sqrt(h) -> np.ndarray:

@@ -21,7 +21,9 @@ def validate_partition(n: int, p: int) -> int:
     return p
 
 
-def _schur_complement(m: np.ndarray, p: int) -> np.ndarray:
+@linalg.matrix_or_stack(1)
+def schur_complement(m, p: int) -> np.ndarray:
+    """A22 - A21 A11^{-1} A12, computed by an LU solve against A12."""
     p = validate_partition(m.shape[-1], p)
     m = np.ascontiguousarray(m)  # the row-major blocks that BLAS sees for one matrix
     try:
@@ -31,14 +33,6 @@ def _schur_complement(m: np.ndarray, p: int) -> np.ndarray:
             f"leading {p}-by-{p} block is numerically singular"
         ) from exc
     return m[:, p:, p:] - m[:, p:, :p] @ y
-
-
-def schur_complement(a, p: int) -> np.ndarray:
-    """A22 - A21 A11^{-1} A12, computed by an LU solve against A12, of a
-    matrix, or of each matrix of a (T, n, n) stack."""
-    if np.ndim(a) == 3:
-        return _schur_complement(a, p)
-    return _schur_complement(linalg.as_square_matrix(a)[None], p)[0]
 
 
 def inverse_block_identity(a, p: int) -> float:
@@ -74,8 +68,7 @@ def cartesian_schur_identity(a, p: int) -> CartesianSchurParts:
     """
     m = linalg.as_square_matrix(a)
     p = validate_partition(m.shape[0], p)
-    parts = linalg.accretive_parts(m[None])
-    re, im = parts.re[0], parts.im[0]
+    re, im = linalg.accretive_parts(m)
 
     m11 = re[:p, :p]
     n11 = im[:p, :p]
@@ -112,8 +105,7 @@ def real_inverse_identity(a) -> float:
     Returns the gap in Frobenius norm divided by ||A^{-1}||_F.
     """
     m = linalg.as_square_matrix(a)
-    parts = linalg.accretive_parts(m[None])
-    re, im = parts.re[0], parts.im[0]
+    re, im = linalg.accretive_parts(m)
     inv_a = linalg.inverse(m)
     lhs = linalg.cartesian_split(inv_a).re
     rhs = linalg.inverse(re + im @ linalg.solve(re, im))

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -53,7 +54,16 @@ def _witness(m: np.ndarray, h: np.ndarray, beta: float) -> SectorWitness:
     return SectorWitness(beta, float(w[0]), x, complex(x.conj() @ m @ x))
 
 
-def _in_sector(m: np.ndarray, alpha: float, tol: float) -> list[SectorMembership]:
+@linalg.matrix_or_stack(1)
+def in_sector(m, alpha: float, tol: float = MEMBERSHIP_TOL) -> SectorMembership | list[SectorMembership]:
+    """Does the numerical range of ``m`` lie in the sector of half-angle alpha?
+
+    Membership holds when min-eig(Re(e^{i beta} A)) >= -tol * ||A||_F for
+    both beta = +-(pi/2 - alpha) and the plain real part is strictly
+    positive definite (the sector excludes the imaginary axis).  On failure
+    the violating eigenpair is returned as a witness.  For a (T, n, n) stack
+    the result is the list of the T memberships.
+    """
     alpha = validate_sector_angle(alpha)
     scale = linalg.frobenius_stack(m)
     floor = -tol * scale
@@ -74,23 +84,10 @@ def _in_sector(m: np.ndarray, alpha: float, tol: float) -> list[SectorMembership
     return out
 
 
-def in_sector(a, alpha: float, tol: float = MEMBERSHIP_TOL):
-    """Does the numerical range of ``a`` lie in the sector of half-angle alpha?
-
-    Membership holds when min-eig(Re(e^{i beta} A)) >= -tol * ||A||_F for
-    both beta = +-(pi/2 - alpha) and the plain real part is strictly
-    positive definite (the sector excludes the imaginary axis).  On failure
-    the violating eigenpair is returned as a witness.  For a (T, n, n) stack
-    the result is the list of the T memberships.
-    """
-    if np.ndim(a) == 3:
-        return _in_sector(a, alpha, tol)
-    return _in_sector(linalg.as_square_matrix(a)[None], alpha, tol)[0]
-
-
-@dataclass(frozen=True)
-class SectorialDecomposition:
-    """Invertible factor X and angles theta with A = X diag(e^{i theta}) X*."""
+class SectorialDecomposition(NamedTuple):
+    """Invertible factor X and angles theta with A = X diag(e^{i theta}) X*,
+    of a matrix, or of each matrix of a stack: X of shape (T, n, n) and the
+    angles (T, n).  ``z``, ``angle`` and ``reconstruct`` take one matrix's."""
 
     x: np.ndarray
     thetas: np.ndarray  # sorted descending, |theta_j| < pi/2
@@ -109,17 +106,22 @@ class SectorialDecomposition:
         return (self.x * np.exp(1j * self.thetas)) @ self.x.conj().T
 
 
-def sectorial_decompose_stack(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``sectorial_decompose`` of each matrix of a (T, n, n) stack: the
-    factors X, shape (T, n, n), and the angles, shape (T, n)."""
-    re, im = linalg.cartesian_split_stack(m)
-    scale = linalg.frobenius_stack(m)
+@linalg.matrix_or_stack(1)
+def sectorial_decompose(m) -> SectorialDecomposition:
+    """Canonical congruence diagonalization A = X diag(e^{i theta_j}) X*.
+
+    With H = Re A (required positive definite) and K = Im A, the angles are
+    atan of the eigenvalues of H^{-1/2} K H^{-1/2}; column j of H^{1/2} U is
+    rescaled by cos(theta_j)^{-1/2} so the diagonal unitary carries all the
+    phase and X Z X* reproduces A.
+    """
+    re, im = linalg.cartesian_split(m)
     hw, hv = linalg.hermitian_eigen_stack(re)
-    for low, floor in zip(hw[:, 0], linalg.PD_RTOL * scale):
-        if low <= floor:
-            raise NotSectorialError(
-                f"real part is not positive definite (min eigenvalue {low:.3e})"
-            )
+    fails = hw[:, 0] <= linalg.PD_RTOL * linalg.frobenius_stack(m)
+    if fails.any():
+        raise NotSectorialError(
+            f"real part is not positive definite (min eigenvalue {hw[np.argmax(fails), 0]:.3e})"
+        )
     root = (hv * np.sqrt(hw)[:, None, :]) @ linalg.adjoint(hv)
     root_inv = (hv * (1.0 / np.sqrt(hw))[:, None, :]) @ linalg.adjoint(hv)
     # C = H^{-1/2} K H^{-1/2} is Hermitian by construction; only rounding
@@ -129,30 +131,14 @@ def sectorial_decompose_stack(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     thetas = np.arctan(d)
     x = (root @ u) / np.sqrt(np.cos(thetas))[:, None, :]
     order = np.argsort(-thetas, axis=-1, kind="stable")
-    return (np.take_along_axis(x, order[:, None, :], axis=-1),
-            np.take_along_axis(thetas, order, axis=-1))
+    return SectorialDecomposition(np.take_along_axis(x, order[:, None, :], axis=-1),
+                                  np.take_along_axis(thetas, order, axis=-1))
 
 
-def sectorial_decompose(a) -> SectorialDecomposition:
-    """Canonical congruence diagonalization A = X diag(e^{i theta_j}) X*.
-
-    With H = Re A (required positive definite) and K = Im A, the angles are
-    atan of the eigenvalues of H^{-1/2} K H^{-1/2}; column j of H^{1/2} U is
-    rescaled by cos(theta_j)^{-1/2} so the diagonal unitary carries all the
-    phase and X Z X* reproduces A.
-    """
-    x, thetas = sectorial_decompose_stack(linalg.as_square_matrix(a)[None])
-    return SectorialDecomposition(x[0], thetas[0])
-
-
-def sector_angle_stack(m: np.ndarray) -> list[float]:
-    """``sector_angle`` of each matrix of a (T, n, n) stack."""
-    return [float(a) for a in np.max(np.abs(sectorial_decompose_stack(m)[1]), axis=-1)]
-
-
-def sector_angle(a) -> float:
-    """Half-angle of the smallest sector containing W(A)."""
-    return sectorial_decompose(a).angle
+@linalg.matrix_or_stack(1)
+def sector_angle(m) -> float | list[float]:
+    """Half-angle of the smallest sector containing W(A); a list of T for a stack."""
+    return [float(a) for a in np.max(np.abs(sectorial_decompose(m).thetas), axis=-1)]
 
 
 def sector_angle_bisect(a, tol: float = 1e-13, iters: int = 60) -> float:

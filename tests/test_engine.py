@@ -247,8 +247,8 @@ def test_singular_leading_block_in_a_batched_chunk(name, reach_the_solve, monkey
         ineq = s.inequalities
         monkeypatch.setattr(ineq, "_require_sectorial_pair", lambda a, b, alpha, tol: alpha)
         monkeypatch.setattr(ineq, "_require_pd_pair", lambda a, b: (a, b))
-        monkeypatch.setattr(s.linalg, "accretive_parts", lambda m: s.linalg.cartesian_split_stack(m))
-        monkeypatch.setattr(s.sector, "sector_angle_stack", lambda m: np.zeros(len(m)))
+        monkeypatch.setattr(s.linalg, "accretive_parts", lambda m: s.linalg.cartesian_split(m))
+        monkeypatch.setattr(s.sector, "sector_angle", lambda m: np.zeros(len(m)))
     argv = ["trials", name, "--n", "6", "--alpha", str(ALPHA), "--trials", "20", "--seed", "3"]
 
     def run():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 
@@ -520,3 +521,89 @@ class TestStackedContract:
             check(a, stack, *rest)
         with pytest.raises(ValueError, match="all matrices or all"):
             check(stack, a, *rest)
+
+    @pytest.mark.parametrize("lengths", [(1, 3), (3, 1)])
+    @pytest.mark.parametrize("name", [n for n, (_, _, count, _) in MATRIX_CHECKS.items() if count == 2])
+    def test_stacks_of_different_lengths_are_an_error(self, name, lengths):
+        check, gen, _, rest = MATRIX_CHECKS[name]
+        a, b = (np.stack([gen(4, s.child_seed(91, t, k)) for t in range(length)])
+                for k, length in enumerate(lengths))
+        with pytest.raises(ValueError, match=f"differ in length: {lengths[0]} and {lengths[1]}"):
+            check(a, b, *rest)
+
+
+def _sector_mix(n, seed):
+    # angle 0.2 or 0.6 by the seed's parity: the 3-stacks below mix members
+    # and non-members of the sector of half-angle 0.4
+    return s.gen_sectorial(n, 0.6 if seed % 2 else 0.2, seed)
+
+
+# layer.name -> (kernel, operand generator, operand count, the arguments after the operands)
+KERNELS = {
+    "linalg.cartesian_split": (s.linalg.cartesian_split, _sectorial, 1, ()),
+    "linalg.as_hermitian": (s.linalg.as_hermitian, _pd, 1, ()),
+    "linalg.accretive_parts": (s.linalg.accretive_parts, _sectorial, 1, ()),
+    "linalg.log_abs_determinant": (s.linalg.log_abs_determinant, _sectorial, 1, ()),
+    "linalg.log_abs_leading_minors": (s.linalg.log_abs_leading_minors, _sectorial, 1, ()),
+    "sector.in_sector": (s.sector.in_sector, _sector_mix, 1, (0.4,)),
+    "sector.sectorial_decompose": (s.sector.sectorial_decompose, _sectorial, 1, ()),
+    "sector.sector_angle": (s.sector.sector_angle, _sectorial, 1, ()),
+    "schur.schur_complement": (s.schur.schur_complement, _sectorial, 1, (2,)),
+    "inequalities.determinant_bound_levels": (s.inequalities.determinant_bound_levels, _pd, 2, ()),
+}
+
+
+def _bits(x):
+    """The exact content of a kernel's result, field by field."""
+    if dataclasses.is_dataclass(x):
+        x = tuple(getattr(x, f.name) for f in dataclasses.fields(x))
+    if isinstance(x, tuple):
+        return tuple(_bits(field) for field in x)
+    if x is None:
+        return None
+    v = np.asarray(x)
+    return v.dtype.str, v.shape, v.tobytes()
+
+
+def _entry(result, t):
+    """Matrix t's part of a kernel's result on a stack."""
+    if isinstance(result, tuple):
+        return result._make(field[t] for field in result)
+    return result[t]
+
+
+class TestKernelContract:
+    """Every kernel that ``linalg.matrix_or_stack`` dispatches takes one matrix
+    per operand or a (T, n, n) stack, with the same bits for each matrix."""
+
+    def test_table_covers_every_dispatched_function(self):
+        found = {
+            f"{mod.__name__.rsplit('.', 1)[-1]}.{name}"
+            for mod in (s.linalg, s.sector, s.schur, s.inequalities)
+            for name, fn in vars(mod).items()
+            if not name.startswith("_") and hasattr(fn, "__wrapped__")
+            and getattr(fn, "__module__", None) == mod.__name__
+        }
+        checks = {f"inequalities.{check.__name__}" for check, *_ in MATRIX_CHECKS.values()}
+        assert found == set(KERNELS) | checks
+
+    @pytest.mark.parametrize("name", list(KERNELS))
+    def test_stack_gives_the_per_matrix_results(self, name):
+        kernel, gen, count, rest = KERNELS[name]
+        operands = [[gen(4, s.child_seed(90, t, k)) for t in range(3)] for k in range(count)]
+        stacked = kernel(*(np.stack(ops) for ops in operands), *rest)
+        singles = [kernel(*(ops[t] for ops in operands), *rest) for t in range(3)]
+        assert [_bits(_entry(stacked, t)) for t in range(3)] == [_bits(r) for r in singles]
+
+    @pytest.mark.parametrize("name", list(KERNELS))
+    def test_neither_matrix_nor_stack_is_a_shape_error(self, name):
+        kernel, gen, count, rest = KERNELS[name]
+        odd = np.stack([gen(4, 1)] * 2)[None]
+        with pytest.raises(ValueError, match="expected a square matrix"):
+            kernel(*[odd] * count, *rest)
+        if count == 2:
+            stack = np.stack([gen(4, 2)] * 3)
+            with pytest.raises(ValueError):
+                kernel(gen(4, 1), stack, *rest)
+            with pytest.raises(ValueError, match="all matrices or all"):
+                kernel(stack, gen(4, 1), *rest)

@@ -139,6 +139,16 @@ class TestSectorialDecompose:
         with pytest.raises(NotSectorialError):
             sectorial_decompose(np.array([[1j]]))
 
+    def test_stack_names_its_first_failing_matrix(self):
+        middle = np.diag([2.0, 1.0, -0.5])
+        stack = np.stack([gen_sectorial(3, 0.5, 1), middle, np.diag([1.0, 1.0, -3.0])]).astype(complex)
+        with pytest.raises(NotSectorialError) as alone:
+            sectorial_decompose(middle)
+        with pytest.raises(NotSectorialError) as stacked:
+            sectorial_decompose(stack)
+        assert str(stacked.value) == str(alone.value)
+        assert str(alone.value) == "real part is not positive definite (min eigenvalue -5.000e-01)"
+
 
 class TestSectorAngle:
     def test_positive_definite_angle_zero(self):
