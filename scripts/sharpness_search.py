@@ -19,14 +19,13 @@ import numpy as np
 
 from sectoria.cli import FAMILIES, chunk_size
 from sectoria.generators import TrialConfig
-from sectoria.inequalities import log_ratio_sum_rhs_stack, real_schur_terms_stack
-from sectoria.linalg import adjoint, log_abs_determinant, log_abs_leading_minors
+from sectoria.inequalities import log_minor_ratios, log_ratio_sum_rhs_stack, real_schur_terms_stack
+from sectoria.linalg import adjoint, log_abs_determinant
 
 
 def needed_det_exponents(a, b, alpha):
     """Per pair of stacked operands: the e with sec^e |det(A+B)| = the bound."""
-    la = log_abs_leading_minors(a)
-    log_rhs = log_ratio_sum_rhs_stack(la[:, -1], log_abs_leading_minors(b) - la, with_sqrt=True)
+    log_rhs = log_ratio_sum_rhs_stack(*log_minor_ratios(a, b), with_sqrt=True)
     log_lhs = log_abs_determinant(a + b)
     return [(rhs - lhs) / -math.log(math.cos(alpha)) for rhs, lhs in zip(log_rhs, log_lhs.tolist())]
 

@@ -60,12 +60,7 @@ from .linalg import (
     HermitianEigenResult,
     cartesian_split,
     frobenius,
-    hermitian_eigen,
-    hermitian_eigenvalues,
-    hermitian_sqrt,
     inverse,
-    leading_principal_submatrix,
-    singular_values,
     solve,
 )
 from .schur import (

@@ -213,9 +213,8 @@ def run_check(
     if family == "sequence":
         # claim2's sequences are (1, |det A_1|, ..., |det A_n|) and the same
         # for B; they go in as logs, since a minor may lie outside the float range.
-        ineq._require_pair(a[None], b[None])
-        la, lb = (linalg.log_abs_leading_minors(m) for m in (a, b))
-        return claim2_mod.check_claim2_logs(la[-1:], np.concatenate(([0.0], lb - la))[None], tol)[0]
+        log_an, x = ineq.log_minor_ratios(a, b)
+        return claim2_mod.check_claim2_logs([log_an], np.concatenate(([0.0], x))[None], tol)[0]
     return check.evaluate(a, b, alpha, partition, tol)
 
 

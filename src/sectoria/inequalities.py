@@ -190,11 +190,21 @@ def log_ratio_sum_rhs_stack(log_an, x: np.ndarray, with_sqrt: bool) -> list[floa
     return out
 
 
-def _log_minor_ratio_sum(a: np.ndarray, b: np.ndarray) -> list[float]:
-    """log_ratio_sum_rhs_stack, with the sqrt term, of the leading minors of
-    each pair of stacked operands."""
+class LogMinorRatios(NamedTuple):
+    """The leading minors of A and B in the form ``log_ratio_sum_rhs_stack`` takes."""
+
+    log_an: np.ndarray  # log|det A|
+    x: np.ndarray       # log|det B_k / det A_k| for k = 1..n
+
+
+@linalg.matrix_or_stack(2)
+def log_minor_ratios(a, b) -> LogMinorRatios:
+    """log|det A| and the log ratios of the leading minors of B and A, each
+    from one elimination of A and one of B; a minor may lie outside the
+    float range."""
+    _require_pair(a, b)
     la = linalg.log_abs_leading_minors(a)
-    return log_ratio_sum_rhs_stack(la[:, -1], linalg.log_abs_leading_minors(b) - la, with_sqrt=True)
+    return LogMinorRatios(la[:, -1], linalg.log_abs_leading_minors(b) - la)
 
 
 class DeterminantBoundLevels(NamedTuple):
@@ -210,9 +220,7 @@ def _log_bound_levels(a: np.ndarray, b: np.ndarray) -> list[DeterminantBoundLeve
     """The logs of det(A+B) and of its three lower bounds for each pair of
     stacked PD operands."""
     ha, hb = _require_pd_pair(a, b)
-    la = linalg.log_abs_leading_minors(ha)
-    x = linalg.log_abs_leading_minors(hb) - la
-    an = la[:, -1]
+    an, x = log_minor_ratios(ha, hb)
     return [
         DeterminantBoundLevels(float(lhs), *rest)
         for lhs, *rest in zip(
@@ -419,9 +427,11 @@ def check_main2(a, b, alpha: float, tol: float = DEFAULT_TOL) -> Reports:
     alpha = _require_sectorial_pair(a, b, alpha, tol)
     n = a.shape[-1]
     shift = -(3 * n - 2) * math.log(math.cos(alpha))
+    log_lhs = linalg.log_abs_determinant(a + b)
+    log_rhs = log_ratio_sum_rhs_stack(*log_minor_ratios(a, b), with_sqrt=True)
     return [
         scalar_report("main2", shift + float(lhs), rhs, tol, f"alpha={alpha:.9f}")
-        for lhs, rhs in zip(linalg.log_abs_determinant(a + b), _log_minor_ratio_sum(a, b))
+        for lhs, rhs in zip(log_lhs, log_rhs)
     ]
 
 
@@ -439,8 +449,10 @@ def check_corollary_ad(a, b, tol: float = DEFAULT_TOL) -> Reports:
                 f"{what} must have positive definite real and imaginary parts"
             )
     exponent = 1.5 * a.shape[-1] - 1.0
+    log_lhs = linalg.log_abs_determinant(a + b)
+    log_rhs = log_ratio_sum_rhs_stack(*log_minor_ratios(a, b), with_sqrt=True)
     return [
         scalar_report("corollary-ad", exponent * _LOG2 + float(lhs), rhs, tol,
                       f"constant=2**{exponent!r}")
-        for lhs, rhs in zip(linalg.log_abs_determinant(a + b), _log_minor_ratio_sum(a, b))
+        for lhs, rhs in zip(log_lhs, log_rhs)
     ]

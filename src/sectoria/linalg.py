@@ -10,19 +10,21 @@ and gives each matrix of a stack exactly the bits that it gives that matrix
 alone: a matrix is evaluated as a stack of one, by the same code.  A
 precondition that fails for any matrix of a stack raises, naming the first
 such matrix's failure.  Only functions that take stacks alone keep the
-``*_stack`` name: helpers of the stacked kernels, and the stacked forms of
-``frobenius``, ``hermitian_eigen`` and ``solve``.
+``*_stack`` name: helpers of the stacked kernels, the Hermitian eigensolver
+``hermitian_eigen_stack``, and the stacked forms of ``frobenius`` and
+``solve``.
 """
 
 from __future__ import annotations
 
+import contextvars
 import functools
 from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
 
-from .errors import NotAccretiveError, NotConvergedError, NotPositiveDefiniteError, SingularMatrixError
+from .errors import NotAccretiveError, NotConvergedError, SingularMatrixError
 
 # Pivot magnitudes below PIVOT_RTOL * ||A||_F count as singular.
 PIVOT_RTOL = 1e-13
@@ -38,33 +40,63 @@ _TINY = np.finfo(float).tiny
 _GETRF, _GETRS = scipy.linalg.get_lapack_funcs(("getrf", "getrs"), dtype=np.complex128)
 
 
-def as_square_matrix(a) -> np.ndarray:
-    """Coerce ``a`` to an n-by-n complex128 array, validating shape and finiteness."""
-    m = np.array(a, dtype=np.complex128, order="C")
-    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
+def _square_and_finite(m: np.ndarray, shape: tuple) -> np.ndarray:
+    """``m``, after checking that ``shape``, the shape of its matrices, is
+    square and nonempty, and that every entry is finite."""
+    if len(shape) != 2 or shape[0] != shape[1] or shape[0] < 1:
+        raise ValueError(f"expected a square matrix, got shape {shape}")
     if not np.isfinite(m).all():
         raise ValueError("matrix entries must be finite")
     return m
+
+
+def as_square_matrix(a) -> np.ndarray:
+    """Coerce ``a`` to an n-by-n complex128 array, validating shape and finiteness."""
+    m = np.array(a, dtype=np.complex128, order="C")
+    return _square_and_finite(m, m.shape)
+
+
+def _as_square_stack(a) -> np.ndarray:
+    """Coerce ``a`` to a (T, n, n) complex128 stack, copying only to convert,
+    and validate it as ``as_square_matrix`` validates each of its matrices."""
+    m = np.asarray(a, dtype=np.complex128)
+    return _square_and_finite(m, m.shape[1:])
+
+
+# True while a function decorated by ``matrix_or_stack`` runs on operands
+# that it has validated.  The stacks it passes to the decorated functions it
+# calls are built from them, so those calls take them as they are.
+_VALIDATED = contextvars.ContextVar("validated", default=False)
+
+
+def _run_validated(kernel, stacks: list, rest: tuple, kwargs: dict):
+    token = _VALIDATED.set(True)
+    try:
+        return kernel(*stacks, *rest, **kwargs)
+    finally:
+        _VALIDATED.reset(token)
 
 
 def matrix_or_stack(operands: int):
     """Let a function written for (T, n, n) stacks take one matrix per operand.
 
     This is the one place that tells a matrix from a stack.  The first of
-    the function's leading ``operands`` arguments decides.  A stack is passed
-    on as is, with the other operands, which must be stacks of the same
-    length.  A matrix is validated by ``as_square_matrix``, as are the other
-    operands, and the function runs on their stack of one; the result is
-    entry 0 of what it returns, or of each field of a named tuple.
+    the function's leading ``operands`` arguments decides.  A matrix is
+    validated by ``as_square_matrix``, as are the other operands, and the
+    function runs on their stack of one; the result is entry 0 of what it
+    returns, or of each field of a named tuple.  A stack is passed on with
+    the other operands, which must be stacks of the same length, each as a
+    complex128 array whose matrices pass the same checks, with the same
+    messages.  Operands are validated once, by the outermost decorated call.
     """
 
     def wrap(kernel):
         @functools.wraps(kernel)
         def either(*args, **kwargs):
+            rest = args[operands:]
             if np.ndim(args[0]) != 3:
                 stacks = [as_square_matrix(m)[None] for m in args[:operands]]
-                result = kernel(*stacks, *args[operands:], **kwargs)
+                result = _run_validated(kernel, stacks, rest, kwargs)
                 if isinstance(result, tuple):
                     return result._make(field[0] for field in result)
                 return result[0]
@@ -73,7 +105,9 @@ def matrix_or_stack(operands: int):
             lengths = [len(m) for m in args[:operands]]
             if len(set(lengths)) > 1:
                 raise ValueError(f"operand stacks differ in length: {' and '.join(map(str, lengths))}")
-            return kernel(*args, **kwargs)
+            if _VALIDATED.get():
+                return kernel(*args, **kwargs)
+            return _run_validated(kernel, [_as_square_stack(m) for m in args[:operands]], rest, kwargs)
 
         return either
 
@@ -154,24 +188,6 @@ def hermitian_eigen_stack(h: np.ndarray) -> HermitianEigenResult:
     except np.linalg.LinAlgError as exc:
         raise NotConvergedError(str(exc)) from exc
     return HermitianEigenResult(w, v)
-
-
-# Kept beside hermitian_eigen_stack: the Hermitian guard applies to inputs only.
-def hermitian_eigen(h) -> HermitianEigenResult:
-    """Eigendecomposition of a Hermitian matrix, which may deviate from exact
-    symmetry by at most ``HERMITIAN_RTOL * ||H||_F``; it is symmetrized
-    before factoring."""
-    w, v = hermitian_eigen_stack(as_hermitian(h)[None])
-    return HermitianEigenResult(w[0], v[0])
-
-
-def hermitian_eigenvalues(h) -> np.ndarray:
-    """Ascending eigenvalues of a Hermitian matrix (no eigenvectors)."""
-    sym = as_hermitian(h)
-    try:
-        return np.linalg.eigvalsh(sym)
-    except np.linalg.LinAlgError as exc:
-        raise NotConvergedError(str(exc)) from exc
 
 
 def _require_pivots(pivot_abs, scale) -> None:
@@ -256,14 +272,6 @@ def solve_stack(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def leading_principal_submatrix(a, k: int) -> np.ndarray:
-    """Top-left k-by-k block A_k."""
-    m = as_square_matrix(a)
-    if not 1 <= k <= m.shape[0]:
-        raise IndexError(f"k must be in 1..{m.shape[0]}, got {k}")
-    return m[:k, :k].copy()
-
-
 @matrix_or_stack(1)
 def log_abs_determinant(m) -> float | np.ndarray:
     """log|det A| as the sum of log|u_jj| over one pivoted LU (-inf if singular)."""
@@ -340,20 +348,3 @@ def log_abs_leading_minors(m) -> np.ndarray:
     pivots = np.empty(u.shape[:2])
     _eliminate(u, frobenius_stack(u), pivots)
     return np.cumsum(np.log(pivots), axis=-1)
-
-
-def hermitian_sqrt(h) -> np.ndarray:
-    """Principal square root of a Hermitian positive definite matrix."""
-    w, v = hermitian_eigen(h)
-    if float(w[0]) <= 0.0:
-        raise NotPositiveDefiniteError(
-            f"minimum eigenvalue {w[0]:.3e} is not positive"
-        )
-    s = (v * np.sqrt(w)) @ v.conj().T
-    return (s + s.conj().T) / 2.0
-
-
-def singular_values(a) -> np.ndarray:
-    """Singular values of A in descending order."""
-    m = as_square_matrix(a)
-    return np.linalg.svd(m, compute_uv=False)

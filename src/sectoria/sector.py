@@ -87,15 +87,10 @@ def in_sector(m, alpha: float, tol: float = MEMBERSHIP_TOL) -> SectorMembership 
 class SectorialDecomposition(NamedTuple):
     """Invertible factor X and angles theta with A = X diag(e^{i theta}) X*,
     of a matrix, or of each matrix of a stack: X of shape (T, n, n) and the
-    angles (T, n).  ``z``, ``angle`` and ``reconstruct`` take one matrix's."""
+    angles (T, n).  ``angle`` and ``reconstruct`` take one matrix's."""
 
     x: np.ndarray
     thetas: np.ndarray  # sorted descending, |theta_j| < pi/2
-
-    @property
-    def z(self) -> np.ndarray:
-        """The diagonal unitary carrying the phases."""
-        return np.diag(np.exp(1j * self.thetas))
 
     @property
     def angle(self) -> float:

@@ -174,9 +174,7 @@ def test_criterion_07_sector_inheritance():
             parent = s.sector_angle(a)
             children = [s.sector_angle(s.inverse(a))]
             children += [s.sector_angle(s.schur_complement(a, p)) for p in range(1, n)]
-            children += [
-                s.sector_angle(s.leading_principal_submatrix(a, k)) for k in range(1, n + 1)
-            ]
+            children += [s.sector_angle(a[:k, :k]) for k in range(1, n + 1)]
             worst = max(worst, max(children) - parent)
     ok = worst <= 1e-8
     verdict(7, "sector inheritance (Schur, inverse, principal blocks)", ok, f"max_excess={worst:.3e}")

@@ -491,6 +491,20 @@ MATRIX_CHECKS = {
 }
 
 
+def assert_invalid_stack_raises_what_its_matrix_raises(fn, gen, count, rest):
+    """A stack whose matrix 1 has a non-finite entry in its last operand, and
+    stacks of 3-by-4 matrices, raise the class and text of matrix 1 alone."""
+    clean = [np.stack([gen(4, s.child_seed(92, t, k)) for t in range(3)]) for k in range(count)]
+    non_finite = [m.copy() for m in clean]
+    non_finite[-1][1, 2, 0] = np.nan
+    for stacks in (non_finite, [m[:, :3] for m in clean]):
+        with pytest.raises(ValueError) as alone:
+            fn(*(m[1] for m in stacks), *rest)
+        with pytest.raises(ValueError) as stacked:
+            fn(*stacks, *rest)
+        assert (type(stacked.value), str(stacked.value)) == (type(alone.value), str(alone.value))
+
+
 class TestStackedContract:
     """Every matrix check takes one matrix per operand or a (T, n, n) stack."""
 
@@ -506,11 +520,34 @@ class TestStackedContract:
         assert isinstance(stacked, list) and len(stacked) == 3
         singles = [check(*(ops[t] for ops in operands), *rest) for t in range(3)]
         assert all(isinstance(r, s.InequalityReport) for r in singles)
+        listed = check(*operands, *rest)  # a stack given as a list of matrices
 
         def bits(r):
             return r.slack.hex(), r.holds, r.detail
 
-        assert [bits(r) for r in stacked] == [bits(r) for r in singles]
+        assert [bits(r) for r in stacked] == [bits(r) for r in singles] == [bits(r) for r in listed]
+
+    @pytest.mark.parametrize("name", list(MATRIX_CHECKS))
+    def test_invalid_stack_raises_what_its_matrix_raises(self, name):
+        assert_invalid_stack_raises_what_its_matrix_raises(*MATRIX_CHECKS[name])
+
+    @pytest.mark.parametrize("name", list(MATRIX_CHECKS))
+    def test_operands_are_validated_once(self, name, monkeypatch):
+        # by the check itself, not again by the kernels that it calls
+        check, gen, count, rest = MATRIX_CHECKS[name]
+        validated = []
+
+        def counted(m):
+            validated.append(m.shape)
+            return as_square_stack(m)
+
+        as_square_stack = s.linalg._as_square_stack
+        monkeypatch.setattr(s.linalg, "_as_square_stack", counted)
+        operands = [gen(4, s.child_seed(93, k)) for k in range(count)]
+        check(*operands, *rest)
+        assert validated == []
+        check(*(np.stack([m] * 3) for m in operands), *rest)
+        assert validated == [(3, 4, 4)] * count
 
     @pytest.mark.parametrize("name", [n for n, (_, _, count, _) in MATRIX_CHECKS.items() if count == 2])
     def test_matrix_with_stack_is_a_shape_error(self, name):
@@ -550,6 +587,7 @@ KERNELS = {
     "sector.sector_angle": (s.sector.sector_angle, _sectorial, 1, ()),
     "schur.schur_complement": (s.schur.schur_complement, _sectorial, 1, (2,)),
     "inequalities.determinant_bound_levels": (s.inequalities.determinant_bound_levels, _pd, 2, ()),
+    "inequalities.log_minor_ratios": (s.inequalities.log_minor_ratios, _sectorial, 2, ()),
 }
 
 
@@ -593,7 +631,13 @@ class TestKernelContract:
         operands = [[gen(4, s.child_seed(90, t, k)) for t in range(3)] for k in range(count)]
         stacked = kernel(*(np.stack(ops) for ops in operands), *rest)
         singles = [kernel(*(ops[t] for ops in operands), *rest) for t in range(3)]
-        assert [_bits(_entry(stacked, t)) for t in range(3)] == [_bits(r) for r in singles]
+        listed = kernel(*operands, *rest)  # a stack given as a list of matrices
+        assert ([_bits(_entry(stacked, t)) for t in range(3)] == [_bits(r) for r in singles]
+                == [_bits(_entry(listed, t)) for t in range(3)])
+
+    @pytest.mark.parametrize("name", list(KERNELS))
+    def test_invalid_stack_raises_what_its_matrix_raises(self, name):
+        assert_invalid_stack_raises_what_its_matrix_raises(*KERNELS[name])
 
     @pytest.mark.parametrize("name", list(KERNELS))
     def test_neither_matrix_nor_stack_is_a_shape_error(self, name):

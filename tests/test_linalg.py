@@ -9,20 +9,15 @@ from hypothesis import strategies as st
 import sectoria as s
 import sectoria.linalg
 from sectoria import (
-    NotPositiveDefiniteError,
     SingularMatrixError,
     cartesian_split,
     complex_gaussian,
     frobenius,
-    hermitian_eigen,
-    hermitian_sqrt,
     inverse,
-    leading_principal_submatrix,
     rng_stream,
-    singular_values,
     solve,
 )
-from sectoria.linalg import log_abs_determinant, log_abs_leading_minors
+from sectoria.linalg import as_hermitian, hermitian_eigen_stack, log_abs_determinant, log_abs_leading_minors
 from oracles import determinant, eigenvalues_by_charpoly
 
 
@@ -71,34 +66,42 @@ class TestCartesianSplit:
 
 
 class TestHermitianEigen:
+    """``hermitian_eigen_stack``, the eigensolver of ``sectorial_decompose``,
+    and ``as_hermitian``, the guard that Hermitian inputs pass first."""
+
+    @staticmethod
+    def eigen(h):
+        w, v = hermitian_eigen_stack(as_hermitian(h)[None])
+        return w[0], v[0]
+
     def test_diagonal(self):
-        w, _ = hermitian_eigen(np.diag([3.0, 1.0, 2.0]))
+        w, _ = self.eigen(np.diag([3.0, 1.0, 2.0]))
         np.testing.assert_allclose(w, [1.0, 2.0, 3.0], atol=0)
 
     def test_symmetric_swap(self):
-        w, _ = hermitian_eigen(np.array([[0.0, 1.0], [1.0, 0.0]]))
+        w, _ = self.eigen(np.array([[0.0, 1.0], [1.0, 0.0]]))
         np.testing.assert_allclose(w, [-1.0, 1.0], atol=1e-15)
 
     def test_matches_charpoly_oracle(self):
         h = random_hermitian(5, 42)
-        w, _ = hermitian_eigen(h)
+        w, _ = self.eigen(h)
         np.testing.assert_allclose(w, eigenvalues_by_charpoly(h), atol=1e-9)
 
     def test_contracts_over_1000_seeded_matrices(self):
         from sectoria.linalg import EIGEN_RTOL
 
-        for i in range(1000):
-            n = 1 + i % 12
-            h = random_hermitian(n, 90_000 + i)
-            w, v = hermitian_eigen(h)
-            scale = max(frobenius(h), 1e-300)
-            assert frobenius(h @ v - v * w) <= EIGEN_RTOL * scale
-            assert frobenius(v.conj().T @ v - np.eye(n)) <= EIGEN_RTOL
-            assert np.all(np.diff(w) >= 0)
+        for n in range(1, 13):
+            stack = np.stack([random_hermitian(n, 90_000 + i) for i in range(n - 1, 1000, 12)])
+            ws, vs = hermitian_eigen_stack(stack)
+            for h, w, v in zip(stack, ws, vs):
+                scale = max(frobenius(h), 1e-300)
+                assert frobenius(h @ v - v * w) <= EIGEN_RTOL * scale
+                assert frobenius(v.conj().T @ v - np.eye(n)) <= EIGEN_RTOL
+                assert np.all(np.diff(w) >= 0)
 
     def test_rejects_non_hermitian(self):
-        with pytest.raises(ValueError):
-            hermitian_eigen(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        with pytest.raises(ValueError, match="^input is not Hermitian within tolerance$"):
+            as_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
 class TestInverse:
@@ -118,7 +121,7 @@ class TestInverse:
     def test_residual_bound(self):
         for seed in range(25):
             a = random_matrix(6, 7000 + seed)
-            sv = singular_values(a)
+            sv = np.linalg.svd(a, compute_uv=False)
             cond = sv[0] / sv[-1]
             if cond >= 1e6:
                 continue
@@ -128,7 +131,7 @@ class TestInverse:
     def test_involution_for_well_conditioned(self):
         for seed in range(25):
             a = random_matrix(5, 8000 + seed)
-            sv = singular_values(a)
+            sv = np.linalg.svd(a, compute_uv=False)
             if sv[0] / sv[-1] >= 1e6:
                 continue
             assert frobenius(inverse(inverse(a)) - a) <= 1e-8 * frobenius(a)
@@ -274,21 +277,6 @@ class TestDeterminant:
         assert abs(lhs - rhs) <= 1e-9 * max(abs(lhs), abs(rhs), 1e-300)
 
 
-class TestLeadingPrincipalSubmatrix:
-    def test_full_matrix(self):
-        a = random_matrix(4, 3)
-        np.testing.assert_array_equal(leading_principal_submatrix(a, 4), a)
-
-    def test_first_entry(self):
-        a = np.array([[1.0, 2.0], [3.0, 4.0]])
-        np.testing.assert_array_equal(leading_principal_submatrix(a, 1), [[1.0]])
-
-    @pytest.mark.parametrize("k", [0, 3, -1])
-    def test_out_of_range(self, k):
-        with pytest.raises(IndexError):
-            leading_principal_submatrix(np.eye(2), k)
-
-
 class TestPrincipalAbsMinors:
     def test_triangular(self):
         a = np.array([[2.0, 5.0, 1.0], [0.0, -3.0, 7.0], [0.0, 0.0, 0.5]])
@@ -382,40 +370,3 @@ class TestLogAbsDeterminant:
 
     def test_singular_is_minus_infinity(self):
         assert log_abs_determinant(np.zeros((2, 2))) == -math.inf
-
-
-class TestHermitianSqrt:
-    def test_identity(self):
-        np.testing.assert_allclose(hermitian_sqrt(np.eye(2)), np.eye(2), atol=1e-15)
-
-    def test_diagonal(self):
-        np.testing.assert_allclose(
-            hermitian_sqrt(np.diag([4.0, 9.0])), np.diag([2.0, 3.0]), atol=1e-15
-        )
-
-    def test_square_matches_input(self):
-        g = random_matrix(4, 7)
-        h = g @ g.conj().T + 0.1 * np.eye(4)
-        s = hermitian_sqrt(h)
-        assert frobenius(s @ s - h) <= 1e-10 * frobenius(h)
-        assert frobenius(s - s.conj().T) == 0.0
-
-    def test_rejects_indefinite(self):
-        with pytest.raises(NotPositiveDefiniteError):
-            hermitian_sqrt(np.diag([1.0, -1.0]))
-
-
-class TestSingularValues:
-    def test_identity(self):
-        np.testing.assert_allclose(singular_values(np.eye(4)), np.ones(4), atol=0)
-
-    def test_diagonal_moduli(self):
-        np.testing.assert_allclose(
-            singular_values(np.diag([3.0, -4j])), [4.0, 3.0], atol=1e-15
-        )
-
-    def test_matches_gram_eigenvalue_oracle(self):
-        a = random_matrix(3, 11)
-        gram_eigs = hermitian_eigen(a.conj().T @ a).eigenvalues
-        oracle = np.sqrt(gram_eigs[::-1])
-        np.testing.assert_allclose(singular_values(a), oracle, atol=1e-10)
