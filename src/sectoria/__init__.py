@@ -15,7 +15,6 @@ from .claim2 import (
 from .errors import (
     NotAccretiveDissipativeError,
     NotAccretiveError,
-    NotConvergedError,
     NotPositiveDefiniteError,
     NotSectorialError,
     OmegaPrimeEmptyError,
@@ -57,7 +56,6 @@ from .inequalities import (
 )
 from .linalg import (
     CartesianPair,
-    HermitianEigenResult,
     cartesian_split,
     frobenius,
     inverse,

@@ -13,7 +13,6 @@ import argparse
 import functools
 import json
 import math
-import os
 import statistics
 import sys
 from dataclasses import dataclass, replace
@@ -87,19 +86,11 @@ def write_matrix(path: str, a) -> None:
 
 
 def _resolve_tol(args) -> float:
-    if getattr(args, "tol", None) is not None:
-        tol, source = float(args.tol), "--tol"
-    else:
-        env = os.environ.get("SECTORIA_TOL")
-        if env is None:
-            return ineq.DEFAULT_TOL
-        try:
-            tol, source = float(env), "SECTORIA_TOL"
-        except ValueError as exc:
-            raise UsageError(f"SECTORIA_TOL is not a number: {env!r}") from exc
-    if not (math.isfinite(tol) and tol >= 0.0):
-        raise UsageError(f"{source} must be finite and nonnegative, got {tol!r}")
-    return tol
+    if args.tol is None:
+        return ineq.DEFAULT_TOL
+    if not (math.isfinite(args.tol) and args.tol >= 0.0):
+        raise UsageError(f"--tol must be finite and nonnegative, got {args.tol!r}")
+    return args.tol
 
 
 def _block(a: np.ndarray, partition: int | None) -> int:

@@ -17,10 +17,6 @@ class SingularBlockError(SingularMatrixError):
     """A block required nonsingular by a block identity is singular."""
 
 
-class NotConvergedError(SectoriaError):
-    """The eigenvalue computation did not converge."""
-
-
 class NotPositiveDefiniteError(SectoriaError):
     """A Hermitian positive definite operand was expected."""
 

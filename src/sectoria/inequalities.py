@@ -63,13 +63,6 @@ class InequalityReport:
             "detail": self.detail,
         }
 
-    def to_line(self) -> str:
-        verdict = "holds" if self.holds else "VIOLATED"
-        return (
-            f"{self.name} [{self.kind}] slack={self.slack:+.6e} "
-            f"tol={self.tol:.1e} {verdict} | {self.detail}"
-        )
-
 
 def _exp(x: float) -> float:
     """exp(x), or inf where it overflows."""
@@ -318,30 +311,27 @@ def check_weak_log_majorization(a, tol: float = DEFAULT_TOL) -> Reports:
     """Partial products of the eigenvalues of sec(alpha) Re Z dominate the
     matching partial products of the singular values of Z, where A = X Z X*
     is the canonical decomposition and alpha its angle."""
-    _, thetas = sector.sectorial_decompose(a)
+    dec = sector.sectorial_decompose(a)
+    thetas = dec.thetas
     n = thetas.shape[-1]
     z = np.zeros(thetas.shape + (n,), dtype=np.complex128)
     z[:, np.arange(n), np.arange(n)] = np.exp(1j * thetas)
     sigs = np.linalg.svd(z, compute_uv=False)
-    alphas = [float(x) for x in np.max(np.abs(thetas), axis=-1)]
-    secs = np.array([1.0 / math.cos(alpha) for alpha in alphas])
+    secs = np.array([1.0 / math.cos(alpha) for alpha in dec.angle])
     lams = np.sort(secs[:, None] * np.cos(thetas), axis=-1)[:, ::-1]
-    reports = []
-    for alpha, lam, sig in zip(alphas, lams, sigs):
-        worst = math.inf
-        worst_k = 0
-        prod_l, prod_s = 1.0, 1.0
-        for k in range(n):
-            prod_l *= float(lam[k])
-            prod_s *= float(sig[k])
-            slack_k = (prod_l - prod_s) / max(abs(prod_l), abs(prod_s), 1.0)
-            if slack_k < worst:
-                worst, worst_k = slack_k, k + 1
-        detail = f"alpha={alpha:.9f} min_partial_slack_at_k={worst_k}"
-        reports.append(InequalityReport(
-            "weak-log-major", "scalar", float(worst), bool(worst >= -tol), float(tol), detail
-        ))
-    return reports
+    # Partial products in sequence, k = 1..n.  A product of lams can overflow
+    # to inf, where its slack inf / inf is NaN: lam dominates there, so the
+    # first least slack is sought among the others.
+    with np.errstate(over="ignore", invalid="ignore"):
+        prod_l, prod_s = np.cumprod(lams, axis=-1), np.cumprod(sigs, axis=-1)
+        slacks = (prod_l - prod_s) / np.maximum(np.maximum(np.abs(prod_l), np.abs(prod_s)), 1.0)
+    worst_k = np.nanargmin(slacks, axis=-1)
+    worsts = slacks[np.arange(len(slacks)), worst_k]
+    return [
+        InequalityReport("weak-log-major", "scalar", float(worst), bool(worst >= -tol), float(tol),
+                         f"alpha={alpha:.9f} min_partial_slack_at_k={k + 1}")
+        for alpha, worst, k in zip(dec.angle, worsts, worst_k)
+    ]
 
 
 @linalg.matrix_or_stack(1)

@@ -10,9 +10,8 @@ and gives each matrix of a stack exactly the bits that it gives that matrix
 alone: a matrix is evaluated as a stack of one, by the same code.  A
 precondition that fails for any matrix of a stack raises, naming the first
 such matrix's failure.  Only functions that take stacks alone keep the
-``*_stack`` name: helpers of the stacked kernels, the Hermitian eigensolver
-``hermitian_eigen_stack``, and the stacked forms of ``frobenius`` and
-``solve``.
+``*_stack`` name: helpers of the stacked kernels, and the stacked forms of
+``frobenius`` and ``solve``.
 """
 
 from __future__ import annotations
@@ -24,12 +23,10 @@ from typing import NamedTuple
 import numpy as np
 import scipy.linalg
 
-from .errors import NotAccretiveError, NotConvergedError, SingularMatrixError
+from .errors import NotAccretiveError, SingularMatrixError
 
 # Pivot magnitudes below PIVOT_RTOL * ||A||_F count as singular.
 PIVOT_RTOL = 1e-13
-# Residual / orthonormality contract of the Hermitian eigensolver.
-EIGEN_RTOL = 1e-11
 # How far from exact symmetry a "Hermitian" input may be.
 HERMITIAN_RTOL = 1e-10
 # A Hermitian matrix counts as positive definite when its minimum eigenvalue
@@ -147,13 +144,6 @@ def cartesian_split(m) -> CartesianPair:
     return CartesianPair((m + mh) / 2.0, (m - mh) / 2.0j)
 
 
-class HermitianEigenResult(NamedTuple):
-    """Ascending eigenvalues and matching orthonormal eigenvector columns."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-
 @matrix_or_stack(1)
 def as_hermitian(m) -> np.ndarray:
     """Symmetrize H to (H + H*)/2 after checking that it deviates from exact
@@ -178,16 +168,6 @@ def accretive_parts(m) -> CartesianPair:
     if not np.all(positive_definite_stack(parts.re, frobenius_stack(m))):
         raise NotAccretiveError("real part of A is not positive definite")
     return parts
-
-
-def hermitian_eigen_stack(h: np.ndarray) -> HermitianEigenResult:
-    """Eigendecomposition H = V diag(w) V* of each exactly Hermitian matrix
-    of a stack (eigh reads one triangle)."""
-    try:
-        w, v = np.linalg.eigh(h)
-    except np.linalg.LinAlgError as exc:
-        raise NotConvergedError(str(exc)) from exc
-    return HermitianEigenResult(w, v)
 
 
 def _require_pivots(pivot_abs, scale) -> None:

@@ -87,18 +87,20 @@ def in_sector(m, alpha: float, tol: float = MEMBERSHIP_TOL) -> SectorMembership 
 class SectorialDecomposition(NamedTuple):
     """Invertible factor X and angles theta with A = X diag(e^{i theta}) X*,
     of a matrix, or of each matrix of a stack: X of shape (T, n, n) and the
-    angles (T, n).  ``angle`` and ``reconstruct`` take one matrix's."""
+    angles (T, n).  ``angle`` and ``reconstruct`` answer per matrix."""
 
     x: np.ndarray
     thetas: np.ndarray  # sorted descending, |theta_j| < pi/2
 
     @property
-    def angle(self) -> float:
-        """max_j |theta_j|, the half-angle of the smallest enclosing sector."""
-        return float(np.max(np.abs(self.thetas)))
+    def angle(self) -> float | np.ndarray:
+        """max_j |theta_j|, the half-angle of the smallest enclosing sector:
+        a float for a matrix, an array of T for a stack."""
+        angle = np.max(np.abs(self.thetas), axis=-1)
+        return float(angle) if self.thetas.ndim == 1 else angle
 
     def reconstruct(self) -> np.ndarray:
-        return (self.x * np.exp(1j * self.thetas)) @ self.x.conj().T
+        return (self.x * np.exp(1j * self.thetas)[..., None, :]) @ linalg.adjoint(self.x)
 
 
 @linalg.matrix_or_stack(1)
@@ -111,7 +113,7 @@ def sectorial_decompose(m) -> SectorialDecomposition:
     phase and X Z X* reproduces A.
     """
     re, im = linalg.cartesian_split(m)
-    hw, hv = linalg.hermitian_eigen_stack(re)
+    hw, hv = np.linalg.eigh(re)
     fails = hw[:, 0] <= linalg.PD_RTOL * linalg.frobenius_stack(m)
     if fails.any():
         raise NotSectorialError(
@@ -122,7 +124,7 @@ def sectorial_decompose(m) -> SectorialDecomposition:
     # C = H^{-1/2} K H^{-1/2} is Hermitian by construction; only rounding
     # breaks its symmetry, so it is symmetrized rather than tested.
     c = root_inv @ im @ linalg.adjoint(root_inv)
-    d, u = linalg.hermitian_eigen_stack((c + linalg.adjoint(c)) / 2.0)
+    d, u = np.linalg.eigh((c + linalg.adjoint(c)) / 2.0)
     thetas = np.arctan(d)
     x = (root @ u) / np.sqrt(np.cos(thetas))[:, None, :]
     order = np.argsort(-thetas, axis=-1, kind="stable")
@@ -133,7 +135,7 @@ def sectorial_decompose(m) -> SectorialDecomposition:
 @linalg.matrix_or_stack(1)
 def sector_angle(m) -> float | list[float]:
     """Half-angle of the smallest sector containing W(A); a list of T for a stack."""
-    return [float(a) for a in np.max(np.abs(sectorial_decompose(m).thetas), axis=-1)]
+    return [float(a) for a in sectorial_decompose(m).angle]
 
 
 def sector_angle_bisect(a, tol: float = 1e-13, iters: int = 60) -> float:

@@ -138,17 +138,8 @@ class TestCheckCommand:
         assert main(["nonsense"]) == 1
         assert main(["check"]) == 1
 
-    def test_tol_env_override(self, files, capsys, monkeypatch):
-        _, paths = files
-        monkeypatch.setenv("SECTORIA_TOL", "0.5")
-        assert main(["check", "schur-wrongsec", paths["sect_a"]]) == 0
-        doc = json.loads(capsys.readouterr().out)
-        assert doc["tol"] == 0.5
-        monkeypatch.setenv("SECTORIA_TOL", "not-a-number")
-        assert main(["check", "schur-wrongsec", paths["sect_a"]]) == 1
-
     @pytest.mark.parametrize("bad", ["nan", "-1", "inf", "-inf"])
-    def test_bad_tol_is_usage_error(self, files, capsys, monkeypatch, bad):
+    def test_bad_tol_is_usage_error(self, files, capsys, bad):
         _, paths = files
         # Each of these holds with positive slack, so exit 3 would be a false violation.
         main1 = ["check", "main1", paths["sect_a"], paths["sect_b"], "--alpha", repr(PI4)]
@@ -156,9 +147,8 @@ class TestCheckCommand:
         trials = ["trials", "main2", "--n", "3", "--alpha", "0.5", "--trials", "3"]
         for argv in (main1, hartfiel, trials):
             assert main(argv + ["--tol", bad]) == 1
-            monkeypatch.setenv("SECTORIA_TOL", bad)
-            assert main(argv) == 1
-            monkeypatch.delenv("SECTORIA_TOL")
+            # argparse takes a separate "-inf" for an option; this form reaches the value check.
+            assert main(argv + [f"--tol={bad}"]) == 1
             out, err = capsys.readouterr()
             assert out == "" and "finite and nonnegative" in err
         assert main(hartfiel + ["--tol", "0"]) == 0
@@ -248,6 +238,26 @@ def test_arithmetic_error_of_a_check_is_a_precondition_failure(argv, files, monk
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: math range error\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["angle", "A"],
+    ["check", "lemma-2-6", "A"],
+    ["trials", "weak-log-major", "--n", "3", "--trials", "4"],
+])
+def test_eigensolver_failure_is_a_precondition_failure(argv, files, monkeypatch, capsys):
+    # numpy's LinAlgError is a ValueError, which the decomposition lets through.
+    _, paths = files
+    argv = [paths["sect_a"] if x == "A" else x for x in argv]
+
+    def not_converged(h):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", not_converged)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: Eigenvalues did not converge\n"
 
 
 OPERANDS = {

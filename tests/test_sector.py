@@ -22,7 +22,7 @@ from sectoria import (
     sector_angle_bisect,
     sectorial_decompose,
 )
-from sectoria.cli import FAMILIES
+from sectoria.cli import FAMILIES, main, write_matrix
 from sectoria.generators import TrialConfig
 from oracles import numerical_range_samples
 
@@ -131,6 +131,26 @@ class TestSectorialDecompose:
         dec = sectorial_decompose(a)
         assert np.all(np.abs(dec.thetas) < math.pi / 2)
         assert frobenius(dec.reconstruct() - a) <= 1e-10 * frobenius(a)
+
+    def test_stack_answers_per_matrix(self):
+        matrices = [gen_sectorial_planted(4, alpha, 7)[0] for alpha in (0.3, 0.9)]
+        alone = [sectorial_decompose(m) for m in matrices]
+        stacked = sectorial_decompose(np.stack(matrices))
+        assert stacked.angle.tolist() == [dec.angle for dec in alone]
+        assert stacked.angle[0] < 0.9
+        whole = stacked.reconstruct()
+        for t, dec in enumerate(alone):
+            assert whole[t].tobytes() == dec.reconstruct().tobytes()
+
+    def test_angle_command_prints_a_float(self, tmp_path, capsys):
+        a = gen_sectorial(4, 0.7, 5)
+        path = str(tmp_path / "a.json")
+        write_matrix(path, a)
+        assert main(["angle", path]) == 0
+        line = capsys.readouterr().out.splitlines()[0]
+        assert type(sectorial_decompose(a).angle) is float
+        assert line == f"alpha_rad {sectorial_decompose(a).angle!r}"
+        assert "np." not in line
 
     def test_rejects_non_accretive(self):
         with pytest.raises(NotSectorialError):
