@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import OmegaPrimeEmptyError
-from .generators import stream_key, uniform_stack
-from .inequalities import DEFAULT_TOL, InequalityReport, log_ratio_sum_rhs_stack, scalar_report
+from .generators import _seed_keys, _stream
+from .inequalities import DEFAULT_TOL, InequalityReport, Reports, log_ratio_sum_rhs_stack, scalar_report
 
 MAX_SUBSET_N = 20
 
@@ -34,7 +34,8 @@ def _require_sequences(a: np.ndarray, b: np.ndarray) -> None:
 
 @dataclass(frozen=True)
 class PositiveSequencePair:
-    """Strictly positive sequences a, b of length n+1 with a[0] = b[0] = 1."""
+    """Strictly positive sequences a, b of length n+1 with a[0] = b[0] = 1,
+    or stacks of T such pairs: rows of a and b of shape (T, n + 1)."""
 
     a: np.ndarray
     b: np.ndarray
@@ -42,40 +43,32 @@ class PositiveSequencePair:
     def __post_init__(self):
         a = np.asarray(self.a, dtype=float)
         b = np.asarray(self.b, dtype=float)
-        if a.ndim != 1:
-            raise ValueError("sequences must be 1-d, equal length, length >= 2")
+        if a.ndim not in (1, 2):
+            raise ValueError("sequences must be 1-d or stacked rows, equal length, length >= 2")
         _require_sequences(a, b)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
 
     @property
     def n(self) -> int:
-        return self.a.size - 1
-
-
-# Kept beside random_sequence_pair: the stacked form takes Philox keys, not a seed.
-def random_sequence_pair_stack(
-    n: int, keys: np.ndarray, low: float = 1e-3, high: float = 1e3
-) -> tuple[np.ndarray, np.ndarray]:
-    """``random_sequence_pair`` on the stream of each Philox key (T, 2): the
-    a and the b sequences, each of shape (T, n + 1)."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    vals = np.exp(uniform_stack(keys, math.log(low), math.log(high), (2, n)))
-    a = np.ones((len(keys), n + 1))
-    b = np.ones((len(keys), n + 1))
-    a[:, 1:] = vals[:, 0]
-    b[:, 1:] = vals[:, 1]
-    _require_sequences(a, b)
-    return a, b
+        return self.a.shape[-1] - 1
 
 
 def random_sequence_pair(
-    n: int, seed: int, low: float = 1e-3, high: float = 1e3
+    n: int, seed, low: float = 1e-3, high: float = 1e3
 ) -> PositiveSequencePair:
-    """Log-uniform positive sequence pair with the leading entries pinned to 1."""
-    a, b = random_sequence_pair_stack(n, stream_key(seed)[None], low, high)
-    return PositiveSequencePair(a[0], b[0])
+    """Log-uniform positive sequence pair with the leading entries pinned to
+    1; for a (T, 2) uint64 stack of Philox keys as ``seed``, the rows of its T draws."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    keys, one = _seed_keys(seed)
+    logs = np.empty((len(keys), 2, n))
+    for key, row in zip(keys.tolist(), logs):
+        row[...] = _stream(key).uniform(math.log(low), math.log(high), (2, n))
+    seqs = np.ones((2, len(keys), n + 1))
+    seqs[:, :, 1:] = np.exp(logs).swapaxes(0, 1)
+    a, b = seqs[:, 0] if one else seqs
+    return PositiveSequencePair(a, b)
 
 
 @dataclass(frozen=True)
@@ -155,18 +148,14 @@ def check_claim2_logs(log_an, x: np.ndarray, tol: float = DEFAULT_TOL) -> list[I
     ]
 
 
-# Kept beside check_claim2: the operands are sequences, not matrices.
-def check_claim2_stack(a: np.ndarray, b: np.ndarray, tol: float = DEFAULT_TOL) -> list[InequalityReport]:
-    """``check_claim2`` for each row pair of the (T, n + 1) sequence stacks a, b."""
-    _require_sequences(a, b)
-    return check_claim2_logs([math.log(v) for v in a[:, -1]], np.log(b / a), tol)
-
-
-def check_claim2(pair: PositiveSequencePair, tol: float = DEFAULT_TOL) -> InequalityReport:
+def check_claim2(pair: PositiveSequencePair, tol: float = DEFAULT_TOL) -> Reports:
     """prod_k (a_k/a_{k-1} + b_k/b_{k-1})
     >= a_n (1 + sum_s b_s/a_s) + b_n (1 + sum_s a_s/b_s) + (2^n - 2n) sqrt(a_n b_n),
-    with the sums over s = 1..n-1."""
-    return check_claim2_stack(pair.a[None], pair.b[None], tol)[0]
+    with the sums over s = 1..n-1.  For a stacked pair, the list of the
+    reports of its T rows."""
+    a, b = np.atleast_2d(pair.a), np.atleast_2d(pair.b)
+    reports = check_claim2_logs([math.log(v) for v in a[:, -1]], np.log(b / a), tol)
+    return reports[0] if pair.a.ndim == 1 else reports
 
 
 def claim2_am_gm_bound(x) -> tuple[float, float]:

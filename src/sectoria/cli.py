@@ -26,9 +26,9 @@ from . import linalg, sector
 from .errors import SectoriaError
 from .generators import (
     TrialConfig,
-    gen_accretive_dissipative_stack,
-    gen_positive_definite_stack,
-    gen_sectorial_stack,
+    gen_accretive_dissipative,
+    gen_positive_definite,
+    gen_sectorial,
     trial_keys,
 )
 
@@ -107,9 +107,9 @@ class Check(NamedTuple):
     the check's one function, ``check_*``, on operand stacks of shape
     (T, n, n), as ``trials`` does, and returns T reports, or on one matrix
     per operand, as ``check`` does, and returns one report.  ``b`` is None
-    for the single family, ``a`` and ``b`` are stacks of the two sequences
-    (rows of length n + 1) for the sequence family, and a ``partition`` of
-    None selects the default.
+    for the single family, and for the sequence family, whose ``a`` is a
+    ``PositiveSequencePair`` of stacked rows; a ``partition`` of None
+    selects the default.
     """
 
     family: str
@@ -132,7 +132,7 @@ CHECKS = {
     "weak-log-major": Check("single", lambda a, b, alpha, p, tol: ineq.check_weak_log_majorization(a, tol)),
     "schur-wrongsec": Check("single", lambda a, b, alpha, p, tol: ineq.check_schur_wrongsec(a, _block(a, p), tol), True),
     "corollary-ad": Check("ad_pair", lambda a, b, alpha, p, tol: ineq.check_corollary_ad(a, b, tol)),
-    "claim2": Check("sequence", lambda a, b, alpha, p, tol: claim2_mod.check_claim2_stack(a, b, tol)),
+    "claim2": Check("sequence", lambda a, b, alpha, p, tol: claim2_mod.check_claim2(a, tol)),
 }
 
 
@@ -163,12 +163,12 @@ def _pair(gen, nested: int = 0):
 
 # Operand family -> draw(config, lo, hi) giving the stacked (a, b) of trials lo..hi-1.
 FAMILIES = {
-    "pd_pair": _pair(lambda c, keys: gen_positive_definite_stack(c.n, keys)),
-    "sectorial_pair": _pair(lambda c, keys: gen_sectorial_stack(c.n, c.alpha, keys)),
+    "pd_pair": _pair(lambda c, keys: gen_positive_definite(c.n, keys)),
+    "sectorial_pair": _pair(lambda c, keys: gen_sectorial(c.n, c.alpha, keys)),
     # An accretive-dissipative operand draws H and K from its substreams 0 and 1.
-    "ad_pair": _pair(lambda c, keys: gen_accretive_dissipative_stack(c.n, keys), nested=2),
-    "single": lambda c, lo, hi: (gen_sectorial_stack(c.n, c.alpha, _keys(c, lo, hi)[:, 0]), None),
-    "sequence": lambda c, lo, hi: claim2_mod.random_sequence_pair_stack(c.n, _keys(c, lo, hi)[:, 0]),
+    "ad_pair": _pair(lambda c, keys: gen_accretive_dissipative(c.n, keys), nested=2),
+    "single": lambda c, lo, hi: (gen_sectorial(c.n, c.alpha, _keys(c, lo, hi)[:, 0]), None),
+    "sequence": lambda c, lo, hi: (claim2_mod.random_sequence_pair(c.n, _keys(c, lo, hi)[:, 0]), None),
 }
 
 

@@ -7,13 +7,15 @@ Gaussian entries are produced by an explicit Box-Muller transform of the
 uniform stream, keeping the bit stream fully specified.
 
 ``rng_stream`` and ``child_seed`` are the reference: numpy's own
-``SeedSequence`` and ``Philox``.  A suite derives the Philox key of every
-trial's stream at once with ``trial_keys``, numpy's ``SeedSequence`` hash
-run over all trials in a few array passes, and each ``gen_*_stack`` draws
-every trial through one reused generator, reset to the trial's key: the
-state a fresh ``Philox`` with that key starts in.  Each ``gen_*_stack``
-then runs the arithmetic once over the (T, n, n) stack; ``gen_*`` is the
-same code for one seed.
+``SeedSequence`` and ``Philox``.  A Philox stream is named by its key, so
+each ``gen_*`` takes an int seed or a uint64 stack of T keys, and an int
+seed is the stack of the one key of ``rng_stream(seed)``.  A suite derives
+the Philox key of every trial's stream at once with ``trial_keys``, numpy's
+``SeedSequence`` hash run over all trials in a few array passes, and a
+``gen_*`` draws every trial of a key stack through one reused generator,
+reset to the trial's key: the state a fresh ``Philox`` with that key starts
+in.  It then runs the arithmetic once over the (T, n, n) stack, and for an
+int seed returns entry 0 of the stack of one.
 """
 
 from __future__ import annotations
@@ -205,15 +207,6 @@ def _stream(key) -> np.random.Generator:
     return rng
 
 
-def uniform_stack(keys: np.ndarray, low: float, high: float, size: tuple) -> np.ndarray:
-    """``uniform(low, high, size)`` from the start of each key's stream,
-    stacked: shape (T, *size)."""
-    out = np.empty((len(keys), *size))
-    for key, row in zip(keys.tolist(), out):
-        row[...] = _stream(key).uniform(low, high, size)
-    return out
-
-
 def _box_muller(u: np.ndarray) -> np.ndarray:
     """Complex Gaussians from per-trial uniforms (T, 2, ...): radius from
     ``u[:, 0]``, phase from ``u[:, 1]``.  Each half goes in contiguous (a
@@ -230,31 +223,55 @@ def complex_gaussian(n: int, rng: np.random.Generator) -> np.ndarray:
     return _box_muller(rng.random((1, 2, n, n)))[0]
 
 
-# Each gen_* keeps its gen_*_stack: the stacked form takes Philox keys, not a seed.
-def gen_positive_definite_stack(n: int, keys: np.ndarray) -> np.ndarray:
-    """``gen_positive_definite`` on the stream of each Philox key (T, 2), stacked."""
+def _seed_keys(seed, substreams: int = 0) -> tuple[np.ndarray, bool]:
+    """The stack of Philox keys that ``seed`` names, and whether it is one int.
+
+    An int seed is the stack of one key, that of ``rng_stream(seed)``, or
+    with ``substreams = m`` the keys of ``rng_stream(child_seed(seed, j))``
+    for j < m: shape (1, 2) or (1, m, 2).  Anything else must be a uint64
+    stack of T keys of that shape.
+    """
+    if np.ndim(seed) == 0:
+        keys = [stream_key(child_seed(seed, j)) for j in range(substreams)] if substreams else stream_key(seed)
+        return np.array(keys)[None], True
+    keys = np.asarray(seed)
+    shape = (substreams, 2) if substreams else (2,)
+    if keys.dtype != np.uint64 or keys.shape[1:] != shape:
+        raise ValueError(f"expected an int seed or a uint64 stack of Philox keys of shape "
+                         f"(T, {', '.join(map(str, shape))}), got {keys.dtype} {keys.shape}")
+    return keys, False
+
+
+def gen_positive_definite(n: int, seed) -> np.ndarray:
+    """Random Hermitian positive definite matrix G G* + 0.1 I; for a (T, 2)
+    uint64 stack of Philox keys as ``seed``, the (T, n, n) stack of its draws."""
+    keys, one = _seed_keys(seed)
     u = np.empty((len(keys), 2, n, n))
     for key, out in zip(keys.tolist(), u):
         _stream(key).random(out=out)
     g = _box_muller(u)
     h = g @ adjoint(g) + 0.1 * np.eye(n)
-    return (h + adjoint(h)) / 2.0
-
-
-def gen_positive_definite(n: int, seed: int) -> np.ndarray:
-    """Random Hermitian positive definite matrix G G* + 0.1 I."""
-    return gen_positive_definite_stack(n, stream_key(seed)[None])[0]
+    h = (h + adjoint(h)) / 2.0
+    return h[0] if one else h
 
 
 def _smallest_singular_values(x: np.ndarray) -> np.ndarray:
     return np.linalg.svd(x, compute_uv=False)[..., -1]
 
 
-def gen_sectorial_planted_stack(n: int, alpha: float, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``gen_sectorial_planted`` on the stream of each Philox key (T, 2): the
-    matrices, shape (T, n, n), and the planted angles, shape (T, n)."""
+def gen_sectorial_planted(n: int, alpha: float, seed) -> tuple[np.ndarray, np.ndarray]:
+    """Random sectorial sample together with its planted angle vector.
+
+    Builds X diag(exp(i theta_j)) X* from a complex Gaussian X (resampled
+    while its smallest singular value is below ``MIN_FACTOR_SIGMA``) and
+    angles drawn uniformly from [-alpha, alpha] with theta_1 pinned to
+    alpha so the nominal angle is attained.  Returns the matrix and the
+    planted angles sorted descending; for a (T, 2) uint64 stack of Philox
+    keys as ``seed``, the (T, n, n) and (T, n) stacks of its draws.
+    """
     if not 0.0 <= alpha < ALPHA_GUARD:
         raise ValueError(f"alpha must lie in [0, {ALPHA_GUARD:.6f})")
+    keys, one = _seed_keys(seed)
     u = np.empty((len(keys), 2, n, n))
     thetas = np.empty((len(keys), n))
     for key, out, theta in zip(keys.tolist(), u, thetas):
@@ -276,42 +293,20 @@ def gen_sectorial_planted_stack(n: int, alpha: float, keys: np.ndarray) -> tuple
     # For n = 1 numpy's one-element broadcast product is unfused.
     scaled = multiply_unfused(x, phases) if n == 1 else x * phases
     a = scaled @ adjoint(x)
-    return a, np.sort(thetas, axis=-1)[:, ::-1]
+    thetas = np.sort(thetas, axis=-1)[:, ::-1]
+    return (a[0], thetas[0]) if one else (a, thetas)
 
 
-def gen_sectorial_planted(n: int, alpha: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """Random sectorial sample together with its planted angle vector.
-
-    Builds X diag(exp(i theta_j)) X* from a complex Gaussian X (resampled
-    while its smallest singular value is below ``MIN_FACTOR_SIGMA``) and
-    angles drawn uniformly from [-alpha, alpha] with theta_1 pinned to
-    alpha so the nominal angle is attained.  Returns the matrix and the
-    planted angles sorted descending.
-    """
-    a, thetas = gen_sectorial_planted_stack(n, alpha, stream_key(seed)[None])
-    return a[0], thetas[0]
+def gen_sectorial(n: int, alpha: float, seed) -> np.ndarray:
+    """Random matrix whose numerical range attains sector half-angle alpha;
+    ``seed`` is an int or a (T, 2) uint64 stack of Philox keys."""
+    return gen_sectorial_planted(n, alpha, seed)[0]
 
 
-def gen_sectorial_stack(n: int, alpha: float, keys: np.ndarray) -> np.ndarray:
-    """``gen_sectorial`` on the stream of each Philox key (T, 2), stacked."""
-    return gen_sectorial_planted_stack(n, alpha, keys)[0]
-
-
-def gen_sectorial(n: int, alpha: float, seed: int) -> np.ndarray:
-    """Random matrix whose numerical range attains sector half-angle alpha."""
-    return gen_sectorial_stack(n, alpha, stream_key(seed)[None])[0]
-
-
-def gen_accretive_dissipative_stack(n: int, keys: np.ndarray) -> np.ndarray:
-    """``gen_accretive_dissipative`` for each trial's pair of Philox keys
-    (T, 2, 2): those of its H draw and of its K draw, stacked."""
-    h = gen_positive_definite_stack(n, keys[:, 0])
-    k = gen_positive_definite_stack(n, keys[:, 1])
-    return h + 1j * k
-
-
-def gen_accretive_dissipative(n: int, seed: int) -> np.ndarray:
+def gen_accretive_dissipative(n: int, seed) -> np.ndarray:
     """Random H + iK with H, K independent positive definite draws from
-    substreams 0 and 1 of ``seed``."""
-    keys = np.array([[stream_key(child_seed(seed, j)) for j in (0, 1)]])
-    return gen_accretive_dissipative_stack(n, keys)[0]
+    substreams 0 and 1 of ``seed``; for a (T, 2, 2) uint64 stack of the
+    Philox keys of each draw's H and K, the (T, n, n) stack of its draws."""
+    keys, one = _seed_keys(seed, substreams=2)
+    m = gen_positive_definite(n, keys[:, 0]) + 1j * gen_positive_definite(n, keys[:, 1])
+    return m[0] if one else m

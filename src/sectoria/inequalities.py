@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -54,14 +54,7 @@ class InequalityReport:
     detail: str = ""
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "kind": self.kind,
-            "slack": self.slack,
-            "holds": self.holds,
-            "tol": self.tol,
-            "detail": self.detail,
-        }
+        return asdict(self)
 
 
 def _exp(x: float) -> float:
@@ -121,8 +114,10 @@ def _require_pd(m: np.ndarray, what: str) -> np.ndarray:
     return sym
 
 
-def _require_in_sector(m: np.ndarray, alpha: float, tol: float, what: str) -> None:
-    for res in sector.in_sector(m, alpha, tol):
+def _require_in_sector(m: np.ndarray, alpha: float, what: str) -> None:
+    """Require membership at ``sector.MEMBERSHIP_TOL``, whatever the slack
+    tolerance of the check."""
+    for res in sector.in_sector(m, alpha):
         if not res:
             w = res.witness
             extra = f" (witness point {w.point!r})" if w is not None else ""
@@ -144,12 +139,12 @@ def _require_pd_pair(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return ha, hb
 
 
-def _require_sectorial_pair(a: np.ndarray, b: np.ndarray, alpha: float, tol: float) -> float:
+def _require_sectorial_pair(a: np.ndarray, b: np.ndarray, alpha: float) -> float:
     """Validate alpha, then stacks of A and B in its sector and of one size;
     returns alpha as a float."""
     alpha = sector.validate_sector_angle(alpha)
-    _require_in_sector(a, alpha, tol, "A")
-    _require_in_sector(b, alpha, tol, "B")
+    _require_in_sector(a, alpha, "A")
+    _require_in_sector(b, alpha, "B")
     _require_pair(a, b)
     return alpha
 
@@ -360,7 +355,7 @@ def real_schur_terms_stack(a: np.ndarray, b: np.ndarray, p: int) -> tuple[np.nda
 def check_main1(a, b, alpha: float, p: int, tol: float = DEFAULT_TOL) -> Reports:
     """sec^2(alpha) Re((A+B)/(A11+B11)) >= Re(A/A11) + Re(B/B11) for A, B
     with numerical range in the alpha sector."""
-    alpha = _require_sectorial_pair(a, b, alpha, tol)
+    alpha = _require_sectorial_pair(a, b, alpha)
     sec2 = (1.0 / math.cos(alpha)) ** 2
     lhs, rhs = real_schur_terms_stack(a, b, p)
     return loewner_reports("main1", sec2 * lhs, rhs, tol)
@@ -386,7 +381,7 @@ def check_det_step(
     reported.  Sector membership is tested once, and each of A, B and A+B is
     factored once (only its leading (k+1)-by-(k+1) block for a single k).
     """
-    alpha = _require_sectorial_pair(a, b, alpha, tol)
+    alpha = _require_sectorial_pair(a, b, alpha)
     n = a.shape[-1]
     if k is None:
         if n < 2:
@@ -414,7 +409,7 @@ def check_det_step(
 def check_main2(a, b, alpha: float, tol: float = DEFAULT_TOL) -> Reports:
     """sec^{3n-2}(alpha) |det(A+B)| >= the ratio-sum bound on |det A|, |det B|
     plus (2^n - 2n) sqrt(|det A det B|), for A, B in the alpha sector."""
-    alpha = _require_sectorial_pair(a, b, alpha, tol)
+    alpha = _require_sectorial_pair(a, b, alpha)
     n = a.shape[-1]
     shift = -(3 * n - 2) * math.log(math.cos(alpha))
     log_lhs = linalg.log_abs_determinant(a + b)

@@ -121,6 +121,18 @@ class TestCheckClaim2:
         assert report.holds
         assert report.slack >= -1e-12
 
+    @pytest.mark.parametrize("n", [1, 6])
+    def test_stacked_pair_reports_each_row(self, n):
+        seeds = [15, 16, 17]
+        keys = np.array([rng_stream(seed).bit_generator.state["state"]["key"] for seed in seeds])
+        reports = check_claim2(random_sequence_pair(n, keys))
+        singles = [check_claim2(random_sequence_pair(n, seed)) for seed in seeds]
+
+        def bits(report):
+            return report.slack.hex(), report.holds, report.detail
+
+        assert [bits(r) for r in reports] == [bits(r) for r in singles]
+
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 10))
     @settings(max_examples=60, deadline=None)
     def test_random_pairs_hold(self, seed, n):
@@ -161,6 +173,8 @@ class TestCheckClaim2:
             PositiveSequencePair(np.array([1.0, -2.0]), np.array([1.0, 2.0]))
         with pytest.raises(ValueError):
             PositiveSequencePair(np.array([1.0]), np.array([1.0]))
+        with pytest.raises(ValueError):
+            PositiveSequencePair(np.ones((1, 1, 2)), np.ones((1, 1, 2)))
 
 
 class TestAmGmBound:

@@ -339,6 +339,25 @@ class TestHermitianGuardAborts:
         assert math.isfinite(doc["min_slack"]) and math.isfinite(doc["median_slack"])
 
 
+class TestMembershipAtZeroTol:
+    # Each used to exit 2 ("A is not inside the sector"): membership was
+    # tested at the slack tolerance, and at --tol 0 the generator's own
+    # draws, which sit on the sector's boundary up to rounding, failed it.
+    @pytest.mark.parametrize("name", ["main1", "main2", "det-step"])
+    def test_suite_holds(self, name, capsys):
+        argv = ["trials", name, "--n", "6", "--alpha", "0.785", "--trials", "20", "--seed", "0", "--tol", "0"]
+        assert main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["failures"] == 0
+
+    def test_check_holds(self, tmp_path, capsys):
+        paths = [str(tmp_path / f"{seed}.json") for seed in (0, 1)]
+        for path, seed in zip(paths, (0, 1)):
+            write_matrix(path, s.gen_sectorial(6, 0.785, seed))
+        assert main(["check", "main2", *paths, "--alpha", "0.785", "--tol", "0"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["holds"] and doc["tol"] == 0.0
+
+
 class TestSectorialPairPreconditionOrder:
     """A in the sector, then B in the sector, then equal shapes: membership
     is tested before the shapes are compared."""

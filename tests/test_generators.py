@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sectoria import (
+    PositiveSequencePair,
     TrialConfig,
     child_seed,
     random_sequence_pair,
@@ -213,3 +214,54 @@ class TestBulkSubstreams:
         ):
             with pytest.raises(ValueError):
                 make()
+
+
+# Each seeded draw at n = 3, and the shape of the keys of one draw.
+SEEDED = {
+    "gen_positive_definite": (lambda seed: gen_positive_definite(3, seed), (2,)),
+    "gen_sectorial_planted": (lambda seed: gen_sectorial_planted(3, 0.785, seed), (2,)),
+    "gen_sectorial": (lambda seed: gen_sectorial(3, 0.785, seed), (2,)),
+    "gen_accretive_dissipative": (lambda seed: gen_accretive_dissipative(3, seed), (2, 2)),
+    "random_sequence_pair": (lambda seed: random_sequence_pair(3, seed), (2,)),
+}
+
+
+def arrays(draw):
+    """The arrays of a draw: a matrix, a matrix and its angles, or a pair's a and b."""
+    if isinstance(draw, PositiveSequencePair):
+        return draw.a, draw.b
+    return draw if isinstance(draw, tuple) else (draw,)
+
+
+class TestKeyStacks:
+    """Each seeded draw takes an int seed or a uint64 stack of Philox keys."""
+
+    @pytest.mark.parametrize("name", list(SEEDED))
+    def test_rows_are_the_int_seed_draws(self, name):
+        draw, shape = SEEDED[name]
+        seeds = [3, 4, 5]
+        # An int seed's keys: of its stream, or for an accretive-dissipative
+        # draw those of its H and K, the streams of its child seeds 0 and 1.
+        keys = np.array([reference_key(seed) if shape == (2,)
+                         else [reference_key(child_seed(seed, j)) for j in (0, 1)]
+                         for seed in seeds], dtype=np.uint64)
+        stacked = arrays(draw(keys))
+        for t, seed in enumerate(seeds):
+            one = arrays(draw(seed))
+            assert len(stacked) == len(one)
+            for rows, expected in zip(stacked, one):
+                assert rows.shape[1:] == expected.shape
+                assert rows[t].tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("name", list(SEEDED))
+    @pytest.mark.parametrize("bad", [
+        lambda shape: np.ones((4, *shape), dtype=np.int64),
+        lambda shape: np.ones((4, *shape), dtype=float),
+        lambda shape: np.ones((4, *shape[:-1], 3), dtype=np.uint64),
+        lambda shape: np.ones(shape, dtype=np.uint64),  # one draw's keys, no stack axis
+        lambda shape: np.ones((4, *shape, 1), dtype=np.uint64),
+    ], ids=["int64", "float", "key-width-3", "unstacked", "extra-axis"])
+    def test_bad_key_stack_raises_value_error(self, name, bad):
+        draw, shape = SEEDED[name]
+        with pytest.raises(ValueError, match="stack of Philox keys"):
+            draw(bad(shape))
