@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import threading
 from dataclasses import dataclass
 
@@ -68,25 +69,33 @@ class TrialConfig:
             raise ValueError(f"alpha must lie in [0, {ALPHA_GUARD:.6f})")
         if self.partition is not None and not 1 <= self.partition <= self.n - 1:
             raise ValueError("partition must satisfy 1 <= p <= n - 1")
-        if self.seed < 0:
+        if _integer(self.seed) < 0:
             raise ValueError("seed must be >= 0")
+
+
+def _integer(value) -> int:
+    """A seed or a substream path entry as an int; a float or a bool raises
+    TypeError, as a float does in numpy's ``SeedSequence``, not truncated."""
+    if isinstance(value, bool) or not hasattr(value, "__index__"):
+        raise TypeError(f"seeds and substream paths must be integers, got {value!r}")
+    return operator.index(value)
 
 
 def rng_stream(seed: int, *path: int) -> np.random.Generator:
     """Philox generator for substream ``path`` of ``seed``."""
-    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(p) for p in path))
+    ss = np.random.SeedSequence(entropy=_integer(seed), spawn_key=tuple(_integer(p) for p in path))
     return np.random.Generator(np.random.Philox(ss))
 
 
 def child_seed(seed: int, *path: int) -> int:
     """Derive a fresh 64-bit seed addressing substream ``path`` of ``seed``."""
-    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(p) for p in path))
+    ss = np.random.SeedSequence(entropy=_integer(seed), spawn_key=tuple(_integer(p) for p in path))
     return int(ss.generate_state(1, np.uint64)[0])
 
 
 def stream_key(seed: int) -> np.ndarray:
     """The Philox key of ``rng_stream(seed)``, shape (2,) uint64."""
-    return np.random.SeedSequence(int(seed)).generate_state(2, np.uint64)
+    return np.random.SeedSequence(_integer(seed)).generate_state(2, np.uint64)
 
 
 @functools.lru_cache(maxsize=16)
@@ -167,8 +176,9 @@ def trial_keys(seed: int, lo: int, hi: int, paths=((),), nested: int = 0) -> np.
     # The seed's words, zero-padded to the pool size, come first and leave
     # the pool of the seed's own SeedSequence, after four hash steps to fill
     # it, twelve to mix it and four per word past the fourth.
-    root = np.random.SeedSequence(int(seed))
-    steps = 16 + 4 * max(0, (int(seed).bit_length() + 31) // 32 - 4)
+    seed = _integer(seed)
+    root = np.random.SeedSequence(seed)
+    steps = 16 + 4 * max(0, (seed.bit_length() + 31) // 32 - 4)
     index = np.arange(lo, hi, dtype=np.uint64)
     # A trial index is one entropy word below 2**32 and two from there on.
     index_words = [index & _MASK32, index >> 32][:1 if hi <= 2**32 else 2]
@@ -232,6 +242,7 @@ def _seed_keys(seed, substreams: int = 0) -> tuple[np.ndarray, bool]:
     stack of T keys of that shape.
     """
     if np.ndim(seed) == 0:
+        seed = _integer(seed)
         keys = [stream_key(child_seed(seed, j)) for j in range(substreams)] if substreams else stream_key(seed)
         return np.array(keys)[None], True
     keys = np.asarray(seed)

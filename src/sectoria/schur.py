@@ -59,6 +59,14 @@ class CartesianSchurParts:
     residual: float  # ||m_part + i n_part + correction - A/A11||_F
 
 
+def _block_inverse(m: np.ndarray, what: str) -> np.ndarray:
+    """inv(m), or SingularBlockError naming ``what`` where m is singular."""
+    try:
+        return linalg.inverse(m)
+    except SingularMatrixError as exc:
+        raise SingularBlockError(f"{what} is singular") from exc
+
+
 def cartesian_schur_identity(a, p: int) -> CartesianSchurParts:
     """Evaluate the Cartesian-split form of the Schur complement.
 
@@ -70,22 +78,10 @@ def cartesian_schur_identity(a, p: int) -> CartesianSchurParts:
     p = validate_partition(m.shape[0], p)
     re, im = linalg.accretive_parts(m)
 
-    m11 = re[:p, :p]
-    n11 = im[:p, :p]
-    try:
-        m11_inv = linalg.inverse(m11)
-    except SingularMatrixError as exc:
-        raise SingularBlockError("leading block of the real part is singular") from exc
-    try:
-        n11_inv = linalg.inverse(n11)
-    except SingularMatrixError as exc:
-        raise SingularBlockError("leading block of the imaginary part is singular") from exc
-
+    m11_inv = _block_inverse(re[:p, :p], "leading block of the real part")
+    n11_inv = _block_inverse(im[:p, :p], "leading block of the imaginary part")
     y = re[p:, :p] @ m11_inv - im[p:, :p] @ n11_inv
-    try:
-        middle = linalg.inverse(m11_inv - 1j * n11_inv)
-    except SingularMatrixError as exc:
-        raise SingularBlockError("M11^{-1} - i N11^{-1} is singular") from exc
+    middle = _block_inverse(m11_inv - 1j * n11_inv, "M11^{-1} - i N11^{-1}")
     correction = y @ middle @ y.conj().T
 
     m_part = schur_complement(re, p)

@@ -14,6 +14,9 @@ from .errors import NotSectorialError
 
 # Default slack granted to boundary eigenvalues in membership tests.
 MEMBERSHIP_TOL = 1e-9
+# The membership tolerance and the halvings of sector_angle_bisect.
+BISECT_TOL = 1e-13
+BISECT_ITERS = 60
 
 
 def validate_sector_angle(alpha: float) -> float:
@@ -138,19 +141,19 @@ def sector_angle(m) -> float | list[float]:
     return [float(a) for a in sectorial_decompose(m).angle]
 
 
-def sector_angle_bisect(a, tol: float = 1e-13, iters: int = 60) -> float:
+def sector_angle_bisect(a) -> float:
     """Bisection of ``in_sector`` over [0, pi/2); independent of the
     decomposition route."""
     m = linalg.as_square_matrix(a)
     hi = math.pi / 2 - 1e-12
-    if not in_sector(m, hi, tol):
+    if not in_sector(m, hi, BISECT_TOL):
         raise NotSectorialError("no admissible sector half-angle below pi/2")
     lo = 0.0
-    if in_sector(m, lo, tol):
+    if in_sector(m, lo, BISECT_TOL):
         return 0.0
-    for _ in range(iters):
+    for _ in range(BISECT_ITERS):
         mid = 0.5 * (lo + hi)
-        if in_sector(m, mid, tol):
+        if in_sector(m, mid, BISECT_TOL):
             hi = mid
         else:
             lo = mid

@@ -215,6 +215,26 @@ class TestBulkSubstreams:
             with pytest.raises(ValueError):
                 make()
 
+    @pytest.mark.parametrize("seed", [3.7, 2.0, True, np.float64(1.0), np.bool_(False)])
+    def test_float_and_bool_seeds_raise_type_error(self, seed):
+        # Truncating would silently draw the stream of another seed.
+        for make in (
+            lambda: child_seed(seed, 0),
+            lambda: child_seed(2, seed),
+            lambda: rng_stream(seed),
+            lambda: gen_positive_definite(3, seed),
+            lambda: gen_sectorial(3, 0.5, seed),
+            lambda: gen_accretive_dissipative(3, seed),
+            lambda: random_sequence_pair(3, seed),
+            lambda: generators.trial_keys(seed, 0, 2),
+            lambda: TrialConfig(seed=seed, n=3),
+        ):
+            with pytest.raises(TypeError):
+                make()
+        # numpy integers are ints, and draw the same streams
+        np.testing.assert_array_equal(gen_sectorial(3, 0.5, np.uint64(3)), gen_sectorial(3, 0.5, 3))
+        assert child_seed(np.int64(3), np.uint8(1)) == child_seed(3, 1)
+
 
 # Each seeded draw at n = 3, and the shape of the keys of one draw.
 SEEDED = {

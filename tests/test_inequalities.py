@@ -194,8 +194,8 @@ class TestWeakLogMajorization:
         assert report.slack >= -1e-8
 
     def test_overflowing_partial_products(self):
-        # The product of sec(alpha) cos(theta_j) overflows a double near
-        # k = 90: a partial slack of inf / inf, which is never the worst.
+        # The product of sec(alpha) cos(theta_j) would overflow a double near
+        # k = 90; its log partial sums stay below 1e3.
         thetas = np.r_[1.5705, np.full(119, 0.3)]
         report = s.check_weak_log_majorization(np.diag(np.exp(1j * thetas)))
         assert report.holds and report.detail.endswith("min_partial_slack_at_k=1")
@@ -421,6 +421,7 @@ SCALAR_CHECKS = {
         s.check_corollary_ad,
     ),
     "lemma-2-6": (lambda: (s.gen_sectorial(6, 0.6, 76),), s.check_ostrowski_taussky_complement),
+    "weak-log-major": (lambda: (s.gen_sectorial(6, 0.6, 77),), s.check_weak_log_majorization),
 }
 
 
@@ -432,6 +433,12 @@ class TestScalarSlack:
         base = check(*ops).slack
         for c in SCALES:
             assert check(*(c * m for m in ops)).slack == pytest.approx(base, abs=1e-12), c
+
+    @pytest.mark.parametrize("name", list(SCALAR_CHECKS))
+    def test_detail_names_both_sides(self, name):
+        operands, check = SCALAR_CHECKS[name]
+        detail = check(*operands()).detail
+        assert re.search(r"(^| )(log_)?lhs=", detail) and re.search(r"(^| )(log_)?rhs=", detail), detail
 
     def test_small_sides_are_not_floored(self):
         # both sides below 1: a false inequality must not pass through a floor
