@@ -26,8 +26,7 @@ from sectoria.linalg import adjoint, log_abs_determinant
 def needed_det_exponents(a, b, alpha):
     """Per pair of stacked operands: the e with sec^e |det(A+B)| = the bound."""
     log_rhs = log_ratio_sum_rhs_stack(*log_minor_ratios(a, b), with_sqrt=True)
-    log_lhs = log_abs_determinant(a + b)
-    return [(rhs - lhs) / -math.log(math.cos(alpha)) for rhs, lhs in zip(log_rhs, log_lhs.tolist())]
+    return (log_rhs - log_abs_determinant(a + b)) / -math.log(math.cos(alpha))
 
 
 def needed_loewner_exponents(a, b, alpha, p):
@@ -64,7 +63,7 @@ def main():
         worst_loewner = -math.inf
         for lo in range(0, args.trials, step):
             a, b = FAMILIES["sectorial_pair"](config, lo, min(lo + step, args.trials))
-            worst_det = max([worst_det] + needed_det_exponents(a, b, alpha))
+            worst_det = max(worst_det, *needed_det_exponents(a, b, alpha))
             worst_loewner = max([worst_loewner] + needed_loewner_exponents(a, b, alpha, p))
         print(
             f"alpha={alpha:.4f}  max needed det exponent {worst_det:8.4f} "

@@ -142,10 +142,7 @@ def check_claim2_logs(log_an, x: np.ndarray, tol: float = DEFAULT_TOL) -> list[I
     # first factors telescope to a_n.
     steps = np.logaddexp(0.0, x[:, 1:] - x[:, :-1]).sum(axis=-1)
     log_rhs = log_ratio_sum_rhs_stack(log_an, x[:, 1:], with_sqrt=True)
-    return [
-        scalar_report("claim2", an + float(step), rhs, tol)
-        for an, step, rhs in zip(log_an, steps, log_rhs)
-    ]
+    return [scalar_report("claim2", lhs, rhs, tol) for lhs, rhs in zip(log_an + steps, log_rhs)]
 
 
 def check_claim2(pair: PositiveSequencePair, tol: float = DEFAULT_TOL) -> Reports:
@@ -154,7 +151,7 @@ def check_claim2(pair: PositiveSequencePair, tol: float = DEFAULT_TOL) -> Report
     with the sums over s = 1..n-1.  For a stacked pair, the list of the
     reports of its T rows."""
     a, b = np.atleast_2d(pair.a), np.atleast_2d(pair.b)
-    reports = check_claim2_logs([math.log(v) for v in a[:, -1]], np.log(b / a), tol)
+    reports = check_claim2_logs(np.log(a[:, -1]), np.log(b / a), tol)
     return reports[0] if pair.a.ndim == 1 else reports
 
 

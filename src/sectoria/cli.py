@@ -40,7 +40,7 @@ EXIT_VIOLATION = 3
 
 # A check raises one of these when an operand fails its preconditions or its
 # arithmetic fails: exit code 2, and a chunk of trials is replayed one by one.
-_PRECONDITION_ERRORS = (SectoriaError, ValueError, ArithmeticError, IndexError)
+_PRECONDITION_ERRORS = (SectoriaError, ValueError, ArithmeticError)
 
 
 class UsageError(Exception):

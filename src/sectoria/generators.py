@@ -170,6 +170,9 @@ def trial_keys(seed: int, lo: int, hi: int, paths=((),), nested: int = 0) -> np.
     comes from its ``SeedSequence``, and the spawn keys, the child seeds and
     the keys are hashed for all trials at once.
     """
+    for entry in (_integer(p) for path in paths for p in path):
+        if not 0 <= entry <= _MASK32:  # the hash takes one 32-bit word per entry
+            raise ValueError(f"substream path entries must lie in [0, 2**32), got {entry}")
     if lo < 2**32 < hi:
         return np.concatenate([trial_keys(seed, lo, 2**32, paths, nested),
                                trial_keys(seed, 2**32, hi, paths, nested)])

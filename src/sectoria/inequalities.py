@@ -57,11 +57,6 @@ class InequalityReport:
         return asdict(self)
 
 
-def _exp(x: float) -> float:
-    """exp(x), or inf where it overflows."""
-    return math.inf if x > _LOG_MAX else math.exp(x)
-
-
 def _format_log(label: str, log_value: float) -> str:
     """``label=value``, or ``log_label=log value`` where the value is out of range."""
     if abs(log_value) > _LOG_MAX:
@@ -149,33 +144,23 @@ def _require_sectorial_pair(a: np.ndarray, b: np.ndarray, alpha: float) -> float
     return alpha
 
 
-def log_ratio_sum_rhs_stack(log_an, x: np.ndarray, with_sqrt: bool) -> list[float]:
+def log_ratio_sum_rhs_stack(log_an, x: np.ndarray, with_sqrt: bool) -> np.ndarray:
     """log of (1 + sum b_k/a_k) a_n + (1 + sum a_k/b_k) b_n, optionally plus
     (2^n - 2n) sqrt(a_n b_n), with the sums over k = 1..n-1, for positive
     sequences a_1..a_n and b_1..b_n given as log a_n (the matching entry of
     ``log_an``) and x_k = log(b_k / a_k) for k = 1..n (a row of ``x``, shape
-    (T, n)).  Evaluated as a logsumexp of the 2n (or 2n + 1) terms, so it
-    never overflows: the sum of the 2n - 2 ratio terms is one stacked
-    ``exp``, and the few scalar terms of each row are Python floats."""
+    (T, n)).  Returns the T logs, each one logsumexp over its row's 2n (or
+    2n + 1) terms, so none overflows."""
     n = x.shape[-1]
-    head = x[:, :-1]
-    r = x[:, -1]  # log(b_n / a_n)
+    head, r = x[:, :-1], x[:, -1:]  # r = log(b_n / a_n)
     # Terms over a_n: 1, b_n/a_n, b_k/a_k, (b_n/a_n)(a_k/b_k) and
     # (2^n - 2n) sqrt(b_n/a_n), where 2^n - 2n vanishes for n <= 2.
-    ratios = np.concatenate((head, r[:, None] - head), axis=-1)
-    peaks = ratios.max(axis=-1, initial=0.0)
-    rs = [float(v) for v in r]
-    roots = [-math.inf] * len(rs)
+    terms = [np.zeros_like(r), r, head, r - head]
     if with_sqrt and n >= 3:
-        roots = [n * _LOG2 + math.log1p(-2.0 * n * 2.0 ** -n) + 0.5 * v for v in rs]
-    tops = [max(float(p), v, root) for p, v, root in zip(peaks, rs, roots)]
-    sums = np.exp(ratios - np.array(tops)[:, None]).sum(axis=-1)
-    out = []
-    for an, v, root, top, total in zip(log_an, rs, roots, tops, sums):
-        total = float(total)
-        total += math.exp(-top) + math.exp(v - top) + math.exp(root - top)
-        out.append(float(an) + top + math.log(total))
-    return out
+        terms.append(n * _LOG2 + math.log1p(-2.0 * n * 2.0 ** -n) + 0.5 * r)
+    terms = np.concatenate(terms, axis=-1)
+    top = terms.max(axis=-1)
+    return log_an + top + np.log(np.exp(terms - top[:, None]).sum(axis=-1))
 
 
 class LogMinorRatios(NamedTuple):
@@ -198,62 +183,58 @@ def log_minor_ratios(a, b) -> LogMinorRatios:
 class DeterminantBoundLevels(NamedTuple):
     """det(A+B) against the three nested lower bounds for a PD pair."""
 
-    lhs: float
-    superadditive: float   # det A + det B
-    ratio_refined: float   # with the principal-minor ratio sums
-    sqrt_refined: float    # additionally with the (2^n - 2n) sqrt(det A det B) term
+    lhs: np.ndarray
+    superadditive: np.ndarray   # det A + det B
+    ratio_refined: np.ndarray   # with the principal-minor ratio sums
+    sqrt_refined: np.ndarray    # additionally with the (2^n - 2n) sqrt(det A det B) term
 
 
-def _log_bound_levels(a: np.ndarray, b: np.ndarray) -> list[DeterminantBoundLevels]:
+def _log_bound_levels(a: np.ndarray, b: np.ndarray) -> DeterminantBoundLevels:
     """The logs of det(A+B) and of its three lower bounds for each pair of
     stacked PD operands."""
     ha, hb = _require_pd_pair(a, b)
     an, x = log_minor_ratios(ha, hb)
-    return [
-        DeterminantBoundLevels(float(lhs), *rest)
-        for lhs, *rest in zip(
-            linalg.log_abs_determinant(ha + hb),
-            log_ratio_sum_rhs_stack(an, x[:, -1:], with_sqrt=False),  # det A + det B
-            log_ratio_sum_rhs_stack(an, x, with_sqrt=False),
-            log_ratio_sum_rhs_stack(an, x, with_sqrt=True),
-        )
-    ]
+    return DeterminantBoundLevels(
+        linalg.log_abs_determinant(ha + hb),
+        log_ratio_sum_rhs_stack(an, x[:, -1:], with_sqrt=False),  # det A + det B
+        log_ratio_sum_rhs_stack(an, x, with_sqrt=False),
+        log_ratio_sum_rhs_stack(an, x, with_sqrt=True),
+    )
 
 
 @linalg.matrix_or_stack(2)
-def determinant_bound_levels(a, b) -> DeterminantBoundLevels | list[DeterminantBoundLevels]:
+def determinant_bound_levels(a, b) -> DeterminantBoundLevels:
     """Evaluate det(A+B) and the nested bound ladder for PD operands; a
     level too large for a float is inf."""
-    return [DeterminantBoundLevels(*(_exp(x) for x in levels)) for levels in _log_bound_levels(a, b)]
+    with np.errstate(over="ignore"):
+        return DeterminantBoundLevels._make(np.exp(_log_bound_levels(a, b)))
 
 
 @linalg.matrix_or_stack(2)
 def check_det_superadditivity(a, b, tol: float = DEFAULT_TOL) -> Reports:
     """det(A+B) >= det A + det B for Hermitian positive definite A and B."""
-    return [
-        scalar_report("det-superadditivity", lv.lhs, lv.superadditive, tol)
-        for lv in _log_bound_levels(a, b)
-    ]
+    lv = _log_bound_levels(a, b)
+    return [scalar_report("det-superadditivity", lhs, rhs, tol) for lhs, rhs in zip(lv.lhs, lv.superadditive)]
 
 
 @linalg.matrix_or_stack(2)
 def check_haynsworth(a, b, tol: float = DEFAULT_TOL) -> Reports:
     """det(A+B) >= (1 + sum det B_k / det A_k) det A
     + (1 + sum det A_k / det B_k) det B for PD operands."""
+    lv = _log_bound_levels(a, b)
     return [
-        scalar_report("haynsworth", lv.lhs, lv.ratio_refined, tol,
-                      f"log_rhs_over_superadditive={lv.ratio_refined - lv.superadditive:.6e}")
-        for lv in _log_bound_levels(a, b)
+        scalar_report("haynsworth", lhs, rhs, tol, f"log_rhs_over_superadditive={rhs - base:.6e}")
+        for lhs, rhs, base in zip(lv.lhs, lv.ratio_refined, lv.superadditive)
     ]
 
 
 @linalg.matrix_or_stack(2)
 def check_hartfiel(a, b, tol: float = DEFAULT_TOL) -> Reports:
     """The ratio-sum determinant bound sharpened by (2^n - 2n) sqrt(det A det B)."""
+    lv = _log_bound_levels(a, b)
     return [
-        scalar_report("hartfiel", lv.lhs, lv.sqrt_refined, tol,
-                      f"log_rhs_over_ratio_refined={lv.sqrt_refined - lv.ratio_refined:.6e}")
-        for lv in _log_bound_levels(a, b)
+        scalar_report("hartfiel", lhs, rhs, tol, f"log_rhs_over_ratio_refined={rhs - base:.6e}")
+        for lhs, rhs, base in zip(lv.lhs, lv.sqrt_refined, lv.ratio_refined)
     ]
 
 
@@ -400,13 +381,9 @@ def check_main2(a, b, alpha: float, tol: float = DEFAULT_TOL) -> Reports:
     plus (2^n - 2n) sqrt(|det A det B|), for A, B in the alpha sector."""
     alpha = _require_sectorial_pair(a, b, alpha)
     n = a.shape[-1]
-    shift = -(3 * n - 2) * math.log(math.cos(alpha))
-    log_lhs = linalg.log_abs_determinant(a + b)
+    log_lhs = -(3 * n - 2) * math.log(math.cos(alpha)) + linalg.log_abs_determinant(a + b)
     log_rhs = log_ratio_sum_rhs_stack(*log_minor_ratios(a, b), with_sqrt=True)
-    return [
-        scalar_report("main2", shift + float(lhs), rhs, tol, f"alpha={alpha:.9f}")
-        for lhs, rhs in zip(log_lhs, log_rhs)
-    ]
+    return [scalar_report("main2", lhs, rhs, tol, f"alpha={alpha:.9f}") for lhs, rhs in zip(log_lhs, log_rhs)]
 
 
 @linalg.matrix_or_stack(2)
@@ -423,10 +400,7 @@ def check_corollary_ad(a, b, tol: float = DEFAULT_TOL) -> Reports:
                 f"{what} must have positive definite real and imaginary parts"
             )
     exponent = 1.5 * a.shape[-1] - 1.0
-    log_lhs = linalg.log_abs_determinant(a + b)
+    log_lhs = exponent * _LOG2 + linalg.log_abs_determinant(a + b)
     log_rhs = log_ratio_sum_rhs_stack(*log_minor_ratios(a, b), with_sqrt=True)
-    return [
-        scalar_report("corollary-ad", exponent * _LOG2 + float(lhs), rhs, tol,
-                      f"constant=2**{exponent!r}")
-        for lhs, rhs in zip(log_lhs, log_rhs)
-    ]
+    return [scalar_report("corollary-ad", lhs, rhs, tol, f"constant=2**{exponent!r}")
+            for lhs, rhs in zip(log_lhs, log_rhs)]

@@ -241,6 +241,27 @@ def test_arithmetic_error_of_a_check_is_a_precondition_failure(argv, files, monk
 
 
 @pytest.mark.parametrize("argv", [
+    ["check", "lemma-2-6", "A"],
+    ["trials", "lemma-2-6", "--n", "3", "--trials", "4"],
+])
+def test_index_error_of_a_check_is_a_bug_and_surfaces(argv, files, monkeypatch):
+    # No check or precondition raises IndexError: it is neither exit 2 nor a
+    # reason to replay the chunk one trial at a time.
+    _, paths = files
+    argv = [paths["sect_a"] if x == "A" else x for x in argv]
+    calls = []
+
+    def out_of_range(a, b, alpha, p, tol):
+        calls.append(a)
+        raise IndexError("index 3 is out of bounds")
+
+    monkeypatch.setitem(CHECKS, "lemma-2-6", CHECKS["lemma-2-6"]._replace(evaluate=out_of_range))
+    with pytest.raises(IndexError, match="index 3 is out of bounds"):
+        main(argv)
+    assert len(calls) == 1  # the four trials' chunk is not replayed
+
+
+@pytest.mark.parametrize("argv", [
     ["angle", "A"],
     ["check", "lemma-2-6", "A"],
     ["trials", "weak-log-major", "--n", "3", "--trials", "4"],

@@ -211,6 +211,9 @@ class TestBulkSubstreams:
             lambda: gen_accretive_dissipative(3, -1),
             lambda: random_sequence_pair(3, -1),
             lambda: generators.trial_keys(-1, 0, 2),
+            lambda: generators.trial_keys(0, 0, 2, ((-1,),)),
+            # child_seed takes 2**32, but the bulk hash packs one 32-bit word per entry
+            lambda: generators.trial_keys(0, 0, 2, ((1,), (2**32,))),
         ):
             with pytest.raises(ValueError):
                 make()
@@ -227,6 +230,7 @@ class TestBulkSubstreams:
             lambda: gen_accretive_dissipative(3, seed),
             lambda: random_sequence_pair(3, seed),
             lambda: generators.trial_keys(seed, 0, 2),
+            lambda: generators.trial_keys(0, 0, 2, ((seed,),)),
             lambda: TrialConfig(seed=seed, n=3),
         ):
             with pytest.raises(TypeError):

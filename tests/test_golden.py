@@ -60,7 +60,7 @@ GOLDEN = {
             '{"name": "corollary-ad", "trials": 40, "failures": 0, "min_slack": 0.9954505581600501, "median_slack": 0.9974274430971076, "config": {"seed": 0, "n": 6, "alpha": 0.785, "partition": null}}'
         ),
         'claim2': (
-            '{"name": "claim2", "trials": 40, "failures": 0, "min_slack": 0.8794382798410213, "median_slack": 0.9989081610272752, "config": {"seed": 0, "n": 6, "alpha": 0.785, "partition": null}}'
+            '{"name": "claim2", "trials": 40, "failures": 0, "min_slack": 0.8794382798410214, "median_slack": 0.9989081610272752, "config": {"seed": 0, "n": 6, "alpha": 0.785, "partition": null}}'
         ),
     },
     (3, 18446744073709551621): {
@@ -107,7 +107,7 @@ GOLDEN = {
             '{"name": "corollary-ad", "trials": 40, "failures": 0, "min_slack": 0.8922384287918189, "median_slack": 0.9237786542050718, "config": {"seed": 18446744073709551621, "n": 3, "alpha": 0.785, "partition": null}}'
         ),
         'claim2': (
-            '{"name": "claim2", "trials": 40, "failures": 0, "min_slack": 1.390684896770835e-05, "median_slack": 0.3212946730027534, "config": {"seed": 18446744073709551621, "n": 3, "alpha": 0.785, "partition": null}}'
+            '{"name": "claim2", "trials": 40, "failures": 0, "min_slack": 1.3906848966820186e-05, "median_slack": 0.3212946730027531, "config": {"seed": 18446744073709551621, "n": 3, "alpha": 0.785, "partition": null}}'
         ),
     },
 }

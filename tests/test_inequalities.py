@@ -100,6 +100,40 @@ class TestHartfiel:
         assert levels.ratio_refined >= levels.superadditive
 
 
+def _linear_ratio_sum_rhs(a, b, with_sqrt):
+    """(1 + sum b_k/a_k) a_n + (1 + sum a_k/b_k) b_n [+ (2^n - 2n) sqrt(a_n b_n)],
+    directly on the sequences a_1..a_n and b_1..b_n."""
+    n = len(a)
+    head = math.fsum(b[k] / a[k] for k in range(n - 1))
+    tail = math.fsum(a[k] / b[k] for k in range(n - 1))
+    root = (2**n - 2 * n) * math.sqrt(a[-1] * b[-1]) if with_sqrt else 0.0
+    return math.fsum([(1.0 + head) * a[-1], (1.0 + tail) * b[-1], root])
+
+
+class TestLogRatioSumRhs:
+    @pytest.mark.parametrize("with_sqrt", [False, True])
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_matches_the_linear_formula(self, n, with_sqrt):
+        rng = np.random.default_rng(n)
+        a, b = np.exp(rng.uniform(math.log(1e-3), math.log(1e3), (2, 5, n)))
+        got = s.inequalities.log_ratio_sum_rhs_stack(np.log(a[:, -1]), np.log(b / a), with_sqrt)
+        assert isinstance(got, np.ndarray) and got.shape == (5,)
+        expected = [_linear_ratio_sum_rhs(ra.tolist(), rb.tolist(), with_sqrt) for ra, rb in zip(a, b)]
+        np.testing.assert_allclose(np.exp(got), expected, rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("with_sqrt", [False, True])
+    @pytest.mark.parametrize("n", [1, 2, 3, 6, 128])
+    @pytest.mark.parametrize("rows", [1, 7, 127])
+    def test_each_row_has_the_bits_of_its_stack_of_one(self, rows, n, with_sqrt):
+        rng = np.random.default_rng(rows * 1000 + n)
+        log_an = rng.normal(0.0, 50.0, rows)
+        x = rng.normal(0.0, 5.0, (rows, n))
+        got = s.inequalities.log_ratio_sum_rhs_stack(log_an, x, with_sqrt)
+        for t in range(rows):
+            one = s.inequalities.log_ratio_sum_rhs_stack(log_an[t:t + 1], x[t:t + 1], with_sqrt)
+            assert one.tobytes() == got[t:t + 1].tobytes()
+
+
 class TestSchurPd:
     def test_equal_operands_equality(self):
         a = s.gen_positive_definite(4, 5)
@@ -643,6 +677,8 @@ class TestKernelContract:
         listed = kernel(*operands, *rest)  # a stack given as a list of matrices
         assert ([_bits(_entry(stacked, t)) for t in range(3)] == [_bits(r) for r in singles]
                 == [_bits(_entry(listed, t)) for t in range(3)])
+        if isinstance(singles[0], tuple):  # one named tuple of per-matrix fields, not T tuples
+            assert type(stacked) is type(singles[0]) and all(len(field) == 3 for field in stacked)
 
     @pytest.mark.parametrize("name", list(KERNELS))
     def test_invalid_stack_raises_what_its_matrix_raises(self, name):
