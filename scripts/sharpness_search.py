@@ -18,7 +18,7 @@ import math
 import numpy as np
 
 from sectoria.cli import FAMILIES, chunk_size
-from sectoria.generators import TrialConfig
+from sectoria.generators import ALPHA_GUARD, TrialConfig
 from sectoria.inequalities import log_minor_ratios, log_ratio_sum_rhs_stack, real_schur_terms_stack
 from sectoria.linalg import adjoint, log_abs_determinant
 
@@ -52,6 +52,10 @@ def main():
         default=[math.pi / 6, math.pi / 4, math.pi / 3],
     )
     args = parser.parse_args()
+    # At alpha = 0, sec^e(alpha) is 1 for every e, so no exponent is needed.
+    bad = [alpha for alpha in args.alphas if not 0.0 < alpha < ALPHA_GUARD]
+    if bad:
+        parser.error(f"--alphas must lie in (0, {ALPHA_GUARD:.6f}), got {bad[0]!r}")
 
     n = args.n
     p = max(n // 2, 1)

@@ -372,7 +372,26 @@ def _cmd_boundary(args) -> int:
     return EXIT_OK
 
 
+def _is_float(token: str) -> bool:
+    try:
+        float(token)
+    except ValueError:
+        return False
+    return True
+
+
 class _Parser(argparse.ArgumentParser):
+    def parse_known_args(self, args=None, namespace=None):
+        # argparse takes a separate value such as -inf, -nan or -1e-3 for an
+        # option flag; joined to its option, as --tol=-inf, it is a value.
+        joined = []
+        for token in sys.argv[1:] if args is None else args:
+            if joined and joined[-1] in ("--alpha", "--tol") and token.startswith("-") and _is_float(token):
+                joined[-1] += f"={token}"
+            else:
+                joined.append(token)
+        return super().parse_known_args(joined, namespace)
+
     def error(self, message):  # argparse defaults to exit code 2
         raise UsageError(message)
 

@@ -251,20 +251,16 @@ def check_schur_pd(a, b, p: int, tol: float = DEFAULT_TOL) -> Reports:
 def check_inverse_real_part(a, tol: float = DEFAULT_TOL) -> Reports:
     """(Re A)^{-1} >= Re(A^{-1}) when Re A is positive definite."""
     re, _ = linalg.accretive_parts(a)
-    eye = np.broadcast_to(np.eye(a.shape[-1]), a.shape)
-    inv_re = linalg.solve_stack(re, eye)
+    inv_re = np.linalg.inv(re)
     lhs = (inv_re + linalg.adjoint(inv_re)) / 2.0
-    rhs = linalg.cartesian_split(linalg.solve_stack(a, eye)).re
+    rhs = linalg.cartesian_split(np.linalg.inv(a)).re
     return loewner_reports("lemma-2-4", lhs, rhs, tol)
 
 
 @linalg.matrix_or_stack(1)
 def check_schur_real_part(a, p: int, tol: float = DEFAULT_TOL) -> Reports:
     """Re(A/A11) >= (Re A)/(Re A11) when Re A is positive definite."""
-    re, _ = linalg.accretive_parts(a)
-    lhs = linalg.cartesian_split(schur.schur_complement(a, p)).re
-    rhs_raw = schur.schur_complement(re, p)
-    rhs = (rhs_raw + linalg.adjoint(rhs_raw)) / 2.0
+    lhs, rhs = _real_part_schur_terms(a, p)
     return loewner_reports("lemma-2-5", lhs, rhs, tol)
 
 
@@ -302,13 +298,19 @@ def check_weak_log_majorization(a, tol: float = DEFAULT_TOL) -> Reports:
 @linalg.matrix_or_stack(1)
 def check_claim1(a, p: int, tol: float = DEFAULT_TOL) -> Reports:
     """sec^2(alpha) (Re A)/(Re A11) >= Re(A/A11) with alpha the sector angle of A."""
-    re, _ = linalg.accretive_parts(a)
+    rhs, lhs = _real_part_schur_terms(a, p)
     alphas = sector.sector_angle(a)
     sec2 = np.array([(1.0 / math.cos(alpha)) ** 2 for alpha in alphas])
-    lhs_raw = schur.schur_complement(re, p)
-    lhs = sec2[:, None, None] * (lhs_raw + linalg.adjoint(lhs_raw)) / 2.0
-    rhs = linalg.cartesian_split(schur.schur_complement(a, p)).re
-    return loewner_reports("claim1", lhs, rhs, tol, [f"alpha={alpha:.9f}" for alpha in alphas])
+    return loewner_reports("claim1", sec2[:, None, None] * lhs, rhs, tol, [f"alpha={alpha:.9f}" for alpha in alphas])
+
+
+def _real_part_schur_terms(a: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Re(A/A11) and the symmetrized (Re A)/(Re A11), the two sides of
+    Lemma 2.5, for each stacked operand, after checking that Re A is
+    positive definite."""
+    re, _ = linalg.accretive_parts(a)
+    re_schur = schur.schur_complement(re, p)
+    return linalg.cartesian_split(schur.schur_complement(a, p)).re, (re_schur + linalg.adjoint(re_schur)) / 2.0
 
 
 def real_schur_terms_stack(a: np.ndarray, b: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:

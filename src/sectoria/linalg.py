@@ -270,48 +270,47 @@ def multiply_unfused(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return (xr * yr - xi * yi) + 1j * (xr * yi + xi * yr)
 
 
+def _schur_complement_stack(m: np.ndarray, p: int) -> np.ndarray:
+    """A22 - A21 A11^{-1} A12 for each matrix of a stack split after row and
+    column p, on the row-major blocks that BLAS sees for one matrix."""
+    m = np.ascontiguousarray(m)
+    return m[:, p:, p:] - m[:, p:, :p] @ solve_stack(m[:, :p, :p], m[:, :p, p:])
+
+
 # Blocks up to this order are eliminated one column at a time; a larger one
-# is split in two, coupled by two triangular solves and one matrix product.
+# is split in two at its Schur complement.
 _ELIMINATION_BLOCK = 32
 
 
-def _eliminate(u: np.ndarray, scale: np.ndarray, pivots: np.ndarray) -> None:
-    """Overwrite each square matrix of the stack view ``u`` with its LU
-    factors without pivoting (unit lower L below the diagonal, U on and above
-    it) and store the pivot magnitudes |u_jj| in ``pivots``, each at least
-    ``PIVOT_RTOL`` times its matrix's entry of ``scale``, the norm ||A||_F.
+def _pivot_magnitudes(m: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """The pivots |u_jj| of the LU without pivoting of each matrix of a
+    stack, each at least ``PIVOT_RTOL`` times its entry of ``scale``.
 
-    A block of order up to ``_ELIMINATION_BLOCK`` is checked once it is
-    eliminated, before anything else reads it; a pivot below the threshold
-    may leave inf or NaN in that block, which the check then rejects.
+    A block of order up to ``_ELIMINATION_BLOCK`` is eliminated on a copy
+    and checked before anything else reads it; a pivot below the threshold
+    may leave inf or NaN there, which the check then rejects.  A larger
+    block A has the pivots of its leading half A11, then those of A/A11.
     """
-    n = u.shape[-1]
-    if n <= _ELIMINATION_BLOCK:
-        with np.errstate(all="ignore"):
-            for j in range(n - 1):
-                column = u[:, j + 1:, j]
-                column /= u[:, j, j, None]
-                row = u[:, j, None, j + 1:]
-                if j == n - 2:
-                    u[:, j + 1:, j + 1:] -= multiply_unfused(column[:, :, None], row)
-                else:
-                    u[:, j + 1:, j + 1:] -= column[:, :, None] * row
-        diagonal = np.diagonal(u, axis1=1, axis2=2)
-        # abs() of a complex scalar, which np.abs of an array does not match
-        pivots[:] = np.hypot(diagonal.real, diagonal.imag)
-        _require_pivots(pivots, scale[:, None])
-        return
-    h = n // 2
-    _eliminate(u[:, :h, :h], scale, pivots[:, :h])
-    for t in range(len(u)):
-        u[t, :h, h:] = scipy.linalg.solve_triangular(
-            u[t, :h, :h], u[t, :h, h:], lower=True, unit_diagonal=True, check_finite=False
-        )
-        u[t, h:, :h] = scipy.linalg.solve_triangular(
-            u[t, :h, :h], u[t, h:, :h].T, trans="T", check_finite=False
-        ).T
-    u[:, h:, h:] -= u[:, h:, :h] @ u[:, :h, h:]
-    _eliminate(u[:, h:, h:], scale, pivots[:, h:])
+    n = m.shape[-1]
+    if n > _ELIMINATION_BLOCK:
+        h = n // 2
+        return np.concatenate([_pivot_magnitudes(m[:, :h, :h], scale),
+                               _pivot_magnitudes(_schur_complement_stack(m, h), scale)], axis=-1)
+    u = np.array(m, dtype=np.complex128, order="C")  # a fresh copy, eliminated in place
+    with np.errstate(all="ignore"):
+        for j in range(n - 1):
+            column = u[:, j + 1:, j]
+            column /= u[:, j, j, None]
+            row = u[:, j, None, j + 1:]
+            if j == n - 2:
+                u[:, j + 1:, j + 1:] -= multiply_unfused(column[:, :, None], row)
+            else:
+                u[:, j + 1:, j + 1:] -= column[:, :, None] * row
+    diagonal = np.diagonal(u, axis1=1, axis2=2)
+    # abs() of a complex scalar, which np.abs of an array does not match
+    pivots = np.hypot(diagonal.real, diagonal.imag)
+    _require_pivots(pivots, scale[:, None])
+    return pivots
 
 
 @matrix_or_stack(1)
@@ -324,7 +323,4 @@ def log_abs_leading_minors(m) -> np.ndarray:
     positive definite (Golub & Van Loan, Matrix Computations, 4.4); a pivot
     below ``PIVOT_RTOL * ||A||_F`` raises :class:`SingularMatrixError`.
     """
-    u = np.array(m, dtype=np.complex128, order="C")  # a fresh copy, eliminated in place
-    pivots = np.empty(u.shape[:2])
-    _eliminate(u, frobenius_stack(u), pivots)
-    return np.cumsum(np.log(pivots), axis=-1)
+    return np.cumsum(np.log(_pivot_magnitudes(m, frobenius_stack(m))), axis=-1)

@@ -25,14 +25,12 @@ def validate_partition(n: int, p: int) -> int:
 def schur_complement(m, p: int) -> np.ndarray:
     """A22 - A21 A11^{-1} A12, computed by an LU solve against A12."""
     p = validate_partition(m.shape[-1], p)
-    m = np.ascontiguousarray(m)  # the row-major blocks that BLAS sees for one matrix
     try:
-        y = linalg.solve_stack(m[:, :p, :p], m[:, :p, p:])
+        return linalg._schur_complement_stack(m, p)
     except SingularMatrixError as exc:
         raise SingularLeadingBlockError(
             f"leading {p}-by-{p} block is numerically singular"
         ) from exc
-    return m[:, p:, p:] - m[:, p:, :p] @ y
 
 
 def inverse_block_identity(a, p: int) -> float:

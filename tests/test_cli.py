@@ -138,7 +138,7 @@ class TestCheckCommand:
         assert main(["nonsense"]) == 1
         assert main(["check"]) == 1
 
-    @pytest.mark.parametrize("bad", ["nan", "-1", "inf", "-inf"])
+    @pytest.mark.parametrize("bad", ["nan", "-1", "inf", "-inf", "-1e-3"])
     def test_bad_tol_is_usage_error(self, files, capsys, bad):
         _, paths = files
         # Each of these holds with positive slack, so exit 3 would be a false violation.
@@ -146,13 +146,20 @@ class TestCheckCommand:
         hartfiel = ["check", "hartfiel", paths["pd_a"], paths["pd_b"]]
         trials = ["trials", "main2", "--n", "3", "--alpha", "0.5", "--trials", "3"]
         for argv in (main1, hartfiel, trials):
-            assert main(argv + ["--tol", bad]) == 1
-            # argparse takes a separate "-inf" for an option; this form reaches the value check.
-            assert main(argv + [f"--tol={bad}"]) == 1
-            out, err = capsys.readouterr()
-            assert out == "" and "finite and nonnegative" in err
+            for tol in (["--tol", bad], [f"--tol={bad}"]):
+                assert main(argv + tol) == 1
+                out, err = capsys.readouterr()
+                assert out == "" and "finite and nonnegative" in err
         assert main(hartfiel + ["--tol", "0"]) == 0
         assert json.loads(capsys.readouterr().out)["tol"] == 0.0
+
+    @pytest.mark.parametrize("bad", ["-inf", "-1e-3"])
+    def test_negative_alpha_reaches_the_range_check(self, files, capsys, bad):
+        _, paths = files
+        assert main(["check", "main2", paths["sect_a"], paths["sect_b"], "--alpha", bad]) == 1
+        assert "--alpha must lie in [0, pi/2)" in capsys.readouterr().err
+        assert main(["trials", "main2", "--n", "3", "--alpha", bad, "--trials", "3"]) == 1
+        assert "alpha must lie in [0, " in capsys.readouterr().err
 
     def test_partition_out_of_range_is_usage_error(self, files, capsys):
         _, paths = files

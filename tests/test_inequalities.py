@@ -668,10 +668,11 @@ class TestKernelContract:
         checks = {f"inequalities.{check.__name__}" for check, *_ in MATRIX_CHECKS.values()}
         assert found == set(KERNELS) | checks
 
+    @pytest.mark.parametrize("n", [4, 40])  # 40 is past linalg._ELIMINATION_BLOCK
     @pytest.mark.parametrize("name", list(KERNELS))
-    def test_stack_gives_the_per_matrix_results(self, name):
+    def test_stack_gives_the_per_matrix_results(self, name, n):
         kernel, gen, count, rest = KERNELS[name]
-        operands = [[gen(4, s.child_seed(90, t, k)) for t in range(3)] for k in range(count)]
+        operands = [[gen(n, s.child_seed(90, t, k)) for t in range(3)] for k in range(count)]
         stacked = kernel(*(np.stack(ops) for ops in operands), *rest)
         singles = [kernel(*(ops[t] for ops in operands), *rest) for t in range(3)]
         listed = kernel(*operands, *rest)  # a stack given as a list of matrices

@@ -282,7 +282,7 @@ def assert_minors_match_slogdet(a):
 
 class TestLogAbsLeadingMinors:
     @pytest.mark.parametrize("family", list(FAMILIES))
-    @pytest.mark.parametrize("n", [2, 6, 32])
+    @pytest.mark.parametrize("n", [2, 6, 32, 40])
     def test_matches_slogdet_per_block(self, family, n):
         for t in range(10):
             assert_minors_match_slogdet(FAMILIES[family](n, s.child_seed(31, n, t)))
