@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import contextvars
 import functools
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -210,25 +211,39 @@ def _column_major_stack(shape) -> np.ndarray:
 BATCHED_SOLVE_MAX_ORDER = 15
 
 
+def _log_sigma_min_bound(m: np.ndarray) -> np.ndarray:
+    """log of a lower bound on sigma_min for each matrix of a stack, from
+    one ``slogdet``: log(|det A| (n - 1)^((n-1)/2) / ||A||_F^(n-1)).
+
+    |det A| is the product of the singular values, so sigma_min(A) is
+    |det A| over the product of the other n - 1.  By the AM-GM inequality
+    that product is at most (s / (n - 1))^((n-1)/2), where s, the sum of
+    their squares, is at most ||A||_F^2; hence the bound.  ``slogdet``
+    factors with a backward-stable LU, so the bound holds exactly for A
+    plus a perturbation of relative size about n eps.  A zero matrix, or
+    one with a non-finite entry, gets -inf or NaN, which clears no test of
+    the form ``bound >= threshold``; numpy warns of it unless the caller
+    silences its division and invalid-value warnings.
+    """
+    n = m.shape[-1]
+    return (np.linalg.slogdet(m)[1] + (n - 1) / 2 * math.log(max(n - 1, 1))
+            - (n - 1) * np.log(frobenius_stack(m)))
+
+
 def _pivots_pass(m: np.ndarray) -> bool:
     """Does every matrix of a stack pass ``_lu_factor``'s pivot test?
 
-    True only if its determinant shows that each does.  Partial pivoting
-    keeps |l_ij| <= sqrt(2), so ||L||_2 <= n, and every pivot of an n-by-n A
-    is |u_kk| >= sigma_min(U) >= sigma_min(A) / n.  By the AM-GM inequality
-    on the other n - 1 squared singular values, whose sum is at most
-    ||A||_F^2, sigma_min(A) >= |det A| (n - 1)^((n-1)/2) / ||A||_F^(n-1).
-    A matrix with |det A| (n - 1)^((n-1)/2) >= 2 n PIVOT_RTOL ||A||_F^n
-    therefore passes; the factor 2 covers rounding, since the computed
-    factors are exact for A plus a perturbation of relative size about
-    n eps.  ``slogdet`` factors with ``getrf``, as ``_lu_factor`` does.  A
-    zero matrix, or one with a non-finite entry, never shows it: its margin
-    below is NaN or -inf.
+    True only if ``_log_sigma_min_bound`` shows that each does.  Partial
+    pivoting keeps |l_ij| <= sqrt(2), so ||L||_2 <= n, and every pivot of an
+    n-by-n A is |u_kk| >= sigma_min(U) >= sigma_min(A) / n.  A matrix whose
+    bound is at least 2 n PIVOT_RTOL ||A||_F therefore passes; the factor 2
+    covers rounding.  ``slogdet`` factors with ``getrf``, as ``_lu_factor``
+    does.
     """
     n = m.shape[-1]
     with np.errstate(divide="ignore", invalid="ignore"):
-        margin = np.linalg.slogdet(m)[1] - n * np.log(frobenius_stack(m))
-    return bool((margin >= np.log(2 * n * PIVOT_RTOL) - (n - 1) / 2 * np.log(max(n - 1, 1))).all())
+        margin = _log_sigma_min_bound(m) - np.log(frobenius_stack(m))
+    return bool((margin >= np.log(2 * n * PIVOT_RTOL)).all())
 
 
 def solve_stack(a: np.ndarray, b: np.ndarray) -> np.ndarray:

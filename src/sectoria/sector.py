@@ -17,6 +17,11 @@ MEMBERSHIP_TOL = 1e-9
 # The membership tolerance and the halvings of sector_angle_bisect.
 BISECT_TOL = 1e-13
 BISECT_ITERS = 60
+# The rounding allowance, in units of n eps ||A||_F, that in_sector takes
+# off the Weyl bound on the real part before it skips the real part's
+# eigensolve: it covers the rounding of the rotated parts, of their smallest
+# eigenvalues and of the eigenvalue that the skipped eigensolve would find.
+_WEYL_ROUNDING = 4
 
 
 def validate_sector_angle(alpha: float) -> float:
@@ -63,27 +68,43 @@ def in_sector(m, alpha: float, tol: float = MEMBERSHIP_TOL) -> SectorMembership 
 
     Membership holds when min-eig(Re(e^{i beta} A)) >= -tol * ||A||_F for
     both beta = +-(pi/2 - alpha) and the plain real part is strictly
-    positive definite (the sector excludes the imaginary axis).  On failure
-    the violating eigenpair is returned as a witness.  For a (T, n, n) stack
-    the result is the list of the T memberships.
+    positive definite, its minimum eigenvalue above ``linalg.PD_RTOL *
+    ||A||_F`` (the sector excludes the imaginary axis).  On failure the
+    violating eigenpair of the first failing test, in that order, is
+    returned as a witness.  For a (T, n, n) stack the result is the list of
+    the T memberships.
+
+    Both rotated parts go to one eigensolve.  Their sum is 2 sin(alpha)
+    Re A, so by Weyl's inequality lambda_min(Re A) >= (lambda_+ +
+    lambda_-) / (2 sin alpha).  Where that bound, less ``_WEYL_ROUNDING``
+    n eps ||A||_F / sin(alpha), clears the strict test, the eigensolve of
+    Re A is skipped, since the strict test would pass.
     """
     alpha = validate_sector_angle(alpha)
     scale = linalg.frobenius_stack(m)
-    floor = -tol * scale
     out = [SectorMembership(True)] * len(m)
+    betas = (math.pi / 2 - alpha, alpha - math.pi / 2)
+    h = np.stack([_rotated_real_part(m, beta) for beta in betas])
+    lowest = np.linalg.eigvalsh(h.reshape(-1, *m.shape[1:]))[:, 0].reshape(2, -1)
     inside = np.ones(len(m), dtype=bool)
-    for beta in (math.pi / 2 - alpha, alpha - math.pi / 2, 0.0):
-        h = _rotated_real_part(m, beta)
-        if beta:
-            fails = np.linalg.eigvalsh(h)[:, 0] < floor
-        else:  # the real part must be strictly positive definite
-            fails = ~linalg.positive_definite_stack(h, scale)
+    for beta, h_beta, fails in zip(betas, h, lowest < -tol * scale):
         # A matrix's witness is its first failing rotation, as on its own.
         for k in np.flatnonzero(fails & inside):
-            out[k] = SectorMembership(False, _witness(m[k], h[k], beta))
+            out[k] = SectorMembership(False, _witness(m[k], h_beta[k], beta))
         inside &= ~fails
-        if not inside.any():
-            break
+    # The rotated parts take w = cos(beta) + i sin(beta) and its conjugate,
+    # so they sum to 2 sin(alpha) Re A with sin(alpha) as cos(beta) rounds
+    # it.  Weyl's bound and the strict test are both taken times sin(alpha),
+    # which turns the skip off, with no division, as alpha nears 0.
+    sin_alpha = math.cos(betas[0])
+    bound = lowest.sum(axis=0) / 2 - _WEYL_ROUNDING * m.shape[-1] * np.finfo(float).eps * scale
+    cleared = bound > sin_alpha * linalg.PD_RTOL * scale
+    pending = np.flatnonzero(inside & ~cleared)
+    if len(pending):
+        h0 = _rotated_real_part(m[pending], 0.0)
+        fails = ~linalg.positive_definite_stack(h0, scale[pending])
+        for k, h_k in zip(pending[fails], h0[fails]):
+            out[k] = SectorMembership(False, _witness(m[k], h_k, 0.0))
     return out
 
 

@@ -1,9 +1,12 @@
 """Independent oracles used by the tests to cross-check library routes."""
 
+import math
 import warnings
 
 import numpy as np
 import scipy.linalg
+
+from sectoria.linalg import PD_RTOL
 
 
 def determinant(a) -> complex:
@@ -47,3 +50,23 @@ def numerical_range_samples(a, count: int, seed: int) -> np.ndarray:
     x = rng.normal(size=(count, n)) + 1j * rng.normal(size=(count, n))
     x /= np.linalg.norm(x, axis=1, keepdims=True)
     return np.einsum("ti,ij,tj->t", x.conj(), m, x)
+
+
+def in_sector_reference(a, alpha: float, tol: float):
+    """Sector membership by three eigensolves, one per test and none
+    skipped: the least eigenvalue of Re(e^{i beta} A) is at least
+    -tol ||A||_F for beta = pi/2 - alpha, then for beta = alpha - pi/2, and
+    that of Re A is above PD_RTOL ||A||_F.  Returns (inside, witness), the
+    witness of the first failing test being (beta, eigenvalue, vector,
+    point) from a full eigendecomposition of its rotated part."""
+    m = np.asarray(a, dtype=complex)
+    scale = np.linalg.norm(m)
+    for beta in (math.pi / 2 - alpha, alpha - math.pi / 2, 0.0):
+        w = complex(math.cos(beta), math.sin(beta))
+        h = (w * m + np.conj(w) * m.conj().T) / 2.0
+        lowest = np.linalg.eigvalsh(h)[0]
+        if lowest < -tol * scale if beta else not lowest > PD_RTOL * scale:
+            values, vectors = np.linalg.eigh(h)
+            x = vectors[:, 0]
+            return False, (beta, float(values[0]), x, complex(x.conj() @ m @ x))
+    return True, None

@@ -228,6 +228,31 @@ class TestSolveStackRoutes:
             route(a, b)
 
 
+class TestSigmaMinBound:
+    @given(
+        n=st.integers(1, 24),
+        seed=st.integers(0, 2**32 - 1),
+        kind=st.sampled_from(["gaussian", "rescaled", "near_singular"]),
+        exponent=st.floats(-100.0, 100.0),
+        tiny=st.floats(-14.0, -3.0),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_never_exceeds_the_smallest_singular_value(self, n, seed, kind, exponent, tiny):
+        # Both sides round at about n eps ||X||_2, so the excess is measured
+        # against sigma_max: on a near-singular 2-by-2 factor the two differ
+        # in relative terms far more than 1e-12 of sigma_min.
+        x = gaussian_stack(1, n, n, seed)[0]
+        if kind == "rescaled":
+            x *= 10.0 ** exponent
+        elif kind == "near_singular":
+            u, sigma, vh = np.linalg.svd(x)
+            sigma[-1] = 0.0
+            x = (u * sigma) @ vh + 10.0 ** tiny * gaussian_stack(1, n, n, seed + 1)[0]
+        sigma = np.linalg.svd(x, compute_uv=False)
+        bound = math.exp(sectoria.linalg._log_sigma_min_bound(x[None])[0])
+        assert bound <= sigma[-1] + 1e-12 * sigma[0]
+
+
 class TestDeterminant:
     def test_identity(self):
         assert determinant(np.eye(3)) == pytest.approx(1.0)

@@ -23,8 +23,36 @@ from sectoria import (
     sectorial_decompose,
 )
 from sectoria.cli import FAMILIES, main, write_matrix
-from sectoria.generators import TrialConfig
-from oracles import numerical_range_samples
+from sectoria.generators import TrialConfig, trial_keys
+from sectoria.linalg import PD_RTOL
+from sectoria.sector import MEMBERSHIP_TOL
+from oracles import in_sector_reference, numerical_range_samples
+
+
+def mixed_membership_stack() -> np.ndarray:
+    """Four 4-by-4 matrices against the sector of half-angle 0.6: inside;
+    outside at each of the two rotated half-planes; and inside both of them
+    but with a singular real part."""
+    wide = gen_sectorial(4, 1.2, 2)
+    return np.stack([gen_sectorial(4, 0.5, 1), wide, wide.conj(), np.diag([1.0, 0.0, 0.0, 0.0])])
+
+
+def planted_real_part(n: int, alpha: float, level: float, seed: int, pinned: bool) -> np.ndarray:
+    """A normal matrix U diag(z) U* with lambda_min(Re A) = z_1 = level *
+    PD_RTOL * ||A||_F, up to rounding.  The other eigenvalues lie in the
+    sector of half-angle alpha, one on its edge when ``pinned`` and all in
+    its inner half otherwise, so that the rotated parts pass and the
+    strict test of Re A decides."""
+    rng = np.random.default_rng(seed)
+    u, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    thetas = rng.uniform(-alpha, alpha, size=n - 1)
+    if pinned:
+        thetas[0] = alpha
+    else:
+        thetas /= 2
+    z = rng.uniform(1.0, 2.0, size=n - 1) * np.exp(1j * thetas)
+    z = np.concatenate(([level * PD_RTOL * np.linalg.norm(z)], z))
+    return (u * z) @ u.conj().T
 
 
 class TestInSector:
@@ -43,10 +71,7 @@ class TestInSector:
         assert abs(np.angle(res.witness.point)) > math.pi / 4
 
     def test_stack_gives_each_matrix_its_own_membership(self):
-        # Inside; outside at each of the two rotated half-planes; and inside
-        # both of them but with a singular real part.
-        wide = gen_sectorial(4, 1.2, 2)
-        stack = np.stack([gen_sectorial(4, 0.5, 1), wide, wide.conj(), np.diag([1.0, 0.0, 0.0, 0.0])])
+        stack = mixed_membership_stack()
         stacked = in_sector(stack, 0.6, 1e-9)
         singles = [in_sector(m, 0.6, 1e-9) for m in stack]
         assert [bool(r) for r in stacked] == [True, False, False, False]
@@ -59,6 +84,33 @@ class TestInSector:
             w, v = res.witness, one.witness
             assert (w.rotation, w.eigenvalue.hex(), w.point) == (v.rotation, v.eigenvalue.hex(), v.point)
             np.testing.assert_array_equal(w.vector, v.vector)
+
+    @pytest.mark.parametrize("alpha", [0.0, 1e-8, 1e-4, 0.3, 0.785, 1.3])
+    def test_verdicts_and_witnesses_match_three_eigensolves(self, alpha):
+        # lambda_min(Re A) planted around the strict test's threshold, where
+        # the Weyl bound clears some matrices and leaves others to the
+        # eigensolve of Re A; generator draws; and the mixed stack above.
+        planted = [planted_real_part(6, alpha, level, seed, pinned)
+                   for level in (0, 0.5, 1, 1.5, 2, 3) for seed, pinned in ((1, True), (2, False))]
+        stacks = [np.stack(planted), gen_sectorial(6, alpha, trial_keys(0, 0, 8)[:, 0]), mixed_membership_stack()]
+        for stack in stacks:
+            for res, m in zip(in_sector(stack, alpha), stack):
+                inside, witness = in_sector_reference(m, alpha, MEMBERSHIP_TOL)
+                assert bool(res) == inside
+                if witness is None:
+                    assert res.witness is None
+                    continue
+                w = res.witness
+                assert (w.rotation, w.eigenvalue.hex(), w.point) == (witness[0], witness[1].hex(), witness[3])
+                np.testing.assert_array_equal(w.vector, witness[2])
+
+    def test_a_passing_stack_takes_one_eigensolve(self, monkeypatch):
+        stack = gen_sectorial(6, 0.785, trial_keys(0, 0, 64)[:, 0])
+        shapes = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda h: shapes.append(h.shape) or eigvalsh(h))
+        assert all(in_sector(stack, 0.785))
+        assert shapes == [(128, 6, 6)]
 
     def test_disk_touching_imaginary_axis(self):
         # W(A) is the unit disk centered at 1, tangent to Re z = 0
