@@ -73,7 +73,7 @@ def random_sequence_pair(
 
 @dataclass(frozen=True)
 class OmegaPartition:
-    """Bitmask split of the 2^n subsets of {1..n}: the empty set, the nested
+    """Bitmask split of the 2^n subsets of {1..n}: the empty set, the
     prefixes {1..s}, the suffixes {s..n} for s >= 2, and everything else."""
 
     n: int

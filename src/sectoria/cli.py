@@ -137,25 +137,19 @@ CHECKS = {
 
 
 @functools.lru_cache(maxsize=1)
-def _suite_keys(seed: int, trials: int, paths: tuple, nested: int) -> np.ndarray:
-    """The Philox keys of every trial of a suite, derived once for the suite;
-    its chunks and one-trial replays slice them."""
-    keys = trial_keys(seed, 0, trials, paths, nested)
+def _suite_keys(c: TrialConfig, paths=((),)) -> np.ndarray:
+    """The Philox keys of the streams (trial index, *path) of every trial of a
+    suite, derived once for the suite; its chunks and one-trial replays slice them."""
+    keys = trial_keys(c.seed, 0, c.trials, paths)
     keys.flags.writeable = False
     return keys
 
 
-def _keys(c: TrialConfig, lo: int, hi: int, paths=((),), nested: int = 0) -> np.ndarray:
-    """The keys of trials lo..hi-1 (0 <= lo < hi <= c.trials): of substreams
-    (trial index, *path) of the suite seed, or of their substreams j < nested."""
-    return _suite_keys(c.seed, c.trials, paths, nested)[lo:hi]
-
-
-def _pair(gen, nested: int = 0):
-    """Draw two operand stacks ``gen(config, keys)`` from substreams (index, 0) and (index, 1)."""
+def _pair(gen):
+    """Draw two operand stacks ``gen(config, keys)`` from streams (index, 0) and (index, 1)."""
 
     def draw(c, lo, hi):
-        keys = _keys(c, lo, hi, ((0,), (1,)), nested)
+        keys = _suite_keys(c, ((0,), (1,)))[lo:hi]
         return gen(c, keys[:, 0]), gen(c, keys[:, 1])
 
     return draw
@@ -165,10 +159,9 @@ def _pair(gen, nested: int = 0):
 FAMILIES = {
     "pd_pair": _pair(lambda c, keys: gen_positive_definite(c.n, keys)),
     "sectorial_pair": _pair(lambda c, keys: gen_sectorial(c.n, c.alpha, keys)),
-    # An accretive-dissipative operand draws H and K from its substreams 0 and 1.
-    "ad_pair": _pair(lambda c, keys: gen_accretive_dissipative(c.n, keys), nested=2),
-    "single": lambda c, lo, hi: (gen_sectorial(c.n, c.alpha, _keys(c, lo, hi)[:, 0]), None),
-    "sequence": lambda c, lo, hi: (claim2_mod.random_sequence_pair(c.n, _keys(c, lo, hi)[:, 0]), None),
+    "ad_pair": _pair(lambda c, keys: gen_accretive_dissipative(c.n, keys)),
+    "single": lambda c, lo, hi: (gen_sectorial(c.n, c.alpha, _suite_keys(c)[lo:hi, 0]), None),
+    "sequence": lambda c, lo, hi: (claim2_mod.random_sequence_pair(c.n, _suite_keys(c)[lo:hi, 0]), None),
 }
 
 
@@ -276,7 +269,7 @@ def _trial_reports(name: str, config: TrialConfig, tol: float) -> list[ineq.Ineq
 def run_trials(name: str, config: TrialConfig, tol: float) -> SuiteSummary:
     """Run ``config.trials`` independent trials of a named check.
 
-    Trials draw from substreams indexed by trial number, so the summary is
+    Trials draw from streams indexed by trial number, so the summary is
     identical no matter how the trials would be scheduled.  A NaN slack in
     any trial makes both slack statistics NaN.
     """
@@ -303,7 +296,7 @@ def falsify_schur_wrongsec(config: TrialConfig, tol: float = ineq.DEFAULT_TOL) -
     """Search the trials of a ``schur-wrongsec`` suite for a violation of the
     uncorrected Schur bound; returns the most negative-slack report.
 
-    Trials are generated on independent substreams indexed by trial number,
+    Trials are generated on independent streams indexed by trial number,
     so the reduction is deterministic regardless of evaluation order; ties
     keep the lowest trial index.
     """

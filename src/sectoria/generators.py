@@ -1,4 +1,4 @@
-"""Seeded random matrix families with platform-stable substreams.
+"""Seeded random matrix families on platform-stable streams.
 
 All randomness flows through the Philox counter-based generator keyed by a
 ``SeedSequence`` spawn path, so any (seed, path) pair addresses an
@@ -144,16 +144,16 @@ def _absorb(pool: np.ndarray, words: np.ndarray, steps: int) -> np.ndarray:
 
 
 def _pool(entropy: np.ndarray) -> np.ndarray:
-    """The mixed pool of ``SeedSequence`` for each row of assembled entropy
-    words (T, W) uint32.  A row shorter than the pool runs the hash out on
+    """The mixed pool of ``SeedSequence`` for each row of entropy words
+    (T, W <= 4) uint32.  A row shorter than the pool runs the hash out on
     zeros, which is what zero-padding it to four words does."""
     head = np.zeros((len(entropy), 4), dtype=np.uint32)
-    head[:, :entropy.shape[1]] = entropy[:, :4]
+    head[:, :entropy.shape[1]] = entropy
     mult = _multipliers(_INIT_A, _MULT_A, 16)
     pool = _hashmix(head, mult[:5])
     for src, dst in enumerate(_OTHER_WORDS):
         pool[:, dst] = _mix(pool[:, dst], _hashmix(pool[:, src, None], mult[4 + 3 * src:8 + 3 * src]))
-    return _absorb(pool, entropy[:, 4:], 16)
+    return pool
 
 
 def _generate(pool: np.ndarray, count: int) -> np.ndarray:
@@ -167,13 +167,11 @@ def _seed_words(seeds: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(seeds, dtype="<u8").view("<u4").reshape(-1, 2)
 
 
-def trial_keys(seed: int, lo: int, hi: int, paths=((),), nested: int = 0) -> np.ndarray:
-    """The Philox keys of the substreams of trials lo..hi-1 of a suite seed.
+def trial_keys(seed: int, lo: int, hi: int, paths=((),)) -> np.ndarray:
+    """The Philox keys of the streams of trials lo..hi-1 of a suite seed.
 
     Entry ``[i - lo, p]`` is the key of ``rng_stream(child_seed(seed, i,
-    *paths[p]))``, shape (hi - lo, len(paths), 2).  With ``nested = m`` the
-    keys are those of ``child_seed(child_seed(seed, i, *paths[p]), j)`` for
-    j < m, shape (hi - lo, len(paths), m, 2).  The paths must share one
+    *paths[p]))``, shape (hi - lo, len(paths), 2).  The paths must share one
     length.  The keys are bit for bit numpy's: the pool of the suite seed
     comes from its ``SeedSequence``, and the spawn keys, the child seeds and
     the keys are hashed for all trials at once.
@@ -182,8 +180,7 @@ def trial_keys(seed: int, lo: int, hi: int, paths=((),), nested: int = 0) -> np.
         if not 0 <= entry <= _MASK32:  # the hash takes one 32-bit word per entry
             raise ValueError(f"substream path entries must lie in [0, 2**32), got {entry}")
     if lo < 2**32 < hi:
-        return np.concatenate([trial_keys(seed, lo, 2**32, paths, nested),
-                               trial_keys(seed, 2**32, hi, paths, nested)])
+        return np.concatenate([trial_keys(seed, lo, 2**32, paths), trial_keys(seed, 2**32, hi, paths)])
     # The seed's words, zero-padded to the pool size, come first and leave
     # the pool of the seed's own SeedSequence, after four hash steps to fill
     # it, twelve to mix it and four per word past the fourth.
@@ -199,15 +196,7 @@ def trial_keys(seed: int, lo: int, hi: int, paths=((),), nested: int = 0) -> np.
     spawn[:, :, len(index_words):] = paths
     rows = spawn.reshape(-1, spawn.shape[-1])
     seeds = _generate(_absorb(np.broadcast_to(root.pool, (len(rows), 4)), rows, steps), 1)[:, 0]
-    shape = (len(index), len(paths), 2)
-    if nested:
-        # child_seed(s, j): s's words, zero-padded to the pool size, then j.
-        entropy = np.zeros((len(seeds), nested, 5), dtype=np.uint32)
-        entropy[:, :, :2] = _seed_words(seeds)[:, None]
-        entropy[:, :, 4] = np.arange(nested)
-        seeds = _generate(_pool(entropy.reshape(-1, 5)), 1)[:, 0]
-        shape = (len(index), len(paths), nested, 2)
-    return _generate(_pool(_seed_words(seeds)), 2).reshape(shape)
+    return _generate(_pool(_seed_words(seeds)), 2).reshape(len(index), len(paths), 2)
 
 
 def _stream(key) -> np.random.Generator:
@@ -244,36 +233,38 @@ def complex_gaussian(n: int, rng: np.random.Generator) -> np.ndarray:
     return _box_muller(rng.random((1, 2, n, n)))[0]
 
 
-def _seed_keys(seed, substreams: int = 0) -> tuple[np.ndarray, bool]:
-    """The stack of Philox keys that ``seed`` names, and whether it is one int.
-
-    An int seed is the stack of one key, that of ``rng_stream(seed)``, or
-    with ``substreams = m`` the keys of ``rng_stream(child_seed(seed, j))``
-    for j < m: shape (1, 2) or (1, m, 2).  Anything else must be a uint64
-    stack of T keys of that shape.
-    """
+def _seed_keys(seed) -> tuple[np.ndarray, bool]:
+    """The stack of Philox keys that ``seed`` names, and whether it is one int:
+    an int seed is the stack (1, 2) of the key of ``rng_stream(seed)``, and
+    anything else must be a uint64 stack of T keys, shape (T, 2)."""
     if np.ndim(seed) == 0:
-        seed = _integer(seed)
-        keys = [stream_key(child_seed(seed, j)) for j in range(substreams)] if substreams else stream_key(seed)
-        return np.array(keys)[None], True
+        return stream_key(seed)[None], True
     keys = np.asarray(seed)
-    shape = (substreams, 2) if substreams else (2,)
-    if keys.dtype != np.uint64 or keys.shape[1:] != shape:
-        raise ValueError(f"expected an int seed or a uint64 stack of Philox keys of shape "
-                         f"(T, {', '.join(map(str, shape))}), got {keys.dtype} {keys.shape}")
+    if keys.dtype != np.uint64 or keys.shape[1:] != (2,):
+        raise ValueError(f"expected an int seed or a uint64 stack of Philox keys of shape (T, 2), got {keys.dtype} {keys.shape}")
     return keys, False
+
+
+def _uniforms(keys: np.ndarray, shape: tuple) -> np.ndarray:
+    """The first uniforms of each key's stream, shape (T, *shape)."""
+    u = np.empty((len(keys), *shape))
+    for key, out in zip(keys.tolist(), u):
+        _stream(key).random(out=out)
+    return u
+
+
+def _positive_definite(u: np.ndarray) -> np.ndarray:
+    """G G* + 0.1 I, symmetrized, for the Gaussians G of uniforms (T, 2, n, n)."""
+    g = _box_muller(u)
+    h = g @ adjoint(g) + 0.1 * np.eye(u.shape[-1])
+    return (h + adjoint(h)) / 2.0
 
 
 def gen_positive_definite(n: int, seed) -> np.ndarray:
     """Random Hermitian positive definite matrix G G* + 0.1 I; for a (T, 2)
     uint64 stack of Philox keys as ``seed``, the (T, n, n) stack of its draws."""
     keys, one = _seed_keys(seed)
-    u = np.empty((len(keys), 2, n, n))
-    for key, out in zip(keys.tolist(), u):
-        _stream(key).random(out=out)
-    g = _box_muller(u)
-    h = g @ adjoint(g) + 0.1 * np.eye(n)
-    h = (h + adjoint(h)) / 2.0
+    h = _positive_definite(_uniforms(keys, (2, n, n)))
     return h[0] if one else h
 
 
@@ -333,9 +324,10 @@ def gen_sectorial(n: int, alpha: float, seed) -> np.ndarray:
 
 
 def gen_accretive_dissipative(n: int, seed) -> np.ndarray:
-    """Random H + iK with H, K independent positive definite draws from
-    substreams 0 and 1 of ``seed``; for a (T, 2, 2) uint64 stack of the
-    Philox keys of each draw's H and K, the (T, n, n) stack of its draws."""
-    keys, one = _seed_keys(seed, substreams=2)
-    m = gen_positive_definite(n, keys[:, 0]) + 1j * gen_positive_definite(n, keys[:, 1])
+    """Random H + iK, with H and K drawn as ``gen_positive_definite`` draws,
+    one after the other, from the one stream of ``seed``; for a (T, 2)
+    uint64 stack of Philox keys, the (T, n, n) stack of its draws."""
+    keys, one = _seed_keys(seed)
+    u = _uniforms(keys, (2, 2, n, n))
+    m = _positive_definite(u[:, 0]) + 1j * _positive_definite(u[:, 1])
     return m[0] if one else m

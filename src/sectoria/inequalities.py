@@ -181,7 +181,7 @@ def log_minor_ratios(a, b) -> LogMinorRatios:
 
 
 class DeterminantBoundLevels(NamedTuple):
-    """det(A+B) against the three nested lower bounds for a PD pair."""
+    """det(A+B) against its ladder of three lower bounds for a PD pair."""
 
     lhs: np.ndarray
     superadditive: np.ndarray   # det A + det B
@@ -204,7 +204,7 @@ def _log_bound_levels(a: np.ndarray, b: np.ndarray) -> DeterminantBoundLevels:
 
 @linalg.matrix_or_stack(2)
 def determinant_bound_levels(a, b) -> DeterminantBoundLevels:
-    """Evaluate det(A+B) and the nested bound ladder for PD operands; a
+    """Evaluate det(A+B) and its bound ladder for PD operands; a
     level too large for a float is inf."""
     with np.errstate(over="ignore"):
         return DeterminantBoundLevels._make(np.exp(_log_bound_levels(a, b)))

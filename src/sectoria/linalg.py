@@ -10,8 +10,8 @@ and gives each matrix of a stack exactly the bits that it gives that matrix
 alone: a matrix is evaluated as a stack of one, by the same code.  A
 precondition that fails for any matrix of a stack raises, naming the first
 such matrix's failure.  Only functions that take stacks alone keep the
-``*_stack`` name: helpers of the stacked kernels, and the stacked forms of
-``frobenius`` and ``solve``.
+``*_stack`` name: helpers of the stacked kernels, ``frobenius_stack``, of
+which ``frobenius`` is the stack of one, and the stacked form of ``solve``.
 """
 
 from __future__ import annotations
@@ -117,18 +117,31 @@ def adjoint(m: np.ndarray) -> np.ndarray:
     return m.conj().swapaxes(-1, -2)
 
 
-# Kept beside frobenius_stack: this takes any array, and runs per matrix in the LU of solve.
-def frobenius(a) -> float:
-    return float(np.linalg.norm(a))
-
-
 def frobenius_stack(m: np.ndarray) -> np.ndarray:
     """Frobenius norm of each matrix of a stack, in the row-major order of
-    ``frobenius`` on a C-ordered matrix: np.linalg.norm sums the strided real
+    np.linalg.norm on a C-ordered matrix: np.linalg.norm sums the strided real
     and imaginary parts of the raveled matrix with two dot products, and
-    ``vecdot`` on the strided parts of each raveled row does the same."""
+    ``vecdot`` on the strided parts of each raveled row does the same.  A
+    nonzero matrix with a norm outside (1e-150, 1e150), where squares may
+    overflow or underflow, is summed again from its entries over their largest."""
     v = m.reshape(len(m), -1)
-    return np.sqrt(np.vecdot(v.real, v.real) + np.vecdot(v.imag, v.imag))
+    with np.errstate(over="ignore"):
+        f = np.sqrt(np.vecdot(v.real, v.real) + np.vecdot(v.imag, v.imag))
+        norms = f.tolist()  # Python's min and max beat numpy's on the few norms of most calls
+        if 1e-150 < min(norms) and max(norms) < 1e150 or not v.any():
+            return f
+        redo = ~((f > 1e-150) & (f < 1e150)) & ((f != 0.0) | v.any(axis=-1))
+        scale = np.abs(v[redo]).max(axis=-1)
+        scale[~(scale < np.inf)] = 1.0  # a non-finite row, as it is
+        w = v[redo] / scale[:, None]
+        f[redo] = scale * np.sqrt(np.vecdot(w.real, w.real) + np.vecdot(w.imag, w.imag))
+    return f
+
+
+def frobenius(a) -> float:
+    """Frobenius norm of any array: ``frobenius_stack`` on the stack of one
+    row of its entries, in memory order, as np.linalg.norm takes them."""
+    return float(frobenius_stack(np.ravel(a, order="K")[None])[0])
 
 
 class CartesianPair(NamedTuple):

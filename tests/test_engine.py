@@ -99,13 +99,16 @@ def test_family_draw_equals_per_trial_generators(family, n):
             np.testing.assert_array_equal(b[t], one_b)
 
 
+def box_muller_oracle(u: np.ndarray) -> np.ndarray:
+    """Box-Muller on one matrix's uniforms (2, n, n): radius from u[0], phase from u[1]."""
+    radius = np.sqrt(-2.0 * np.log1p(-u[0]))
+    phase = 2.0 * np.pi * u[1]
+    return radius * np.cos(phase) + 1j * (radius * np.sin(phase))
+
+
 def gaussian_oracle(n: int, rng) -> np.ndarray:
     """Box-Muller on the stream's next 2 n**2 uniforms, one matrix at a time."""
-    u1 = rng.random((n, n))
-    u2 = rng.random((n, n))
-    radius = np.sqrt(-2.0 * np.log1p(-u1))
-    phase = 2.0 * np.pi * u2
-    return radius * np.cos(phase) + 1j * (radius * np.sin(phase))
+    return box_muller_oracle(rng.random((2, n, n)))
 
 
 def sectorial_oracle(n: int, alpha: float, seed: int) -> np.ndarray:
@@ -155,9 +158,10 @@ def first_error(name: str, c: TrialConfig, draw):
     raise AssertionError("no trial raised")
 
 
-def pd_oracle(n: int, seed: int) -> np.ndarray:
-    g = gaussian_oracle(n, s.rng_stream(seed))
-    h = g @ g.conj().T + 0.1 * np.eye(n)
+def pd_oracle(u: np.ndarray) -> np.ndarray:
+    """G G* + 0.1 I, symmetrized, for the Gaussian G of uniforms (2, n, n)."""
+    g = box_muller_oracle(u)
+    h = g @ g.conj().T + 0.1 * np.eye(len(g))
     return (h + h.conj().T) / 2.0
 
 
@@ -165,11 +169,13 @@ def reference_operands(family: str, c: TrialConfig, i: int):
     """Trial i's operands drawn from numpy's own streams, rng_stream(child_seed(...))."""
     pair = (s.child_seed(c.seed, i, 0), s.child_seed(c.seed, i, 1))
     if family == "pd_pair":
-        return [pd_oracle(c.n, x) for x in pair]
+        return [pd_oracle(s.rng_stream(x).random((2, c.n, c.n))) for x in pair]
     if family == "sectorial_pair":
         return [sectorial_oracle(c.n, c.alpha, x) for x in pair]
     if family == "ad_pair":
-        return [pd_oracle(c.n, s.child_seed(x, 0)) + 1j * pd_oracle(c.n, s.child_seed(x, 1)) for x in pair]
+        # H from the stream's first 2 n**2 uniforms, K from the next.
+        uniforms = [s.rng_stream(x).random((2, 2, c.n, c.n)) for x in pair]
+        return [pd_oracle(u[0]) + 1j * pd_oracle(u[1]) for u in uniforms]
     seed = s.child_seed(c.seed, i)
     if family == "single":
         return [sectorial_oracle(c.n, c.alpha, seed)]

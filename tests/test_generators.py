@@ -156,16 +156,6 @@ class TestBulkSubstreams:
             for p, path in enumerate(paths):
                 assert keys[i, p].tolist() == reference_key(child_seed(seed, i, *path))
 
-    @pytest.mark.parametrize("seed", SUITE_SEEDS)
-    def test_nested_keys_match_seed_sequence(self, seed):
-        keys = generators.trial_keys(seed, 3, 9, ((0,), (1,)), nested=2)
-        assert keys.shape == (6, 2, 2, 2)
-        for i in range(3, 9):
-            for k in (0, 1):
-                for j in (0, 1):
-                    expected = reference_key(child_seed(child_seed(seed, i, k), j))
-                    assert keys[i - 3, k, j].tolist() == expected
-
     def test_trial_index_past_32_bits(self):
         # From 2**32 on a trial index is two entropy words, not one.
         lo = 2**32 - 2
@@ -240,13 +230,13 @@ class TestBulkSubstreams:
         assert child_seed(np.int64(3), np.uint8(1)) == child_seed(3, 1)
 
 
-# Each seeded draw at n = 3, and the shape of the keys of one draw.
+# Each seeded draw at n = 3.  Every one takes the key of one stream, shape (2,).
 SEEDED = {
-    "gen_positive_definite": (lambda seed: gen_positive_definite(3, seed), (2,)),
-    "gen_sectorial_planted": (lambda seed: gen_sectorial_planted(3, 0.785, seed), (2,)),
-    "gen_sectorial": (lambda seed: gen_sectorial(3, 0.785, seed), (2,)),
-    "gen_accretive_dissipative": (lambda seed: gen_accretive_dissipative(3, seed), (2, 2)),
-    "random_sequence_pair": (lambda seed: random_sequence_pair(3, seed), (2,)),
+    "gen_positive_definite": lambda seed: gen_positive_definite(3, seed),
+    "gen_sectorial_planted": lambda seed: gen_sectorial_planted(3, 0.785, seed),
+    "gen_sectorial": lambda seed: gen_sectorial(3, 0.785, seed),
+    "gen_accretive_dissipative": lambda seed: gen_accretive_dissipative(3, seed),
+    "random_sequence_pair": lambda seed: random_sequence_pair(3, seed),
 }
 
 
@@ -258,17 +248,14 @@ def arrays(draw):
 
 
 class TestKeyStacks:
-    """Each seeded draw takes an int seed or a uint64 stack of Philox keys."""
+    """Each seeded draw takes an int seed or a (T, 2) uint64 stack of Philox keys."""
 
     @pytest.mark.parametrize("name", list(SEEDED))
     def test_rows_are_the_int_seed_draws(self, name):
-        draw, shape = SEEDED[name]
+        draw = SEEDED[name]
         seeds = [3, 4, 5]
-        # An int seed's keys: of its stream, or for an accretive-dissipative
-        # draw those of its H and K, the streams of its child seeds 0 and 1.
-        keys = np.array([reference_key(seed) if shape == (2,)
-                         else [reference_key(child_seed(seed, j)) for j in (0, 1)]
-                         for seed in seeds], dtype=np.uint64)
+        keys = np.array([reference_key(seed) for seed in seeds], dtype=np.uint64)
+        assert keys.shape == (3, 2)
         stacked = arrays(draw(keys))
         for t, seed in enumerate(seeds):
             one = arrays(draw(seed))
@@ -279,13 +266,13 @@ class TestKeyStacks:
 
     @pytest.mark.parametrize("name", list(SEEDED))
     @pytest.mark.parametrize("bad", [
-        lambda shape: np.ones((4, *shape), dtype=np.int64),
-        lambda shape: np.ones((4, *shape), dtype=float),
-        lambda shape: np.ones((4, *shape[:-1], 3), dtype=np.uint64),
-        lambda shape: np.ones(shape, dtype=np.uint64),  # one draw's keys, no stack axis
-        lambda shape: np.ones((4, *shape, 1), dtype=np.uint64),
-    ], ids=["int64", "float", "key-width-3", "unstacked", "extra-axis"])
+        np.ones((4, 2), dtype=np.int64),
+        np.ones((4, 2), dtype=float),
+        np.ones((4, 3), dtype=np.uint64),
+        np.ones(2, dtype=np.uint64),  # one draw's key, no stack axis
+        np.ones((4, 2, 1), dtype=np.uint64),
+        np.ones((4, 2, 2), dtype=np.uint64),  # two keys per draw: every draw takes one stream's
+    ], ids=["int64", "float", "key-width-3", "unstacked", "extra-axis", "two-keys-per-draw"])
     def test_bad_key_stack_raises_value_error(self, name, bad):
-        draw, shape = SEEDED[name]
-        with pytest.raises(ValueError, match="stack of Philox keys"):
-            draw(bad(shape))
+        with pytest.raises(ValueError, match=r"stack of Philox keys of shape \(T, 2\)"):
+            SEEDED[name](bad)

@@ -57,7 +57,7 @@ GOLDEN = {
             '{"name": "schur-wrongsec", "trials": 40, "failures": 40, "min_slack": -0.3497593062470473, "median_slack": -0.1352309158942524, "config": {"seed": 0, "n": 6, "alpha": 0.785, "partition": null}}'
         ),
         'corollary-ad': (
-            '{"name": "corollary-ad", "trials": 40, "failures": 0, "min_slack": 0.9954505581600501, "median_slack": 0.9974274430971076, "config": {"seed": 0, "n": 6, "alpha": 0.785, "partition": null}}'
+            '{"name": "corollary-ad", "trials": 40, "failures": 0, "min_slack": 0.995955245192179, "median_slack": 0.9974359949280698, "config": {"seed": 0, "n": 6, "alpha": 0.785, "partition": null}}'
         ),
         'claim2': (
             '{"name": "claim2", "trials": 40, "failures": 0, "min_slack": 0.8794382798410214, "median_slack": 0.9989081610272752, "config": {"seed": 0, "n": 6, "alpha": 0.785, "partition": null}}'
@@ -104,7 +104,7 @@ GOLDEN = {
             '{"name": "schur-wrongsec", "trials": 40, "failures": 40, "min_slack": -0.5546211399006175, "median_slack": -0.06961618405175671, "config": {"seed": 18446744073709551621, "n": 3, "alpha": 0.785, "partition": null}}'
         ),
         'corollary-ad': (
-            '{"name": "corollary-ad", "trials": 40, "failures": 0, "min_slack": 0.8922384287918189, "median_slack": 0.9237786542050718, "config": {"seed": 18446744073709551621, "n": 3, "alpha": 0.785, "partition": null}}'
+            '{"name": "corollary-ad", "trials": 40, "failures": 0, "min_slack": 0.8953167911693454, "median_slack": 0.917887940716677, "config": {"seed": 18446744073709551621, "n": 3, "alpha": 0.785, "partition": null}}'
         ),
         'claim2': (
             '{"name": "claim2", "trials": 40, "failures": 0, "min_slack": 1.3906848966820186e-05, "median_slack": 0.3212946730027531, "config": {"seed": 18446744073709551621, "n": 3, "alpha": 0.785, "partition": null}}'

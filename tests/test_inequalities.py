@@ -697,3 +697,39 @@ class TestKernelContract:
                 kernel(gen(4, 1), stack, *rest)
             with pytest.raises(ValueError, match="all matrices or all"):
                 kernel(stack, gen(4, 1), *rest)
+
+
+# Factors at which the squares of the operands' entries overflow (1e160,
+# 1e200) or underflow (1e-160, 1e-200) a float.
+EXTREME_SCALES = (1e-200, 1e-160, 1e160, 1e200)
+
+
+def _scaled(name, c):
+    """The verdicts and the values of ``name`` on seeded operands at n = 4
+    times c; a value that scales with c is divided by it."""
+    if name in MATRIX_CHECKS:
+        check, gen, count, rest = MATRIX_CHECKS[name]
+        report = check(*(c * gen(4, s.child_seed(94, k)) for k in range(count)), *rest)
+        return [report.holds], [report.slack]
+    a = c * _sectorial(4, s.child_seed(94, 0))  # a sector angle of 0.6
+    if name == "in_sector":
+        inside, outside = s.in_sector(a, 0.6), s.in_sector(a, 0.5)
+        return [inside.inside, outside.inside, outside.witness.rotation], []
+    if name == "sector_angle":
+        return [], [s.sector_angle(a)]
+    return [], list((s.schur_complement(a, 2) / c).ravel())
+
+
+@pytest.mark.parametrize("c", EXTREME_SCALES)
+@pytest.mark.parametrize("name", [*MATRIX_CHECKS, "in_sector", "sector_angle", "schur_complement"])
+def test_scale_free_across_the_float_range(name, c):
+    # Every tolerance is relative to a Frobenius norm, so A -> cA moves no
+    # verdict, and no value beyond the rounding of c * A, anywhere in the
+    # float range.  A slack is relative to its sides already, and may sit
+    # near 0, so it is held to 1e-12 absolute (rounding c * A moves a slack
+    # by about 1e-17, at c = 3 as at 1e200); the angle and the complement's
+    # entries, of order one here, to 1e-12 relative as well.
+    verdicts, values = _scaled(name, c)
+    base_verdicts, base_values = _scaled(name, 1.0)
+    assert verdicts == base_verdicts
+    np.testing.assert_allclose(values, base_values, rtol=1e-12, atol=1e-12)
