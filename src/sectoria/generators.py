@@ -18,12 +18,13 @@ in.  It then runs the arithmetic once over the (T, n, n) stack, and for an
 int seed returns entry 0 of the stack of one.
 
 A sectorial draw redraws a Gaussian factor X whose smallest singular value
-is below ``MIN_FACTOR_SIGMA``.  The screen first bounds sigma_min(X) from
-below by |det X| and ||X||_F, with one batched ``slogdet``, and sends only
-the factors that this bound does not clear to the SVD, which decides.  The
-bound clears almost every factor up to n = 6 and almost none from n = 20
-on; either way the redraws, and every bit of every draw, are those of the
-SVD alone.
+is below ``MIN_FACTOR_SIGMA``.  Up to order
+``linalg.DET_CERTIFICATE_MAX_ORDER`` the screen first bounds sigma_min(X)
+from below by |det X| and ||X||_F, with one batched ``slogdet``, and sends
+only the factors that this bound does not clear to the SVD, which decides.
+The bound clears almost every factor up to n = 6 and almost none from
+n = 20 on, so above that order the SVD alone screens.  Either way the
+redraws, and every bit of every draw, are those of the SVD alone.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _log_sigma_min_bound, adjoint, multiply_unfused
+from .linalg import DET_CERTIFICATE_MAX_ORDER, _log_sigma_min_bound, adjoint, multiply_unfused
 
 # Generators refuse target angles this close to the half-plane boundary.
 ALPHA_GUARD = math.pi / 2 - 0.01
@@ -270,9 +271,12 @@ def gen_positive_definite(n: int, seed) -> np.ndarray:
 
 def _near_singular(x: np.ndarray) -> np.ndarray:
     """For each factor of a (T, n, n) stack: is its smallest singular value
-    below ``MIN_FACTOR_SIGMA``?  The SVD decides, but only for the factors
-    that the determinant bound ``_log_sigma_min_bound`` does not put at
-    ``2 * MIN_FACTOR_SIGMA`` or above; the factor 2 covers its rounding."""
+    below ``MIN_FACTOR_SIGMA``?  The SVD decides, but up to order
+    ``DET_CERTIFICATE_MAX_ORDER`` only for the factors that the determinant
+    bound ``_log_sigma_min_bound`` does not put at ``2 * MIN_FACTOR_SIGMA``
+    or above; the factor 2 covers its rounding."""
+    if x.shape[-1] > DET_CERTIFICATE_MAX_ORDER:
+        return np.linalg.svd(x, compute_uv=False)[:, -1] < MIN_FACTOR_SIGMA
     near = ~(_log_sigma_min_bound(x) >= math.log(2 * MIN_FACTOR_SIGMA))
     if near.any():
         near[near] = np.linalg.svd(x[near], compute_uv=False)[:, -1] < MIN_FACTOR_SIGMA

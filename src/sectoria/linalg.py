@@ -22,7 +22,6 @@ import math
 from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg
 
 from .errors import NotAccretiveError, SingularMatrixError
 
@@ -35,7 +34,6 @@ HERMITIAN_RTOL = 1e-10
 PD_RTOL = 1e-12
 
 _TINY = np.finfo(float).tiny
-_GETRF, _GETRS = scipy.linalg.get_lapack_funcs(("getrf", "getrs"), dtype=np.complex128)
 
 
 def _square_and_finite(m: np.ndarray, shape: tuple) -> np.ndarray:
@@ -83,8 +81,8 @@ def matrix_or_stack(operands: int):
     validated by ``as_square_matrix``, as are the other operands, and the
     function runs on their stack of one; the result is entry 0 of what it
     returns, or of each field of a named tuple.  A stack is passed on with
-    the other operands, which must be stacks of the same length, each as a
-    complex128 array whose matrices pass the same checks, with the same
+    the other operands, which must be stacks of the same nonzero length, each
+    as a complex128 array whose matrices pass the same checks, with the same
     messages.  Operands are validated once, by the outermost decorated call.
     """
 
@@ -103,6 +101,8 @@ def matrix_or_stack(operands: int):
             lengths = [len(m) for m in args[:operands]]
             if len(set(lengths)) > 1:
                 raise ValueError(f"operand stacks differ in length: {' and '.join(map(str, lengths))}")
+            if not lengths[0]:
+                raise ValueError("expected a stack of at least one matrix, got an empty stack")
             if _VALIDATED.get():
                 return kernel(*args, **kwargs)
             return _run_validated(kernel, [_as_square_stack(m) for m in args[:operands]], rest, kwargs)
@@ -193,18 +193,33 @@ def _require_pivots(pivot_abs, scale) -> None:
         )
 
 
+@functools.cache
+def _lapack():
+    """SciPy's complex ``getrf`` and ``getrs``.  SciPy is imported on the
+    first call, so a run whose solves are all certified never loads it."""
+    import scipy.linalg
+
+    return scipy.linalg.get_lapack_funcs(("getrf", "getrs"), dtype=np.complex128)
+
+
 def _lu_factor(m: np.ndarray):
     """LU with partial pivoting; rejects pivots below the relative threshold."""
-    lu, piv, _ = _GETRF(m)
+    lu, piv, _ = _lapack()[0](m)
     _require_pivots(np.abs(lu.diagonal()).min(), frobenius(m))
     return lu, piv
 
 
-# Kept beside solve_stack: perfbench traces each LAPACK solve as one solve call of one matrix.
+# Kept beside solve_stack: perfbench traces each solve of one matrix as one solve call.
 def solve(a, b) -> np.ndarray:
-    """Solve A X = B via LU with partial pivoting."""
-    lu, piv = _lu_factor(as_square_matrix(a))
-    return _GETRS(lu, piv, np.asarray(b, dtype=np.complex128))[0]
+    """Solve A X = B via LU with partial pivoting, returned column-major, as
+    LAPACK returns it.  Where ``_gesv_certified`` allows, numpy's ``gesv``
+    solves it; otherwise SciPy's ``getrf`` and ``getrs`` do, and raise."""
+    m = as_square_matrix(a)
+    b = np.asarray(b, dtype=np.complex128)
+    if b.ndim == 2 and _gesv_certified(m[None], b[None]):
+        return np.asfortranarray(np.linalg.solve(m, b))
+    lu, piv = _lu_factor(m)
+    return _lapack()[1](lu, piv, b)[0]
 
 
 def inverse(a) -> np.ndarray:
@@ -218,10 +233,11 @@ def _column_major_stack(shape) -> np.ndarray:
     return np.empty((shape[0], shape[2], shape[1]), dtype=np.complex128).swapaxes(1, 2)
 
 
-# Stacks of more than one matrix up to this order may be solved as one batch.
-# It factors each matrix twice, and above this order that costs more than the
-# LAPACK call per matrix that it saves.
-BATCHED_SOLVE_MAX_ORDER = 15
+# The determinant bound ``_log_sigma_min_bound`` is tried on matrices up to
+# this order.  Above it the bound clears almost no Gaussian factor, and a
+# solve that it certifies, which factors each matrix twice, costs more than
+# the LAPACK call that it saves.
+DET_CERTIFICATE_MAX_ORDER = 15
 
 
 def _log_sigma_min_bound(m: np.ndarray) -> np.ndarray:
@@ -243,36 +259,50 @@ def _log_sigma_min_bound(m: np.ndarray) -> np.ndarray:
             - (n - 1) * np.log(frobenius_stack(m)))
 
 
-def _pivots_pass(m: np.ndarray) -> bool:
-    """Does every matrix of a stack pass ``_lu_factor``'s pivot test?
+def _gesv_certified(m: np.ndarray, b: np.ndarray) -> bool:
+    """May one ``np.linalg.solve`` solve the (T, n, n) stack ``m`` against
+    the (T, n, k) stack ``b`` in place of ``solve``'s ``getrf`` and ``getrs``?
 
-    True only if ``_log_sigma_min_bound`` shows that each does.  Partial
-    pivoting keeps |l_ij| <= sqrt(2), so ||L||_2 <= n, and every pivot of an
-    n-by-n A is |u_kk| >= sigma_min(U) >= sigma_min(A) / n.  A matrix whose
-    bound is at least 2 n PIVOT_RTOL ||A||_F therefore passes; the factor 2
-    covers rounding.  ``slogdet`` factors with ``getrf``, as ``_lu_factor``
-    does.
+    Yes if n is at most ``DET_CERTIFICATE_MAX_ORDER``, k is at least 2, and
+    the bound of ``_log_sigma_min_bound`` shows that every matrix passes
+    ``_lu_factor``'s pivot test.  ``gesv`` is ``getrf`` then ``getrs``, so
+    it gives their bits, but not for one right-hand side, where ``getrs``
+    takes another route.  Partial pivoting keeps |l_ij| <= sqrt(2), so
+    ||L||_2 <= n, and every pivot of an n-by-n A is
+    |u_kk| >= sigma_min(U) >= sigma_min(A) / n.  A matrix whose bound is at
+    least 2 n PIVOT_RTOL ||A||_F therefore passes; the factor 2 covers
+    rounding.  ``slogdet`` factors with ``getrf``, as ``_lu_factor`` does.
+
+    The bound is taken here on Python floats, which cost a stack of one
+    less than array arithmetic, from ||A||_F^2 by one plain ``vecdot``: a
+    square that overflows, underflows to 0 or is NaN fails the test and
+    leaves the matrix to LAPACK.
     """
     n = m.shape[-1]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        margin = _log_sigma_min_bound(m) - np.log(frobenius_stack(m))
-    return bool((margin >= np.log(2 * n * PIVOT_RTOL)).all())
+    if n > DET_CERTIFICATE_MAX_ORDER or b.shape[-1] < 2:
+        return False
+    v = m.reshape(len(m), -1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        squares = np.vecdot(v, v).real.tolist()
+    if not all(0.0 < square < math.inf for square in squares):
+        return False
+    # log(bound / ||A||_F) >= log(2 n PIVOT_RTOL), with the bound's constant moved right
+    least = math.log(2 * n * PIVOT_RTOL) - (n - 1) / 2 * math.log(max(n - 1, 1))
+    return all(log_det >= least + n / 2 * math.log(square)
+               for log_det, square in zip(np.linalg.slogdet(m)[1].tolist(), squares))
 
 
 def solve_stack(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``solve`` for each pair of matrices of two stacks, with ``solve``'s bits.
 
-    A stack of more than one matrix of order up to
-    ``BATCHED_SOLVE_MAX_ORDER``, each with at least two right-hand sides and
-    each shown by ``_pivots_pass`` to be nonsingular, is solved by one
-    ``np.linalg.solve``, whose ``gesv`` is ``getrf`` then ``getrs``.
-    (``getrs`` takes another route for a single right-hand side, which
-    ``gesv`` does not share.)  Any other stack is solved one matrix at a
-    time, so that the first failing matrix raises.
+    A stack of more than one matrix that ``_gesv_certified`` clears is
+    solved by one ``np.linalg.solve``.  Any other stack is solved one matrix
+    at a time, so that the first failing matrix raises; a stack of one is
+    thus one ``solve`` call.
     """
     out = _column_major_stack(b.shape)
     m = np.asarray(a, dtype=np.complex128)
-    if len(m) > 1 and m.shape[-1] <= BATCHED_SOLVE_MAX_ORDER and b.shape[-1] > 1 and _pivots_pass(m):
+    if len(m) > 1 and _gesv_certified(m, b):
         out[...] = np.linalg.solve(m, b)
         return out
     for t in range(len(m)):

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import re
 import subprocess
 import sys
@@ -545,3 +546,42 @@ def test_module_entry_point(files):
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("alpha_rad 0.0")
+
+
+# Runs every check's suite at n = 6 in a fresh interpreter, then one solve
+# that needs a pivoted LU; prints what it saw as JSON.
+COLD_START = """
+import contextlib, io, json, sys
+from sectoria import cli, gen_sectorial, inverse_block_identity, solve
+codes = {}
+for name in cli.CHECKS:
+    for trials in ("1", "20"):
+        with contextlib.redirect_stdout(io.StringIO()):
+            codes[f"{name} {trials}"] = cli.main(["trials", name, "--n", "6", "--alpha", "0.785",
+                                                 "--trials", trials, "--seed", "7"])
+suites = "scipy" in sys.modules
+a = gen_sectorial(6, 0.785, 1)
+b = a[:, :1] + 1.0
+x = solve(a, b)
+one_column = "scipy" in sys.modules
+import scipy.linalg
+lapack = scipy.linalg.lu_solve(scipy.linalg.lu_factor(a), b)
+residual = inverse_block_identity(gen_sectorial(40, 0.785, 2), 20)
+print(json.dumps({"codes": codes, "suites": suites, "one_column": one_column,
+                  "bits": x.tobytes() == lapack.tobytes() and x.flags.f_contiguous,
+                  "residual": residual}))
+"""
+
+
+def test_suites_at_small_n_never_load_scipy():
+    # Every solve of a small suite is certified for numpy's gesv; SciPy is
+    # imported only by the first solve that needs its pivoted LU.
+    env = {**os.environ, "PYTHONPATH": str(Path(s.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-c", COLD_START],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    seen = json.loads(proc.stdout)
+    assert seen["codes"] == {f"{name} {trials}": 0 for name in CHECKS for trials in ("1", "20")}
+    assert not seen["suites"]
+    assert seen["one_column"] and seen["bits"]
+    assert seen["residual"] < 1e-10

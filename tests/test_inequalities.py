@@ -685,6 +685,13 @@ class TestKernelContract:
     def test_invalid_stack_raises_what_its_matrix_raises(self, name):
         assert_invalid_stack_raises_what_its_matrix_raises(*KERNELS[name])
 
+    @pytest.mark.parametrize("name", [*KERNELS, *MATRIX_CHECKS])
+    def test_empty_stack_is_a_value_error(self, name):
+        kernel, gen, count, rest = KERNELS.get(name) or MATRIX_CHECKS[name]
+        empty = np.empty((0, 4, 4), dtype=np.complex128)
+        with pytest.raises(ValueError, match="^expected a stack of at least one matrix, got an empty stack$"):
+            kernel(*[empty] * count, *rest)
+
     @pytest.mark.parametrize("name", list(KERNELS))
     def test_neither_matrix_nor_stack_is_a_shape_error(self, name):
         kernel, gen, count, rest = KERNELS[name]

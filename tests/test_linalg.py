@@ -126,19 +126,50 @@ def gaussian_stack(t, n, k, seed):
     return rng.standard_normal((t, n, k)) + 1j * rng.standard_normal((t, n, k))
 
 
+def lapack_solve(a, b):
+    """SciPy's getrf, then its getrs: the reference bits of ``solve``."""
+    return scipy.linalg.lu_solve(scipy.linalg.lu_factor(a), b)
+
+
+LIMIT = sectoria.linalg.DET_CERTIFICATE_MAX_ORDER
+
+
+class TestCertifiedSolve:
+    """``solve`` takes numpy's gesv for a small certified block with at least
+    two right-hand sides, SciPy's getrf and getrs otherwise; both routes
+    give LAPACK's bits, column-major."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 6, 12, 15, 16, 20])
+    @pytest.mark.parametrize("k", [1, 2, 5, "eye"])
+    def test_equals_lapack(self, monkeypatch, n, k):
+        loads = []
+        lapack = sectoria.linalg._lapack
+        monkeypatch.setattr(sectoria.linalg, "_lapack", lambda: loads.append(1) or lapack())
+        a = gaussian_stack(1, n, n, 300 + n)[0]
+        b = np.eye(n) if k == "eye" else gaussian_stack(1, n, k, 301 + n)[0]
+        out = solve(a, b)
+        assert (not loads) == (n <= LIMIT and b.shape[-1] > 1)
+        assert out.tobytes() == lapack_solve(a, b).tobytes()
+        assert out.dtype == np.complex128 and out.flags.f_contiguous
+
+    def test_one_dimensional_right_hand_side(self):
+        a = gaussian_stack(1, 4, 4, 5)[0]
+        b = gaussian_stack(1, 4, 1, 6)[0, :, 0]
+        out = solve(a, b)
+        assert out.shape == (4,) and out.tobytes() == lapack_solve(a, b).tobytes()
+
+
 class TestSolveStackRoutes:
     """A small stack is solved as one batch, any other one matrix at a time;
-    both routes give every matrix the bits of ``solve``."""
-
-    LIMIT = sectoria.linalg.BATCHED_SOLVE_MAX_ORDER
+    both routes give every matrix LAPACK's bits, as ``solve`` does."""
 
     @staticmethod
     def per_matrix(a, b):
-        return np.stack([solve(a[t], b[t]) for t in range(len(a))])
+        return np.stack([lapack_solve(a[t], b[t]) for t in range(len(a))])
 
     @staticmethod
     def batched(a, b):
-        return len(a) > 1 and a.shape[-1] <= TestSolveStackRoutes.LIMIT and b.shape[-1] > 1
+        return len(a) > 1 and a.shape[-1] <= LIMIT and b.shape[-1] > 1
 
     @pytest.fixture
     def route(self, monkeypatch):
@@ -158,7 +189,7 @@ class TestSolveStackRoutes:
 
         return run
 
-    @pytest.mark.parametrize("t", [2, 64])
+    @pytest.mark.parametrize("t", [1, 2, 64])
     @pytest.mark.parametrize("n", [1, 2, 3, 6, 12, 15, 16, 20])
     @pytest.mark.parametrize("k", [1, 2, 5, "eye"])
     def test_equals_per_matrix_solve(self, route, t, n, k):
@@ -177,7 +208,7 @@ class TestSolveStackRoutes:
         b = gaussian_stack(64, n, 3, n + 1).real
         out, batched = route(a, b)
         assert batched and out.dtype == np.complex128
-        assert out.tobytes() == self.per_matrix(a, b).tobytes()
+        assert out.tobytes() == self.per_matrix(a + 0j, b + 0j).tobytes()
 
     @pytest.mark.parametrize("k", [0, 1, 63])
     def test_singular_matrix_raises_what_solve_raises(self, route, k):
@@ -192,7 +223,10 @@ class TestSolveStackRoutes:
     @pytest.mark.parametrize("n", [2, 3, 6, 15])
     def test_determinant_bound_never_passes_a_failing_pivot(self, n, route):
         # sigma_min = 10**-e sigma_max takes the matrices across both the
-        # determinant bound and the pivot threshold 1e-13 ||A||_F.
+        # determinant bound and the pivot threshold 1e-13 ||A||_F.  Each
+        # matrix goes through solve_stack beside the identity, and through
+        # solve alone.
+        certified = sectoria.linalg._gesv_certified
         exponents = np.arange(0.0, 18.0, 0.5)
         shown, nonsingular = 0, 0
         for i, e in enumerate(exponents):
@@ -201,20 +235,24 @@ class TestSolveStackRoutes:
             sigma[-1] = 10.0 ** -e
             stack = np.stack([np.eye(n), (q1 * sigma) @ q2.conj().T])
             b = gaussian_stack(2, n, 2, i)
+            alone = certified(stack[1:], b[1:])
             try:
                 sectoria.linalg._lu_factor(stack[1])
             except SingularMatrixError:
-                assert not sectoria.linalg._pivots_pass(stack)
+                assert not alone and not certified(stack, b)
                 with pytest.raises(SingularMatrixError):
                     route(stack, b)
+                with pytest.raises(SingularMatrixError):
+                    solve(stack[1], b[1])
                 continue
             nonsingular += 1
             out, batched = route(stack, b)
-            assert batched == sectoria.linalg._pivots_pass(stack)
+            assert batched == certified(stack, b) == alone
             shown += batched
             assert out.tobytes() == self.per_matrix(stack, b).tobytes()
+            assert solve(stack[1], b[1]).tobytes() == out[1].tobytes()
         # the bound shows some nonsingular matrices and leaves the others to
-        # the per-matrix loop, which rejects some
+        # LAPACK's pivoted LU, which rejects some
         assert 0 < shown < nonsingular < len(exponents)
 
     def test_non_finite_stack_raises_the_first_failure(self, route):
