@@ -117,20 +117,26 @@ def adjoint(m: np.ndarray) -> np.ndarray:
     return m.conj().swapaxes(-1, -2)
 
 
+# A norm in this range is summed from the squares of the entries as they
+# are: no square overflows, and those that underflow are too small to count.
+_DIRECT_NORMS = (1e-150, 1e150)
+
+
 def frobenius_stack(m: np.ndarray) -> np.ndarray:
     """Frobenius norm of each matrix of a stack, in the row-major order of
     np.linalg.norm on a C-ordered matrix: np.linalg.norm sums the strided real
     and imaginary parts of the raveled matrix with two dot products, and
     ``vecdot`` on the strided parts of each raveled row does the same.  A
-    nonzero matrix with a norm outside (1e-150, 1e150), where squares may
+    nonzero matrix with a norm outside ``_DIRECT_NORMS``, where squares may
     overflow or underflow, is summed again from its entries over their largest."""
+    low, high = _DIRECT_NORMS
     v = m.reshape(len(m), -1)
     with np.errstate(over="ignore"):
         f = np.sqrt(np.vecdot(v.real, v.real) + np.vecdot(v.imag, v.imag))
         norms = f.tolist()  # Python's min and max beat numpy's on the few norms of most calls
-        if 1e-150 < min(norms) and max(norms) < 1e150 or not v.any():
+        if low < min(norms) and max(norms) < high or not v.any():
             return f
-        redo = ~((f > 1e-150) & (f < 1e150)) & ((f != 0.0) | v.any(axis=-1))
+        redo = ~((f > low) & (f < high)) & ((f != 0.0) | v.any(axis=-1))
         scale = np.abs(v[redo]).max(axis=-1)
         scale[~(scale < np.inf)] = 1.0  # a non-finite row, as it is
         w = v[redo] / scale[:, None]
@@ -234,29 +240,30 @@ def _column_major_stack(shape) -> np.ndarray:
 
 
 # The determinant bound ``_log_sigma_min_bound`` is tried on matrices up to
-# this order.  Above it the bound clears almost no Gaussian factor, and a
-# solve that it certifies, which factors each matrix twice, costs more than
-# the LAPACK call that it saves.
+# this order, by the solve certificate and by the generators' factor screen;
+# each limit was measured on its own.  Above it a solve that the bound
+# certifies, which factors each matrix twice, costs more than the LAPACK
+# call that it saves, and a single factor's screen costs more than the SVDs
+# that it saves (``generators._near_singular``).
 DET_CERTIFICATE_MAX_ORDER = 15
 
 
-def _log_sigma_min_bound(m: np.ndarray) -> np.ndarray:
-    """log of a lower bound on sigma_min for each matrix of a stack, from
-    one ``slogdet``: log(|det A| (n - 1)^((n-1)/2) / ||A||_F^(n-1)).
+def _log_sigma_min_bound(log_det, log_norm, n: int):
+    """log of a lower bound on sigma_min of an n-by-n matrix A, from
+    log|det A| and log ||A||_F: log(|det A| (n - 1)^((n-1)/2) / ||A||_F^(n-1)).
 
     |det A| is the product of the singular values, so sigma_min(A) is
     |det A| over the product of the other n - 1.  By the AM-GM inequality
     that product is at most (s / (n - 1))^((n-1)/2), where s, the sum of
-    their squares, is at most ||A||_F^2; hence the bound.  ``slogdet``
-    factors with a backward-stable LU, so the bound holds exactly for A
-    plus a perturbation of relative size about n eps.  A zero matrix, or
-    one with a non-finite entry, gets -inf or NaN, which clears no test of
-    the form ``bound >= threshold``; numpy warns of it unless the caller
-    silences its division and invalid-value warnings.
+    their squares, is at most ||A||_F^2; hence the bound.  With log|det A|
+    from ``slogdet``, which factors with a backward-stable LU, the bound
+    holds exactly for A plus a perturbation of relative size about n eps.
+    The arithmetic is elementwise, so the logs may be Python floats or
+    arrays over a stack.  A log of -inf or NaN, from a zero or non-finite
+    matrix, gives -inf or NaN, which clears no test of the form
+    ``bound >= threshold``.
     """
-    n = m.shape[-1]
-    return (np.linalg.slogdet(m)[1] + (n - 1) / 2 * math.log(max(n - 1, 1))
-            - (n - 1) * np.log(frobenius_stack(m)))
+    return log_det + (n - 1) / 2 * math.log(max(n - 1, 1)) - (n - 1) * log_norm
 
 
 def _gesv_certified(m: np.ndarray, b: np.ndarray) -> bool:
@@ -264,32 +271,40 @@ def _gesv_certified(m: np.ndarray, b: np.ndarray) -> bool:
     the (T, n, k) stack ``b`` in place of ``solve``'s ``getrf`` and ``getrs``?
 
     Yes if n is at most ``DET_CERTIFICATE_MAX_ORDER``, k is at least 2, and
-    the bound of ``_log_sigma_min_bound`` shows that every matrix passes
-    ``_lu_factor``'s pivot test.  ``gesv`` is ``getrf`` then ``getrs``, so
-    it gives their bits, but not for one right-hand side, where ``getrs``
-    takes another route.  Partial pivoting keeps |l_ij| <= sqrt(2), so
-    ||L||_2 <= n, and every pivot of an n-by-n A is
-    |u_kk| >= sigma_min(U) >= sigma_min(A) / n.  A matrix whose bound is at
-    least 2 n PIVOT_RTOL ||A||_F therefore passes; the factor 2 covers
-    rounding.  ``slogdet`` factors with ``getrf``, as ``_lu_factor`` does.
+    ``_log_sigma_min_bound`` shows that every matrix passes ``_lu_factor``'s
+    pivot test.  ``gesv`` is ``getrf`` then ``getrs``, so it gives their
+    bits, but not for one right-hand side, where ``getrs`` takes another
+    route.  Partial pivoting keeps |l_ij| <= sqrt(2), so ||L||_2 <= n, and
+    every pivot of an n-by-n A is |u_kk| >= sigma_min(U) >= sigma_min(A) / n.
+    A matrix whose bound is at least 2 n PIVOT_RTOL ||A||_F therefore
+    passes; the factor 2 covers rounding.  ``slogdet`` factors with
+    ``getrf``, as ``_lu_factor`` does.
 
-    The bound is taken here on Python floats, which cost a stack of one
-    less than array arithmetic, from ||A||_F^2 by one plain ``vecdot``: a
-    square that overflows, underflows to 0 or is NaN fails the test and
-    leaves the matrix to LAPACK.
+    ||A||_F^2 comes from one plain ``vecdot``.  A square whose norm lies
+    outside ``_DIRECT_NORMS``, where ``frobenius_stack`` would sum again, may
+    have lost its small terms to underflow, or be inf or NaN; it fails, and
+    leaves the matrix to LAPACK.  A stack of one is tested on Python floats,
+    which cost it less than arrays; a larger stack on arrays, which cost it
+    less than a loop over its matrices.
     """
     n = m.shape[-1]
     if n > DET_CERTIFICATE_MAX_ORDER or b.shape[-1] < 2:
         return False
     v = m.reshape(len(m), -1)
     with np.errstate(over="ignore", invalid="ignore"):
-        squares = np.vecdot(v, v).real.tolist()
-    if not all(0.0 < square < math.inf for square in squares):
+        squares = np.vecdot(v, v).real
+    low, high = _DIRECT_NORMS
+    least = math.log(2 * n * PIVOT_RTOL)
+    if len(m) == 1:
+        square = squares.item()
+        if not low * low < square < high * high:
+            return False
+        log_norm = math.log(square) / 2
+        return _log_sigma_min_bound(np.linalg.slogdet(m)[1].item(), log_norm, n) - log_norm >= least
+    if not ((squares > low * low) & (squares < high * high)).all():
         return False
-    # log(bound / ||A||_F) >= log(2 n PIVOT_RTOL), with the bound's constant moved right
-    least = math.log(2 * n * PIVOT_RTOL) - (n - 1) / 2 * math.log(max(n - 1, 1))
-    return all(log_det >= least + n / 2 * math.log(square)
-               for log_det, square in zip(np.linalg.slogdet(m)[1].tolist(), squares))
+    log_norms = np.log(squares) / 2
+    return bool((_log_sigma_min_bound(np.linalg.slogdet(m)[1], log_norms, n) - log_norms >= least).all())
 
 
 def solve_stack(a: np.ndarray, b: np.ndarray) -> np.ndarray:

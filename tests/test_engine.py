@@ -138,7 +138,9 @@ def test_sectorial_stack_matches_the_per_matrix_draw(n):
     seeds = [3, REDRAW_SEED, 4, 5] if n == 6 else [3, 4, 5]
     if n == 16:  # the determinant bound clears some of these factors, not all
         factors = np.stack([s.complex_gaussian(n, s.rng_stream(seed)) for seed in seeds])
-        cleared = s.linalg._log_sigma_min_bound(factors) >= math.log(2 * MIN_FACTOR_SIGMA)
+        bound = s.linalg._log_sigma_min_bound(
+            np.linalg.slogdet(factors)[1], np.log(s.linalg.frobenius_stack(factors)), n)
+        cleared = bound >= math.log(2 * MIN_FACTOR_SIGMA)
         assert 0 < cleared.sum() < len(seeds)
     keys = np.array([s.generators.stream_key(seed) for seed in seeds])
     stack = s.gen_sectorial(n, ALPHA, keys)

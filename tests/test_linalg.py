@@ -220,12 +220,16 @@ class TestSolveStackRoutes:
             route(a, gaussian_stack(64, 3, 2, 8))
         assert str(raised.value) == str(expected.value)
 
+    @pytest.mark.parametrize("largest", [None, 2e-162])
     @pytest.mark.parametrize("n", [2, 3, 6, 15])
-    def test_determinant_bound_never_passes_a_failing_pivot(self, n, route):
+    def test_determinant_bound_never_passes_a_failing_pivot(self, n, largest, route):
         # sigma_min = 10**-e sigma_max takes the matrices across both the
         # determinant bound and the pivot threshold 1e-13 ||A||_F.  Each
         # matrix goes through solve_stack beside the identity, and through
-        # solve alone.
+        # solve alone.  Scaled so that its largest entry is 2e-162, a matrix
+        # keeps that entry's square, a subnormal, and loses the squares of
+        # most others to 0, so a norm summed from them comes out far too
+        # small; the certificate must then leave the matrix to LAPACK.
         certified = sectoria.linalg._gesv_certified
         exponents = np.arange(0.0, 18.0, 0.5)
         shown, nonsingular = 0, 0
@@ -234,6 +238,8 @@ class TestSolveStackRoutes:
             sigma = np.linspace(2.0, 0.5, n)
             sigma[-1] = 10.0 ** -e
             stack = np.stack([np.eye(n), (q1 * sigma) @ q2.conj().T])
+            if largest is not None:
+                stack *= largest / np.abs(stack).max(axis=(1, 2), keepdims=True)
             b = gaussian_stack(2, n, 2, i)
             alone = certified(stack[1:], b[1:])
             try:
@@ -251,9 +257,10 @@ class TestSolveStackRoutes:
             shown += batched
             assert out.tobytes() == self.per_matrix(stack, b).tobytes()
             assert solve(stack[1], b[1]).tobytes() == out[1].tobytes()
-        # the bound shows some nonsingular matrices and leaves the others to
-        # LAPACK's pivoted LU, which rejects some
-        assert 0 < shown < nonsingular < len(exponents)
+        # the bound shows some nonsingular matrices, none at the bottom of
+        # the float range, and leaves the others to LAPACK's pivoted LU,
+        # which rejects some
+        assert (shown == 0 if largest else 0 < shown) and shown < nonsingular < len(exponents)
 
     def test_non_finite_stack_raises_the_first_failure(self, route):
         a = gaussian_stack(64, 3, 3, 9)
@@ -287,7 +294,9 @@ class TestSigmaMinBound:
             sigma[-1] = 0.0
             x = (u * sigma) @ vh + 10.0 ** tiny * gaussian_stack(1, n, n, seed + 1)[0]
         sigma = np.linalg.svd(x, compute_uv=False)
-        bound = math.exp(sectoria.linalg._log_sigma_min_bound(x[None])[0])
+        log_bound = sectoria.linalg._log_sigma_min_bound(
+            np.linalg.slogdet(x)[1], math.log(sectoria.linalg.frobenius(x)), n)
+        bound = math.exp(log_bound)
         assert bound <= sigma[-1] + 1e-12 * sigma[0]
 
 
