@@ -18,13 +18,8 @@ in.  It then runs the arithmetic once over the (T, n, n) stack, and for an
 int seed returns entry 0 of the stack of one.
 
 A sectorial draw redraws a Gaussian factor X whose smallest singular value
-is below ``MIN_FACTOR_SIGMA``.  Up to order
-``linalg.DET_CERTIFICATE_MAX_ORDER`` the screen first bounds sigma_min(X)
-from below by |det X| and ||X||_F, with one batched ``slogdet``, and sends
-only the factors that this bound does not clear to the SVD, which decides.
-The bound clears almost every factor up to n = 6, about 40% at n = 16 and
-almost none from n = 20 on; above that order the SVD alone screens.  Either
-way the redraws, and every bit of every draw, are those of the SVD alone.
+is below ``MIN_FACTOR_SIGMA``, as the SVD decides, unless a Cholesky
+certificate of the whole stack's Gram matrices clears it (``_near_singular``).
 """
 
 from __future__ import annotations
@@ -37,8 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (DET_CERTIFICATE_MAX_ORDER, _log_sigma_min_bound, adjoint, frobenius_stack,
-                     multiply_unfused)
+from .linalg import _cholesky_clears, adjoint, frobenius_stack, multiply_unfused
 
 # Generators refuse target angles this close to the half-plane boundary.
 ALPHA_GUARD = math.pi / 2 - 0.01
@@ -272,24 +266,13 @@ def gen_positive_definite(n: int, seed) -> np.ndarray:
 
 def _near_singular(x: np.ndarray) -> np.ndarray:
     """For each factor of a (T, n, n) stack: is its smallest singular value
-    below ``MIN_FACTOR_SIGMA``?  The SVD decides, but up to order
-    ``DET_CERTIFICATE_MAX_ORDER`` only for the factors that the determinant
-    bound ``_log_sigma_min_bound`` does not put at ``2 * MIN_FACTOR_SIGMA``
-    or above; the factor 2 covers its rounding.
-
-    The limit is where a single draw stops gaining: on a 2-core x86 host,
-    ``gen_sectorial_planted`` draws one factor in the same time with and
-    without the screen at n = 15, 8% faster with it at n = 12 and 9% slower
-    at n = 16, where the slogdet costs more than the SVDs of the 40% of
-    factors that it clears.  A stack of 64 factors still gains 15% at
-    n = 16 and loses 10% at n = 20."""
-    if x.shape[-1] > DET_CERTIFICATE_MAX_ORDER:
-        return np.linalg.svd(x, compute_uv=False)[:, -1] < MIN_FACTOR_SIGMA
-    bound = _log_sigma_min_bound(np.linalg.slogdet(x)[1], np.log(frobenius_stack(x)), x.shape[-1])
-    near = ~(bound >= math.log(2 * MIN_FACTOR_SIGMA))
-    if near.any():
-        near[near] = np.linalg.svd(x[near], compute_uv=False)[:, -1] < MIN_FACTOR_SIGMA
-    return near
+    below ``MIN_FACTOR_SIGMA``?  The SVD decides, unless the Cholesky
+    certificate puts every sigma_min(X)^2 = lambda_min(X* X) above (2
+    ``MIN_FACTOR_SIGMA``)^2.  Its norm ||X||_F^2 also bounds the Gram's
+    rounding, gamma_n ||X||_F^2; the factor 2 covers the SVD's."""
+    if _cholesky_clears(adjoint(x) @ x, (2 * MIN_FACTOR_SIGMA) ** 2, frobenius_stack(x) ** 2):
+        return np.zeros(len(x), dtype=bool)
+    return np.linalg.svd(x, compute_uv=False)[:, -1] < MIN_FACTOR_SIGMA
 
 
 def gen_sectorial_planted(n: int, alpha: float, seed) -> tuple[np.ndarray, np.ndarray]:

@@ -104,7 +104,7 @@ def _require_pd(m: np.ndarray, what: str) -> np.ndarray:
         sym = linalg.as_hermitian(m)
     except ValueError as exc:
         raise NotPositiveDefiniteError(f"{what} must be Hermitian positive definite") from exc
-    if not np.all(linalg.positive_definite_stack(sym, linalg.frobenius_stack(m))):
+    if not linalg.positive_definite_stack(sym, linalg.frobenius_stack(m)):
         raise NotPositiveDefiniteError(f"{what} is not positive definite")
     return sym
 
@@ -394,10 +394,8 @@ def check_corollary_ad(a, b, tol: float = DEFAULT_TOL) -> Reports:
     accretive-dissipative A and B (Re and Im parts positive definite)."""
     _require_pair(a, b)
     for m, what in ((a, "A"), (b, "B")):
-        re, im = linalg.cartesian_split(m)
-        scale = linalg.frobenius_stack(m)
-        if not np.all(linalg.positive_definite_stack(re, scale)
-                      & linalg.positive_definite_stack(im, scale)):
+        parts = np.concatenate(linalg.cartesian_split(m))
+        if not linalg.positive_definite_stack(parts, np.tile(linalg.frobenius_stack(m), 2)):
             raise NotAccretiveDissipativeError(
                 f"{what} must have positive definite real and imaginary parts"
             )

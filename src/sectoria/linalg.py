@@ -34,6 +34,7 @@ HERMITIAN_RTOL = 1e-10
 PD_RTOL = 1e-12
 
 _TINY = np.finfo(float).tiny
+_EPS = np.finfo(float).eps
 
 
 def _square_and_finite(m: np.ndarray, shape: tuple) -> np.ndarray:
@@ -174,10 +175,40 @@ def as_hermitian(m) -> np.ndarray:
     return (m + adjoint(m)) / 2.0
 
 
-def positive_definite_stack(h: np.ndarray, scale: np.ndarray) -> np.ndarray:
-    """For each exactly Hermitian matrix of ``h``: is its minimum eigenvalue
-    above ``PD_RTOL`` times its entry of ``scale``?"""
-    return np.linalg.eigvalsh(h)[:, 0] > PD_RTOL * scale
+def _cholesky_clears(h: np.ndarray, floor, norm) -> bool:
+    """Would ``eigvalsh`` put the least eigenvalue of every matrix of the
+    exactly Hermitian (T, n, n) stack ``h`` above its ``floor``?  ``floor``
+    and ``norm``, a bound on ||h||_F, broadcast to one entry per matrix.
+
+    True only if one ``np.linalg.cholesky`` factors every M = h - (floor +
+    margin) I, with margin 8 n^1.5 eps B and B = norm + sqrt(n) |floor| >=
+    ||M||_F.  A completed Cholesky gives L L* = M + dM with ||dM||_2 <=
+    gamma_{n+1} trace(L L*) <= ~(n+1) sqrt(n) eps ||M||_F (Higham, Accuracy
+    and Stability of Numerical Algorithms, Thm 10.5); that and the rounding
+    of M's diagonal spend 2 n^1.5 eps B of the margin.  The other 6 n^1.5
+    eps B covers the backward error of ``eigvalsh``, p(n) eps ||h||_2 with
+    p(n) about n, as the callers compare with what it computes.  False
+    decides nothing.  numpy raises ``LinAlgError`` if any matrix fails; a
+    NaN pivot, which some LAPACK builds pass, leaves a NaN on L's diagonal.
+    """
+    t, n = len(h), h.shape[-1]
+    m = h.copy()
+    with np.errstate(invalid="ignore", over="ignore"):
+        shift = floor + 8 * n**1.5 * _EPS * (norm + math.sqrt(n) * np.abs(floor))
+        m.reshape(t, -1)[:, ::n + 1] -= np.reshape(shift, (-1, 1))
+    try:
+        factor = np.linalg.cholesky(m)
+    except np.linalg.LinAlgError:
+        return False
+    return bool(np.isfinite(factor.reshape(t, -1)[:, ::n + 1]).all())
+
+
+def positive_definite_stack(h: np.ndarray, scale: np.ndarray) -> bool:
+    """Is the least eigenvalue of every exactly Hermitian matrix of ``h``
+    above ``PD_RTOL`` times its ``scale``, a bound on its norm?  ``eigvalsh``
+    decides what the Cholesky certificate does not clear."""
+    floor = PD_RTOL * scale
+    return _cholesky_clears(h, floor, scale) or bool((np.linalg.eigvalsh(h)[:, 0] > floor).all())
 
 
 @matrix_or_stack(1)
@@ -185,7 +216,7 @@ def accretive_parts(m) -> CartesianPair:
     """The Cartesian parts (Re A, Im A), after checking that Re A is
     positive definite."""
     parts = cartesian_split(m)
-    if not np.all(positive_definite_stack(parts.re, frobenius_stack(m))):
+    if not positive_definite_stack(parts.re, frobenius_stack(m)):
         raise NotAccretiveError("real part of A is not positive definite")
     return parts
 
@@ -239,12 +270,8 @@ def _column_major_stack(shape) -> np.ndarray:
     return np.empty((shape[0], shape[2], shape[1]), dtype=np.complex128).swapaxes(1, 2)
 
 
-# The determinant bound ``_log_sigma_min_bound`` is tried on matrices up to
-# this order, by the solve certificate and by the generators' factor screen;
-# each limit was measured on its own.  Above it a solve that the bound
-# certifies, which factors each matrix twice, costs more than the LAPACK
-# call that it saves, and a single factor's screen costs more than the SVDs
-# that it saves (``generators._near_singular``).
+# Above this order a solve that ``_gesv_certified`` clears, which factors
+# each matrix twice, costs more than the LAPACK call that it saves.
 DET_CERTIFICATE_MAX_ORDER = 15
 
 
@@ -256,12 +283,9 @@ def _log_sigma_min_bound(log_det, log_norm, n: int):
     |det A| over the product of the other n - 1.  By the AM-GM inequality
     that product is at most (s / (n - 1))^((n-1)/2), where s, the sum of
     their squares, is at most ||A||_F^2; hence the bound.  With log|det A|
-    from ``slogdet``, which factors with a backward-stable LU, the bound
-    holds exactly for A plus a perturbation of relative size about n eps.
-    The arithmetic is elementwise, so the logs may be Python floats or
-    arrays over a stack.  A log of -inf or NaN, from a zero or non-finite
-    matrix, gives -inf or NaN, which clears no test of the form
-    ``bound >= threshold``.
+    from ``slogdet``, a backward-stable LU, it holds for A plus a relative
+    perturbation of about n eps.  The logs may be Python floats or arrays; a
+    log of -inf or NaN gives -inf or NaN, which clears no ``bound >= x``.
     """
     return log_det + (n - 1) / 2 * math.log(max(n - 1, 1)) - (n - 1) * log_norm
 
@@ -284,8 +308,7 @@ def _gesv_certified(m: np.ndarray, b: np.ndarray) -> bool:
     outside ``_DIRECT_NORMS``, where ``frobenius_stack`` would sum again, may
     have lost its small terms to underflow, or be inf or NaN; it fails, and
     leaves the matrix to LAPACK.  A stack of one is tested on Python floats,
-    which cost it less than arrays; a larger stack on arrays, which cost it
-    less than a loop over its matrices.
+    which are cheaper there than arrays.
     """
     n = m.shape[-1]
     if n > DET_CERTIFICATE_MAX_ORDER or b.shape[-1] < 2:

@@ -17,11 +17,6 @@ MEMBERSHIP_TOL = 1e-9
 # The membership tolerance and the halvings of sector_angle_bisect.
 BISECT_TOL = 1e-13
 BISECT_ITERS = 60
-# The rounding allowance, in units of n eps ||A||_F, that in_sector takes
-# off the Weyl bound on the real part before it skips the real part's
-# eigensolve: it covers the rounding of the rotated parts, of their smallest
-# eigenvalues and of the eigenvalue that the skipped eigensolve would find.
-_WEYL_ROUNDING = 4
 
 
 def validate_sector_angle(alpha: float) -> float:
@@ -31,10 +26,10 @@ def validate_sector_angle(alpha: float) -> float:
     return a
 
 
-def _rotated_real_part(m: np.ndarray, beta: float) -> np.ndarray:
-    """Hermitian part of e^{i beta} A, i.e. (e^{i beta} A + e^{-i beta} A*)/2."""
+def _rotated_real_part(m: np.ndarray, mh: np.ndarray, beta: float) -> np.ndarray:
+    """Hermitian part of e^{i beta} A, (e^{i beta} A + e^{-i beta} A*)/2, with mh = A*."""
     w = complex(math.cos(beta), math.sin(beta))
-    return (w * m + np.conj(w) * linalg.adjoint(m)) / 2.0
+    return (w * m + np.conj(w) * mh) / 2.0
 
 
 @dataclass(frozen=True)
@@ -62,6 +57,28 @@ def _witness(m: np.ndarray, h: np.ndarray, beta: float) -> SectorWitness:
     return SectorWitness(beta, float(w[0]), x, complex(x.conj() @ m @ x))
 
 
+def _rotations(alpha: float) -> tuple[float, float, float]:
+    """The rotations beta of in_sector's three tests, in their order."""
+    return (math.pi / 2 - alpha, alpha - math.pi / 2, 0.0)
+
+
+def _first_failures(m: np.ndarray, alpha: float, tol: float, scale: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The parts Re(e^{i beta} A) of in_sector's tests of each matrix of a
+    stack, shape (3, T, n, n), and the index of each matrix's first failing
+    test, 3 where all pass; ``scale`` holds ||A||_F.  One Cholesky
+    certificate of the 3T parts answers for a stack inside the sector; any
+    other takes one ``eigvalsh`` of the same parts, which applies the tests."""
+    mh = linalg.adjoint(m)
+    h = np.stack([_rotated_real_part(m, mh, beta) for beta in _rotations(alpha)])
+    parts = h.reshape(-1, *m.shape[1:])
+    floors = np.array([[-tol], [-tol], [linalg.PD_RTOL]]) * scale
+    if linalg._cholesky_clears(parts, floors, scale):
+        return h, np.full(len(m), 3)
+    lowest = np.linalg.eigvalsh(parts)[:, 0].reshape(3, -1)
+    fails = np.concatenate([lowest[:2] < floors[:2], ~(lowest[2:] > floors[2:]), np.ones((1, len(m)), dtype=bool)])
+    return h, np.argmax(fails, axis=0)
+
+
 @linalg.matrix_or_stack(1)
 def in_sector(m, alpha: float, tol: float = MEMBERSHIP_TOL) -> SectorMembership | list[SectorMembership]:
     """Does the numerical range of ``m`` lie in the sector of half-angle alpha?
@@ -73,39 +90,11 @@ def in_sector(m, alpha: float, tol: float = MEMBERSHIP_TOL) -> SectorMembership 
     violating eigenpair of the first failing test, in that order, is
     returned as a witness.  For a (T, n, n) stack the result is the list of
     the T memberships.
-
-    Both rotated parts go to one eigensolve.  Their sum is 2 sin(alpha)
-    Re A, so by Weyl's inequality lambda_min(Re A) >= (lambda_+ +
-    lambda_-) / (2 sin alpha).  Where that bound, less ``_WEYL_ROUNDING``
-    n eps ||A||_F / sin(alpha), clears the strict test, the eigensolve of
-    Re A is skipped, since the strict test would pass.
     """
     alpha = validate_sector_angle(alpha)
-    scale = linalg.frobenius_stack(m)
-    out = [SectorMembership(True)] * len(m)
-    betas = (math.pi / 2 - alpha, alpha - math.pi / 2)
-    h = np.stack([_rotated_real_part(m, beta) for beta in betas])
-    lowest = np.linalg.eigvalsh(h.reshape(-1, *m.shape[1:]))[:, 0].reshape(2, -1)
-    inside = np.ones(len(m), dtype=bool)
-    for beta, h_beta, fails in zip(betas, h, lowest < -tol * scale):
-        # A matrix's witness is its first failing rotation, as on its own.
-        for k in np.flatnonzero(fails & inside):
-            out[k] = SectorMembership(False, _witness(m[k], h_beta[k], beta))
-        inside &= ~fails
-    # The rotated parts take w = cos(beta) + i sin(beta) and its conjugate,
-    # so they sum to 2 sin(alpha) Re A with sin(alpha) as cos(beta) rounds
-    # it.  Weyl's bound and the strict test are both taken times sin(alpha),
-    # which turns the skip off, with no division, as alpha nears 0.
-    sin_alpha = math.cos(betas[0])
-    bound = lowest.sum(axis=0) / 2 - _WEYL_ROUNDING * m.shape[-1] * np.finfo(float).eps * scale
-    cleared = bound > sin_alpha * linalg.PD_RTOL * scale
-    pending = np.flatnonzero(inside & ~cleared)
-    if len(pending):
-        h0 = _rotated_real_part(m[pending], 0.0)
-        fails = ~linalg.positive_definite_stack(h0, scale[pending])
-        for k, h_k in zip(pending[fails], h0[fails]):
-            out[k] = SectorMembership(False, _witness(m[k], h_k, 0.0))
-    return out
+    h, first = _first_failures(m, alpha, tol, linalg.frobenius_stack(m))
+    return [SectorMembership(True) if j == 3 else SectorMembership(False, _witness(m[k], h[j, k], _rotations(alpha)[j]))
+            for k, j in enumerate(first.tolist())]
 
 
 class SectorialDecomposition(NamedTuple):
@@ -165,16 +154,22 @@ def sector_angle(m) -> float | list[float]:
 def sector_angle_bisect(a) -> float:
     """Bisection of ``in_sector`` over [0, pi/2); independent of the
     decomposition route."""
-    m = linalg.as_square_matrix(a)
+    m = linalg.as_square_matrix(a)[None]
+    scale = linalg.frobenius_stack(m)
+
+    def inside(alpha: float) -> bool:
+        # in_sector's verdict, without the witness that it would build
+        return _first_failures(m, alpha, BISECT_TOL, scale)[1][0] == 3
+
     hi = math.pi / 2 - 1e-12
-    if not in_sector(m, hi, BISECT_TOL):
+    if not inside(hi):
         raise NotSectorialError("no admissible sector half-angle below pi/2")
     lo = 0.0
-    if in_sector(m, lo, BISECT_TOL):
+    if inside(lo):
         return 0.0
     for _ in range(BISECT_ITERS):
         mid = 0.5 * (lo + hi)
-        if in_sector(m, mid, BISECT_TOL):
+        if inside(mid):
             hi = mid
         else:
             lo = mid
@@ -192,9 +187,10 @@ def numerical_range_boundary(a, m_points: int) -> np.ndarray:
     if m_points < 3:
         raise ValueError("at least 3 boundary points are required")
     points = np.empty(m_points, dtype=np.complex128)
+    mh = linalg.adjoint(mat)
     for t in range(m_points):
         phi = 2.0 * math.pi * t / m_points
-        _, v = np.linalg.eigh(_rotated_real_part(mat, -phi))
+        _, v = np.linalg.eigh(_rotated_real_part(mat, mh, -phi))
         top = v[:, -1]
         points[t] = top.conj() @ mat @ top
     return points

@@ -363,12 +363,12 @@ class TestHermitianGuardAborts:
         # Hermitian tolerance meant for inputs.
         ["weak-log-major", "--n", "6", "--alpha", "0.785", "--trials", "75", "--seed", "933685295028113377"],
         ["lemma-2-6", "--n", "128", "--alpha", "0.785", "--trials", "4", "--seed", "8141632112549200525"],
-        # At alpha 0 and 1e-6, sin(alpha) is zero or tiny, so membership
-        # falls back to the eigensolve of Re A.
+        # At alpha 0 and 1e-6 the sector is a ray, or nearly one, and
+        # membership rests on the boundary tolerance.
         *([name, "--n", "6", "--alpha", alpha, "--trials", "20", "--seed", "0"]
           for name in ("main1", "main2", "det-step") for alpha in ("0", "1e-6")),
-        # At n = 20 the determinant screen of the generator's factors leaves
-        # almost every one to the SVD.
+        # n = 20 lies above the order up to which the determinant bound
+        # certifies a solve.
         ["lemma-2-5", "--n", "20", "--alpha", "0.785", "--trials", "20", "--seed", "0"],
     ])
     def test_suite_finishes(self, argv, capsys):

@@ -134,16 +134,17 @@ def test_redraw_seed_redraws():
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 6, 16])
-def test_sectorial_stack_matches_the_per_matrix_draw(n):
+def test_sectorial_stack_matches_the_per_matrix_draw(n, monkeypatch):
     seeds = [3, REDRAW_SEED, 4, 5] if n == 6 else [3, 4, 5]
-    if n == 16:  # the determinant bound clears some of these factors, not all
-        factors = np.stack([s.complex_gaussian(n, s.rng_stream(seed)) for seed in seeds])
-        bound = s.linalg._log_sigma_min_bound(
-            np.linalg.slogdet(factors)[1], np.log(s.linalg.frobenius_stack(factors)), n)
-        cleared = bound >= math.log(2 * MIN_FACTOR_SIGMA)
-        assert 0 < cleared.sum() < len(seeds)
     keys = np.array([s.generators.stream_key(seed) for seed in seeds])
+    # The Cholesky certificate clears a stack of factors with no SVD; the
+    # stack with REDRAW_SEED's first factor fails it and reaches the SVD.
+    shapes = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda x, **kw: shapes.append(x.shape) or svd(x, **kw))
     stack = s.gen_sectorial(n, ALPHA, keys)
+    assert shapes[:1] == ([(len(seeds), n, n)] if n == 6 else [])
+    monkeypatch.undo()
     for m, seed in zip(stack, seeds):
         np.testing.assert_array_equal(m, sectorial_oracle(n, ALPHA, seed))
         np.testing.assert_array_equal(m, s.gen_sectorial(n, ALPHA, seed))

@@ -20,7 +20,7 @@ from sectoria import (
     sector_angle,
 )
 from sectoria import generators
-from sectoria.linalg import as_hermitian
+from sectoria.linalg import adjoint, as_hermitian
 
 
 class TestDeterminism:
@@ -92,6 +92,33 @@ class TestSectorial:
     def test_rejects_angle_near_half_pi(self):
         with pytest.raises(ValueError):
             gen_sectorial(3, math.pi / 2 - 0.001, 0)
+
+
+def planted_factor(n: int, sigma_min: float, seed: int) -> np.ndarray:
+    """A complex Gaussian factor with its smallest singular value set to sigma_min."""
+    u, sigma, vh = np.linalg.svd(generators.complex_gaussian(n, rng_stream(seed)))
+    sigma[-1] = sigma_min
+    return (u * sigma) @ vh
+
+
+class TestFactorScreen:
+    """The certificate in ``_near_singular`` keeps the SVD's redraw decision."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 6, 16, 64, 128])
+    def test_planted_factors_get_the_svd_decision(self, n):
+        floor = generators.MIN_FACTOR_SIGMA
+        levels = [f * (1 + d) for f in (floor, 2 * floor) for d in (-1e-2, -1e-6, 0.0, 1e-6, 1e-2)]
+        x = np.stack([planted_factor(n, level, seed) for level in levels for seed in range(2)])
+        near = np.linalg.svd(x, compute_uv=False)[:, -1] < floor
+        assert 0 < near.sum() < len(x)
+        np.testing.assert_array_equal(generators._near_singular(x), near)
+        for factor, expected in zip(x, near):
+            assert generators._near_singular(factor[None])[0] == expected
+        # Factors far enough from singular are cleared with no SVD.
+        clear = np.stack([planted_factor(n, 4 * floor, seed) for seed in range(2)])
+        assert generators._cholesky_clears(adjoint(clear) @ clear, (2 * floor) ** 2,
+                                           generators.frobenius_stack(clear) ** 2)
+        assert not generators._near_singular(clear).any()
 
 
 class TestAccretiveDissipative:

@@ -17,7 +17,8 @@ from sectoria import (
     rng_stream,
     solve,
 )
-from sectoria.linalg import as_hermitian, log_abs_determinant, log_abs_leading_minors
+from sectoria.linalg import (PD_RTOL, as_hermitian, log_abs_determinant, log_abs_leading_minors,
+                             positive_definite_stack)
 from oracles import determinant, eigenvalues_by_charpoly
 
 
@@ -77,6 +78,78 @@ class TestHermitianEigen:
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError, match="^input is not Hermitian within tolerance$"):
             as_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+def planted_hermitian(n: int, delta: float, seed: int, c: float) -> np.ndarray:
+    """c U diag(z) U*, exactly Hermitian, with least eigenvalue z_1 =
+    PD_RTOL (1 + delta) ||z||, up to rounding, and the others in [0.5, 2]."""
+    rng = np.random.default_rng(seed)
+    u, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    rest = rng.uniform(0.5, 2.0, size=n - 1)
+    r = PD_RTOL * (1 + delta)
+    z = np.concatenate(([r * np.linalg.norm(rest) / math.sqrt(1 - r * r)], rest))
+    h = (u * z) @ u.conj().T
+    return c * ((h + h.conj().T) / 2)
+
+
+def eigvalsh_clears(h: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    return np.linalg.eigvalsh(h)[:, 0] > PD_RTOL * scale
+
+
+class TestCholeskyCertificate:
+    """``linalg._cholesky_clears`` may say yes only where ``eigvalsh`` would:
+    ``positive_definite_stack``, ``in_sector`` and the generators' factor
+    screen keep every verdict that the eigensolve gives."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 6])
+    def test_numpy_raises_for_a_stack_with_one_matrix_that_fails(self, n):
+        # The certificate relies on this: a failing matrix anywhere in the
+        # stack raises LinAlgError, rather than leaving NaN in its factor.
+        for bad in (-np.eye(n), np.zeros((n, n)), np.diag([1.0] * (n - 1) + [-1e-300])):
+            for k in range(3):
+                stack = np.stack([np.eye(n, dtype=complex)] * 3)
+                stack[k] = bad
+                with pytest.raises(np.linalg.LinAlgError):
+                    np.linalg.cholesky(stack)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 6, 16, 64, 128])
+    def test_never_clears_what_eigvalsh_rejects(self, n):
+        deltas = [-0.9, -0.5, -0.1, -1e-2, -1e-3, -1e-4, 0.0, 1e-4, 1e-3, 1e-2, 0.1, 0.5, 1, 10, 100, 1e3]
+        cleared = 0
+        for c in (1e-200, 1.0, 1e200):
+            for seed in range(3):
+                if n == 1:  # a 1-by-1 matrix is its own least eigenvalue
+                    stack = c * np.array([[[-1.0]], [[0.0]], [[1.0]]], dtype=complex)
+                else:
+                    stack = np.stack([planted_hermitian(n, delta, seed, c) for delta in deltas])
+                scale = sectoria.linalg.frobenius_stack(stack)
+                expected = eigvalsh_clears(stack, scale)
+                for h, norm, passes in zip(stack, scale, expected):
+                    if sectoria.linalg._cholesky_clears(h[None], PD_RTOL * norm, norm):
+                        assert passes
+                        cleared += 1
+                assert positive_definite_stack(stack, scale) == expected.all()
+                assert positive_definite_stack(stack[expected], scale[expected])
+                # A planted gap of 1e3 PD_RTOL clears at every order.
+                assert sectoria.linalg._cholesky_clears(stack[-1:], PD_RTOL * scale[-1:], scale[-1:])
+        assert cleared >= 9 * (1 if n == 1 else 3)
+
+    @given(n=st.integers(2, 24), seed=st.integers(0, 2**32 - 1),
+           delta=st.floats(-1e-2, 1e3), exponent=st.floats(-200.0, 200.0))
+    @settings(max_examples=150, deadline=None)
+    def test_never_clears_what_eigvalsh_rejects_at_any_scale(self, n, seed, delta, exponent):
+        h = planted_hermitian(n, delta, seed, 10.0 ** exponent)[None]
+        scale = sectoria.linalg.frobenius_stack(h)
+        if sectoria.linalg._cholesky_clears(h, PD_RTOL * scale, scale):
+            assert eigvalsh_clears(h, scale)[0]
+
+    def test_a_non_finite_pivot_clears_nothing(self):
+        # numpy's LAPACK may pass a NaN pivot without raising; the certificate
+        # rejects it, and an infinite floor or norm, all the same.
+        h = np.eye(3, dtype=complex)[None]
+        for floor, norm in ((math.nan, 1.0), (-math.inf, 1.0), (0.0, math.inf), (0.0, math.nan)):
+            assert not sectoria.linalg._cholesky_clears(h, floor, norm)
+        assert sectoria.linalg._cholesky_clears(h, 0.5, math.sqrt(3))
 
 
 class TestInverse:

@@ -88,8 +88,8 @@ class TestInSector:
     @pytest.mark.parametrize("alpha", [0.0, 1e-8, 1e-4, 0.3, 0.785, 1.3])
     def test_verdicts_and_witnesses_match_three_eigensolves(self, alpha):
         # lambda_min(Re A) planted around the strict test's threshold, where
-        # the Weyl bound clears some matrices and leaves others to the
-        # eigensolve of Re A; generator draws; and the mixed stack above.
+        # the Cholesky certificate clears some stacks and leaves others to
+        # the eigensolve; generator draws; and the mixed stack above.
         planted = [planted_real_part(6, alpha, level, seed, pinned)
                    for level in (0, 0.5, 1, 1.5, 2, 3) for seed, pinned in ((1, True), (2, False))]
         stacks = [np.stack(planted), gen_sectorial(6, alpha, trial_keys(0, 0, 8)[:, 0]), mixed_membership_stack()]
@@ -104,13 +104,56 @@ class TestInSector:
                 assert (w.rotation, w.eigenvalue.hex(), w.point) == (witness[0], witness[1].hex(), witness[3])
                 np.testing.assert_array_equal(w.vector, witness[2])
 
-    def test_a_passing_stack_takes_one_eigensolve(self, monkeypatch):
+    def test_a_passing_stack_takes_one_cholesky_and_no_eigensolve(self, monkeypatch):
         stack = gen_sectorial(6, 0.785, trial_keys(0, 0, 64)[:, 0])
-        shapes = []
-        eigvalsh = np.linalg.eigvalsh
-        monkeypatch.setattr(np.linalg, "eigvalsh", lambda h: shapes.append(h.shape) or eigvalsh(h))
+        calls = []
+        for name in ("cholesky", "eigvalsh"):
+            def spy(h, _name=name, _f=getattr(np.linalg, name)):
+                calls.append((_name, h.shape))
+                return _f(h)
+            monkeypatch.setattr(np.linalg, name, spy)
         assert all(in_sector(stack, 0.785))
-        assert shapes == [(128, 6, 6)]
+        assert calls == [("cholesky", (192, 6, 6))]
+        # One matrix outside the sector adds one eigensolve of all 3T parts.
+        calls.clear()
+        stack[5] = stack[5].conj() * np.exp(0.5j)
+        assert [bool(r) for r in in_sector(stack, 0.785)] == [k != 5 for k in range(64)]
+        assert calls == [("cholesky", (192, 6, 6)), ("eigvalsh", (192, 6, 6))]
+
+    @pytest.mark.parametrize("tol", [0.0, 1e-13, MEMBERSHIP_TOL, -1e-3, math.inf, math.nan])
+    def test_certificate_keeps_every_verdict_and_witness(self, tol):
+        # Matrices planted at and around the strict test's threshold, normal
+        # matrices on the edge of the sector, generator draws inside and
+        # outside it: each matrix alone and in one stack gives the verdict
+        # and the witness bits of three eigensolves.  Scaled by 1e-200 or
+        # 1e200, where the oracle's norm over- or underflows, each matrix
+        # keeps the verdict and the failing test that it has unscaled, except
+        # one on the threshold or on the sector's edge, which rounding
+        # decides either way.
+        alpha = 0.785
+        planted = [(planted_real_part(n, alpha, level, seed, pinned), level not in (0, 1) and not pinned)
+                   for n in (2, 3, 6, 16) for level in (0, 0.5, 1, 1.5, 2, 3, 1e3)
+                   for seed, pinned in ((1, True), (2, False))]
+        draws = [(m, width != alpha) for n in (1, 2, 6, 16) for width in (0.5, 0.785, 1.2)
+                 for m in gen_sectorial(n, width, trial_keys(n, 0, 4)[:, 0])]
+        for n in (1, 2, 3, 6, 16):
+            stack, scalable = map(np.array, zip(*[(m, ok) for m, ok in planted + draws if len(m) == n]))
+            stacked = in_sector(stack, alpha, tol)
+            for res, m in zip(stacked, stack):
+                inside, witness = in_sector_reference(m, alpha, tol)
+                for one in (res, in_sector(m, alpha, tol)):
+                    assert bool(one) == inside
+                    if witness is None:
+                        assert one.witness is None
+                        continue
+                    w = one.witness
+                    assert (w.rotation, w.eigenvalue.hex(), w.point) == (witness[0], witness[1].hex(), witness[3])
+                    np.testing.assert_array_equal(w.vector, witness[2])
+            for c in (1e-200, 1e200):
+                for res, scaled in zip(np.array(stacked)[scalable], in_sector(c * stack[scalable], alpha, tol)):
+                    assert bool(scaled) == bool(res)
+                    if res.witness is not None:
+                        assert scaled.witness.rotation == res.witness.rotation
 
     def test_disk_touching_imaginary_axis(self):
         # W(A) is the unit disk centered at 1, tangent to Re z = 0
