@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import OmegaPrimeEmptyError
-from .generators import _seed_keys, _stream
+from .generators import _uniforms
 from .inequalities import DEFAULT_TOL, InequalityReport, Reports, log_ratio_sum_rhs_stack, scalar_report
 
 MAX_SUBSET_N = 20
@@ -58,14 +58,14 @@ def random_sequence_pair(
     n: int, seed, low: float = 1e-3, high: float = 1e3
 ) -> PositiveSequencePair:
     """Log-uniform positive sequence pair with the leading entries pinned to
-    1; for a (T, 2) uint64 stack of Philox keys as ``seed``, the rows of its T draws."""
+    1; for a (T, 3) uint64 stack of addresses as ``seed``, the rows of its T draws."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    keys, one = _seed_keys(seed)
-    logs = np.empty((len(keys), 2, n))
-    for key, row in zip(keys.tolist(), logs):
-        row[...] = _stream(key).uniform(math.log(low), math.log(high), (2, n))
-    seqs = np.ones((2, len(keys), n + 1))
+    u, _, one = _uniforms(seed, 2 * n)
+    lo, hi = math.log(low), math.log(high)
+    # numpy's uniform(lo, hi) on the same uniforms, bit for bit
+    logs = (lo + (hi - lo) * u).reshape(-1, 2, n)
+    seqs = np.ones((2, len(u), n + 1))
     seqs[:, :, 1:] = np.exp(logs).swapaxes(0, 1)
     a, b = seqs[:, 0] if one else seqs
     return PositiveSequencePair(a, b)

@@ -29,7 +29,8 @@ from .generators import (
     gen_accretive_dissipative,
     gen_positive_definite,
     gen_sectorial,
-    trial_keys,
+    stream_key,
+    trial_addresses,
 )
 
 EXIT_OK = 0
@@ -137,31 +138,29 @@ CHECKS = {
 
 
 @functools.lru_cache(maxsize=1)
-def _suite_keys(c: TrialConfig, paths=((),)) -> np.ndarray:
-    """The Philox keys of the streams (trial index, *path) of every trial of a
-    suite, derived once for the suite; its chunks and one-trial replays slice them."""
-    keys = trial_keys(c.seed, 0, c.trials, paths)
-    keys.flags.writeable = False
-    return keys
+def _suite_keys(seed: int) -> tuple:
+    """The Philox keys of a suite's operands k = 0, 1: ``stream_key(seed, k)``
+    as two ints each.  Trial i of operand k is the address (key k, i)."""
+    return tuple(tuple(stream_key(seed, k).tolist()) for k in (0, 1))
+
+
+def _trials(c: TrialConfig, lo: int, hi: int, k: int) -> np.ndarray:
+    """The addresses of trials lo..hi-1 of the suite's operand k."""
+    return trial_addresses(_suite_keys(c.seed)[k], lo, hi)
 
 
 def _pair(gen):
-    """Draw two operand stacks ``gen(config, keys)`` from streams (index, 0) and (index, 1)."""
-
-    def draw(c, lo, hi):
-        keys = _suite_keys(c, ((0,), (1,)))[lo:hi]
-        return gen(c, keys[:, 0]), gen(c, keys[:, 1])
-
-    return draw
+    """Draw two operand stacks ``gen(config, addresses)``: trials of operands 0 and 1."""
+    return lambda c, lo, hi: (gen(c, _trials(c, lo, hi, 0)), gen(c, _trials(c, lo, hi, 1)))
 
 
 # Operand family -> draw(config, lo, hi) giving the stacked (a, b) of trials lo..hi-1.
 FAMILIES = {
-    "pd_pair": _pair(lambda c, keys: gen_positive_definite(c.n, keys)),
-    "sectorial_pair": _pair(lambda c, keys: gen_sectorial(c.n, c.alpha, keys)),
-    "ad_pair": _pair(lambda c, keys: gen_accretive_dissipative(c.n, keys)),
-    "single": lambda c, lo, hi: (gen_sectorial(c.n, c.alpha, _suite_keys(c)[lo:hi, 0]), None),
-    "sequence": lambda c, lo, hi: (claim2_mod.random_sequence_pair(c.n, _suite_keys(c)[lo:hi, 0]), None),
+    "pd_pair": _pair(lambda c, addresses: gen_positive_definite(c.n, addresses)),
+    "sectorial_pair": _pair(lambda c, addresses: gen_sectorial(c.n, c.alpha, addresses)),
+    "ad_pair": _pair(lambda c, addresses: gen_accretive_dissipative(c.n, addresses)),
+    "single": lambda c, lo, hi: (gen_sectorial(c.n, c.alpha, _trials(c, lo, hi, 0)), None),
+    "sequence": lambda c, lo, hi: (claim2_mod.random_sequence_pair(c.n, _trials(c, lo, hi, 0)), None),
 }
 
 
@@ -269,9 +268,9 @@ def _trial_reports(name: str, config: TrialConfig, tol: float) -> list[ineq.Ineq
 def run_trials(name: str, config: TrialConfig, tol: float) -> SuiteSummary:
     """Run ``config.trials`` independent trials of a named check.
 
-    Trials draw from streams indexed by trial number, so the summary is
-    identical no matter how the trials would be scheduled.  A NaN slack in
-    any trial makes both slack statistics NaN.
+    Each trial draws from its own address, fixed by the trial's index, so
+    the summary is identical no matter how the trials would be scheduled.
+    A NaN slack in any trial makes both slack statistics NaN.
     """
     reports = _trial_reports(name, config, tol)
     slacks = [r.slack for r in reports]
@@ -296,8 +295,8 @@ def falsify_schur_wrongsec(config: TrialConfig, tol: float = ineq.DEFAULT_TOL) -
     """Search the trials of a ``schur-wrongsec`` suite for a violation of the
     uncorrected Schur bound; returns the most negative-slack report.
 
-    Trials are generated on independent streams indexed by trial number,
-    so the reduction is deterministic regardless of evaluation order; ties
+    Each trial draws from its own address, fixed by the trial's index, so
+    the reduction is deterministic regardless of evaluation order; ties
     keep the lowest trial index.
     """
     reports = _trial_reports("schur-wrongsec", config, tol)

@@ -286,7 +286,10 @@ def check_weak_log_majorization(a, tol: float = DEFAULT_TOL) -> Reports:
     is unitary, so each singular value is 1, and each partial sum of
     log(sec(alpha) cos theta_j), taken in descending order, is compared with 0."""
     dec = sector.sectorial_decompose(a)
-    logs = np.log(np.sort(np.cos(dec.thetas) / np.cos(dec.angle)[:, None], axis=-1)[:, ::-1])
+    ratios = np.sort(np.cos(dec.thetas) / np.cos(dec.angle)[:, None], axis=-1)[:, ::-1]
+    # np.log rounds by memory layout, a stack's differently from one matrix's,
+    # so the logs are taken one entry at a time.
+    logs = np.array([[math.log(r) for r in row] for row in ratios.tolist()])
     partial = np.cumsum(logs, axis=-1)  # k = 1..n
     worst_k = np.argmin(partial, axis=-1)  # slack increases with the log gap
     return [

@@ -71,7 +71,10 @@ def _first_failures(m: np.ndarray, alpha: float, tol: float, scale: np.ndarray) 
     mh = linalg.adjoint(m)
     h = np.stack([_rotated_real_part(m, mh, beta) for beta in _rotations(alpha)])
     parts = h.reshape(-1, *m.shape[1:])
-    floors = np.array([[-tol], [-tol], [linalg.PD_RTOL]]) * scale
+    # For tol = inf and A = 0 the floor -tol * ||A||_F is NaN, which every
+    # eigenvalue passes, as it passes -inf.
+    with np.errstate(invalid="ignore"):
+        floors = np.array([[-tol], [-tol], [linalg.PD_RTOL]]) * scale
     if linalg._cholesky_clears(parts, floors, scale):
         return h, np.full(len(m), 3)
     lowest = np.linalg.eigvalsh(parts)[:, 0].reshape(3, -1)

@@ -9,6 +9,24 @@ import scipy.linalg
 from sectoria.linalg import PD_RTOL
 
 
+def seed_key(seed: int, *path: int) -> np.ndarray:
+    """The Philox key of numpy's SeedSequence(seed, spawn_key=path), shape
+    (2,) uint64: with path (k,), that of a suite's operand k."""
+    return np.random.SeedSequence(seed, spawn_key=path).generate_state(2, np.uint64)
+
+
+def philox(key, counter: int) -> np.random.Generator:
+    """A fresh numpy Philox generator with ``key`` at ``counter``: its first
+    draw starts with the block of counter + 1."""
+    return np.random.Generator(np.random.Philox(key=np.asarray(key, dtype=np.uint64), counter=counter))
+
+
+def trial_offset(i: int, size: int) -> int:
+    """Trial i's counter offset for a draw of ``size`` uniforms: i whole
+    Philox blocks of four words per trial, ceil(size / 4)."""
+    return i * -(-size // 4)
+
+
 def determinant(a) -> complex:
     """det(A) as the signed product of the pivots of scipy's pivoted LU
     (0-ish for singular input)."""
@@ -60,7 +78,7 @@ def in_sector_reference(a, alpha: float, tol: float):
     witness of the first failing test being (beta, eigenvalue, vector,
     point) from a full eigendecomposition of its rotated part."""
     m = np.asarray(a, dtype=complex)
-    scale = np.linalg.norm(m)
+    scale = float(np.linalg.norm(m))  # a float: -inf * 0.0 is NaN with no warning
     for beta in (math.pi / 2 - alpha, alpha - math.pi / 2, 0.0):
         w = complex(math.cos(beta), math.sin(beta))
         h = (w * m + np.conj(w) * m.conj().T) / 2.0

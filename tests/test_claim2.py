@@ -124,8 +124,9 @@ class TestCheckClaim2:
     @pytest.mark.parametrize("n", [1, 6])
     def test_stacked_pair_reports_each_row(self, n):
         seeds = [15, 16, 17]
-        keys = np.array([rng_stream(seed).bit_generator.state["state"]["key"] for seed in seeds])
-        reports = check_claim2(random_sequence_pair(n, keys))
+        addresses = np.array([[*rng_stream(seed).bit_generator.state["state"]["key"], 0] for seed in seeds],
+                             dtype=np.uint64)
+        reports = check_claim2(random_sequence_pair(n, addresses))
         singles = [check_claim2(random_sequence_pair(n, seed)) for seed in seeds]
 
         def bits(report):

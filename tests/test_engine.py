@@ -15,7 +15,8 @@ import pytest
 import sectoria as s
 from sectoria import cli
 from sectoria.cli import CHECKS, FAMILIES, build_parser, chunk_size, main
-from sectoria.generators import MIN_FACTOR_SIGMA, TrialConfig
+from sectoria.generators import MIN_FACTOR_SIGMA, TrialConfig, stream_key, trial_addresses
+from oracles import philox, seed_key, trial_offset
 
 ALPHA = 0.785
 
@@ -40,18 +41,24 @@ SINGLE = {
 }
 
 
+def address(c: TrialConfig, i: int, k: int) -> np.ndarray:
+    """The address of trial i of the suite's operand k, as a stack of one."""
+    return trial_addresses(stream_key(c.seed, k), i, i + 1)
+
+
 def draw_one(family: str, c: TrialConfig, i: int):
-    """Trial i's operands from the public single-matrix generators."""
-    pair = (s.child_seed(c.seed, i, 0), s.child_seed(c.seed, i, 1))
+    """Trial i's operands from the public generators, drawn alone at its address."""
+    pair = (address(c, i, 0), address(c, i, 1))
     if family == "pd_pair":
-        return tuple(s.gen_positive_definite(c.n, x) for x in pair)
+        return tuple(s.gen_positive_definite(c.n, x)[0] for x in pair)
     if family == "sectorial_pair":
-        return tuple(s.gen_sectorial(c.n, c.alpha, x) for x in pair)
+        return tuple(s.gen_sectorial(c.n, c.alpha, x)[0] for x in pair)
     if family == "ad_pair":
-        return tuple(s.gen_accretive_dissipative(c.n, x) for x in pair)
+        return tuple(s.gen_accretive_dissipative(c.n, x)[0] for x in pair)
     if family == "single":
-        return s.gen_sectorial(c.n, c.alpha, s.child_seed(c.seed, i)), None
-    return s.random_sequence_pair(c.n, s.child_seed(c.seed, i)), None
+        return s.gen_sectorial(c.n, c.alpha, address(c, i, 0))[0], None
+    rows = s.random_sequence_pair(c.n, address(c, i, 0))
+    return s.PositiveSequencePair(rows.a[0], rows.b[0]), None
 
 
 def bits(report):
@@ -71,6 +78,20 @@ def test_single_table_covers_the_registry():
 def test_chunk_size():
     assert [chunk_size(n) for n in (1, 6, 16, 40, 128, 256)] == [16384, 455, 64, 10, 1, 1]
     assert [chunk_size(n, "sequence") for n in (6, 128, 16383, 16384)] == [2340, 127, 1, 1]
+
+
+@pytest.mark.parametrize("n", [2, 3, 6])
+@pytest.mark.parametrize("name", list(CHECKS))
+def test_reports_do_not_depend_on_the_chunk_size(name, n, monkeypatch):
+    # Chunks of 1, of 7 (boundaries at trials 7 and 14) and the default one
+    # chunk: every trial draws at its own address, so the reports, and with
+    # them the summaries, are the same bits.
+    c = TrialConfig(seed=7, n=n, alpha=ALPHA, trials=16)
+    default = [bits(r) for r in cli._trial_reports(name, c, s.DEFAULT_TOL)]
+    assert chunk_size(n, CHECKS[name].family) >= c.trials
+    for size in (1, 7):
+        monkeypatch.setattr(cli, "chunk_size", lambda n, family="single": size)
+        assert [bits(r) for r in cli._trial_reports(name, c, s.DEFAULT_TOL)] == default
 
 
 @pytest.mark.parametrize("n, trials", [(2, 9), (3, 9), (6, 12), (16, 66), (40, 25)])
@@ -111,43 +132,65 @@ def gaussian_oracle(n: int, rng) -> np.ndarray:
     return box_muller_oracle(rng.random((2, n, n)))
 
 
-def sectorial_oracle(n: int, alpha: float, seed: int) -> np.ndarray:
-    """The per-matrix sectorial draw written out: Box-Muller on the stream's
-    uniforms, redrawn while the factor is nearly singular, then X Z X*."""
-    rng = s.rng_stream(seed)
+def near_singular_oracle(x: np.ndarray) -> bool:
+    return float(np.linalg.svd(x, compute_uv=False)[-1]) < MIN_FACTOR_SIGMA
+
+
+def sectorial_oracle(n: int, alpha: float, key, i: int) -> np.ndarray:
+    """The per-matrix sectorial draw of trial i of ``key`` written out:
+    Box-Muller on the uniforms at the trial's counter offset, then the
+    angles.  A nearly singular factor is redrawn, while it stays so, from
+    the counter whose word 1 is i + 1, and the angles follow the draw kept.
+    Then X Z X*."""
+    rng = philox(key, trial_offset(i, 2 * n * n + n))
     x = gaussian_oracle(n, rng)
-    while float(np.linalg.svd(x, compute_uv=False)[-1]) < MIN_FACTOR_SIGMA:
+    if near_singular_oracle(x):
+        rng = philox(key, (i + 1) << 64)
         x = gaussian_oracle(n, rng)
+        while near_singular_oracle(x):
+            x = gaussian_oracle(n, rng)
     thetas = rng.uniform(-alpha, alpha, size=n)
     thetas[0] = alpha
     return (x * np.exp(1j * thetas)) @ x.conj().T
 
 
-# The first complex Gaussian factor of this seed's stream at n = 6 has
-# smallest singular value below MIN_FACTOR_SIGMA, so its draw is redrawn.
+# At n = 6 the first complex Gaussian factor of these draws has smallest
+# singular value below MIN_FACTOR_SIGMA, so they are redrawn: the int seed
+# REDRAW_SEED, and trial 552 of operand 0 of a suite with seed 101.
 REDRAW_SEED = 622_951
+REDRAW_TRIAL = (101, (0,), 552)
 
 
-def test_redraw_seed_redraws():
+def test_redraw_cases_redraw():
     first = s.complex_gaussian(6, s.rng_stream(REDRAW_SEED))
+    assert np.linalg.svd(first, compute_uv=False)[-1] < MIN_FACTOR_SIGMA
+    seed, path, i = REDRAW_TRIAL
+    first = gaussian_oracle(6, philox(seed_key(seed, *path), trial_offset(i, 2 * 36 + 6)))
     assert np.linalg.svd(first, compute_uv=False)[-1] < MIN_FACTOR_SIGMA
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 6, 16])
 def test_sectorial_stack_matches_the_per_matrix_draw(n, monkeypatch):
-    seeds = [3, REDRAW_SEED, 4, 5] if n == 6 else [3, 4, 5]
-    keys = np.array([s.generators.stream_key(seed) for seed in seeds])
+    # (seed, path, trial index) of each draw; an int seed is the address
+    # (its key, 0), and trial i of a suite's operand k has path (k,).
+    draws = [(3, (), 0), (4, (), 0), (5, (1,), 7)]
+    if n == 6:
+        draws[1:1] = [(REDRAW_SEED, (), 0), REDRAW_TRIAL]
+    keys = [seed_key(seed, *path) for seed, path, _ in draws]
+    addresses = np.array([[*key, i] for key, (_, _, i) in zip(keys, draws)], dtype=np.uint64)
     # The Cholesky certificate clears a stack of factors with no SVD; the
-    # stack with REDRAW_SEED's first factor fails it and reaches the SVD.
+    # stack with the redrawn factors fails it and reaches the SVD.
     shapes = []
     svd = np.linalg.svd
     monkeypatch.setattr(np.linalg, "svd", lambda x, **kw: shapes.append(x.shape) or svd(x, **kw))
-    stack = s.gen_sectorial(n, ALPHA, keys)
-    assert shapes[:1] == ([(len(seeds), n, n)] if n == 6 else [])
+    stack = s.gen_sectorial(n, ALPHA, addresses)
+    assert shapes[:1] == ([(len(draws), n, n)] if n == 6 else [])
     monkeypatch.undo()
-    for m, seed in zip(stack, seeds):
-        np.testing.assert_array_equal(m, sectorial_oracle(n, ALPHA, seed))
-        np.testing.assert_array_equal(m, s.gen_sectorial(n, ALPHA, seed))
+    for m, key, (seed, path, i) in zip(stack, keys, draws):
+        np.testing.assert_array_equal(m, sectorial_oracle(n, ALPHA, key, i))
+        np.testing.assert_array_equal(m, s.gen_sectorial(n, ALPHA, trial_addresses(key, i, i + 1))[0])
+        if not path:
+            np.testing.assert_array_equal(m, s.gen_sectorial(n, ALPHA, seed))
 
 
 def first_error(name: str, c: TrialConfig, draw):
@@ -169,20 +212,22 @@ def pd_oracle(u: np.ndarray) -> np.ndarray:
 
 
 def reference_operands(family: str, c: TrialConfig, i: int):
-    """Trial i's operands drawn from numpy's own streams, rng_stream(child_seed(...))."""
-    pair = (s.child_seed(c.seed, i, 0), s.child_seed(c.seed, i, 1))
+    """Trial i's operands drawn from fresh numpy Philox generators: operand
+    k's key is seed_key(seed, k), and the trial's uniforms start at its
+    counter offset."""
+    n = c.n
+    keys = [seed_key(c.seed, k) for k in (0, 1)]
     if family == "pd_pair":
-        return [pd_oracle(s.rng_stream(x).random((2, c.n, c.n))) for x in pair]
+        return [pd_oracle(philox(key, trial_offset(i, 2 * n * n)).random((2, n, n))) for key in keys]
     if family == "sectorial_pair":
-        return [sectorial_oracle(c.n, c.alpha, x) for x in pair]
+        return [sectorial_oracle(n, c.alpha, key, i) for key in keys]
     if family == "ad_pair":
-        # H from the stream's first 2 n**2 uniforms, K from the next.
-        uniforms = [s.rng_stream(x).random((2, 2, c.n, c.n)) for x in pair]
+        # H from the trial's first 2 n**2 uniforms, K from the next.
+        uniforms = [philox(key, trial_offset(i, 4 * n * n)).random((2, 2, n, n)) for key in keys]
         return [pd_oracle(u[0]) + 1j * pd_oracle(u[1]) for u in uniforms]
-    seed = s.child_seed(c.seed, i)
     if family == "single":
-        return [sectorial_oracle(c.n, c.alpha, seed)]
-    logs = s.rng_stream(seed).uniform(math.log(1e-3), math.log(1e3), size=(2, c.n))
+        return [sectorial_oracle(n, c.alpha, keys[0], i)]
+    logs = philox(keys[0], trial_offset(i, 2 * n)).uniform(math.log(1e-3), math.log(1e3), size=(2, n))
     return [np.concatenate(([1.0], np.exp(row))) for row in logs]
 
 

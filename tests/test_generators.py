@@ -20,7 +20,9 @@ from sectoria import (
     sector_angle,
 )
 from sectoria import generators
+from sectoria.generators import stream_key, trial_addresses
 from sectoria.linalg import adjoint, as_hermitian
+from oracles import philox
 
 
 class TestDeterminism:
@@ -162,102 +164,7 @@ class TestTrialConfig:
             TrialConfig(**kwargs)
 
 
-def reference_key(seed: int, *path: int) -> list[int]:
-    """The Philox key of numpy's own generator for substream ``path`` of ``seed``."""
-    return rng_stream(seed, *path).bit_generator.state["state"]["key"].tolist()
-
-
-SUITE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**130 + 9]
-
-
-class TestBulkSubstreams:
-    """``trial_keys`` against numpy's ``SeedSequence``, trial by trial."""
-
-    @pytest.mark.parametrize("seed", SUITE_SEEDS)
-    @pytest.mark.parametrize("paths", [((),), ((0,), (1,))])
-    def test_trial_keys_match_seed_sequence(self, seed, paths):
-        # 25 trials: three chunks of a suite at n = 40.
-        keys = generators.trial_keys(seed, 0, 25, paths)
-        assert keys.shape == (25, len(paths), 2) and keys.dtype == np.uint64
-        for i in range(25):
-            for p, path in enumerate(paths):
-                assert keys[i, p].tolist() == reference_key(child_seed(seed, i, *path))
-
-    def test_trial_index_past_32_bits(self):
-        # From 2**32 on a trial index is two entropy words, not one.
-        lo = 2**32 - 2
-        keys = generators.trial_keys(7, lo, lo + 4, ((1,),))
-        for t in range(4):
-            assert keys[t, 0].tolist() == reference_key(child_seed(7, lo + t, 1))
-
-    def test_seeds_below_32_bits_hash_as_one_word(self):
-        # numpy hashes a seed below 2**32 as one entropy word, the helper as
-        # two with a zero high word; both leave the same pool.
-        seeds = np.array([0, 1, 622_951, 2**32 - 1, 2**32, 2**64 - 1], dtype=np.uint64)
-        keys = generators._generate(generators._pool(generators._seed_words(seeds)), 2)
-        assert keys.tolist() == [reference_key(int(x)) for x in seeds]
-
-    def test_reset_state_is_a_fresh_philox(self):
-        key = generators.trial_keys(5, 0, 1)[0, 0].tolist()
-        fresh = rng_stream(child_seed(5, 0)).bit_generator.state
-        state = generators._stream(key).bit_generator.state
-        assert state.keys() == fresh.keys()
-        for field in ("bit_generator", "buffer_pos", "has_uint32", "uinteger"):
-            assert state[field] == fresh[field]
-        for field in ("counter", "key"):
-            np.testing.assert_array_equal(state["state"][field], fresh["state"][field])
-        np.testing.assert_array_equal(state["buffer"], fresh["buffer"])
-
-    @pytest.mark.parametrize("n", [3, 6])
-    def test_reset_stream_draws_numpys_bits(self, n):
-        # At n = 3 the 18 Gaussian uniforms leave two of the four words of a
-        # Philox block unused, and the angle draw starts with them.
-        rng = rng_stream(child_seed(9, 4, 1))
-        expected = (rng.random((2, n, n)), rng.uniform(-0.785, 0.785, size=n))
-        # A stream used before must not leak into the reset one.
-        generators._stream([1, 2]).random(5)
-        reset = generators._stream(generators.trial_keys(9, 4, 5, ((1,),))[0, 0].tolist())
-        np.testing.assert_array_equal(reset.random((2, n, n)), expected[0])
-        np.testing.assert_array_equal(reset.uniform(-0.785, 0.785, size=n), expected[1])
-
-    def test_negative_seeds_raise_value_error(self):
-        for make in (
-            lambda: child_seed(-1, 0),
-            lambda: gen_positive_definite(3, -1),
-            lambda: gen_sectorial(3, 0.5, -1),
-            lambda: gen_accretive_dissipative(3, -1),
-            lambda: random_sequence_pair(3, -1),
-            lambda: generators.trial_keys(-1, 0, 2),
-            lambda: generators.trial_keys(0, 0, 2, ((-1,),)),
-            # child_seed takes 2**32, but the bulk hash packs one 32-bit word per entry
-            lambda: generators.trial_keys(0, 0, 2, ((1,), (2**32,))),
-        ):
-            with pytest.raises(ValueError):
-                make()
-
-    @pytest.mark.parametrize("seed", [3.7, 2.0, True, np.float64(1.0), np.bool_(False)])
-    def test_float_and_bool_seeds_raise_type_error(self, seed):
-        # Truncating would silently draw the stream of another seed.
-        for make in (
-            lambda: child_seed(seed, 0),
-            lambda: child_seed(2, seed),
-            lambda: rng_stream(seed),
-            lambda: gen_positive_definite(3, seed),
-            lambda: gen_sectorial(3, 0.5, seed),
-            lambda: gen_accretive_dissipative(3, seed),
-            lambda: random_sequence_pair(3, seed),
-            lambda: generators.trial_keys(seed, 0, 2),
-            lambda: generators.trial_keys(0, 0, 2, ((seed,),)),
-            lambda: TrialConfig(seed=seed, n=3),
-        ):
-            with pytest.raises(TypeError):
-                make()
-        # numpy integers are ints, and draw the same streams
-        np.testing.assert_array_equal(gen_sectorial(3, 0.5, np.uint64(3)), gen_sectorial(3, 0.5, 3))
-        assert child_seed(np.int64(3), np.uint8(1)) == child_seed(3, 1)
-
-
-# Each seeded draw at n = 3.  Every one takes the key of one stream, shape (2,).
+# Each seeded draw at n = 3.  Every one takes one address (key0, key1, i).
 SEEDED = {
     "gen_positive_definite": lambda seed: gen_positive_definite(3, seed),
     "gen_sectorial_planted": lambda seed: gen_sectorial_planted(3, 0.785, seed),
@@ -274,16 +181,92 @@ def arrays(draw):
     return draw if isinstance(draw, tuple) else (draw,)
 
 
-class TestKeyStacks:
-    """Each seeded draw takes an int seed or a (T, 2) uint64 stack of Philox keys."""
+class TestAddresses:
+    """Trial i of a key draws at a fixed counter offset of the key's stream."""
 
     @pytest.mark.parametrize("name", list(SEEDED))
-    def test_rows_are_the_int_seed_draws(self, name):
+    def test_trial_alone_equals_its_row_of_a_chunk(self, name):
+        # Trials 4 and 5 lie on both sides of a chunk boundary, and so do
+        # 2**40 - 1 and 2**40, whose counter offsets pass 2**32.
         draw = SEEDED[name]
-        seeds = [3, 4, 5]
-        keys = np.array([reference_key(seed) for seed in seeds], dtype=np.uint64)
-        assert keys.shape == (3, 2)
-        stacked = arrays(draw(keys))
+        key = stream_key(2**64 + 5, 1)
+        for lo, hi in ((0, 5), (5, 9), (2**40 - 2, 2**40), (2**40, 2**40 + 2)):
+            chunk = arrays(draw(trial_addresses(key, lo, hi)))
+            for i in range(lo, hi):
+                alone = arrays(draw(trial_addresses(key, i, i + 1)))
+                assert len(chunk) == len(alone)
+                for rows, expected in zip(chunk, alone):
+                    assert rows[i - lo].tobytes() == expected[0].tobytes()
+
+    def test_set_state_is_a_fresh_philox(self):
+        key = stream_key(5, 0)
+        fresh = np.random.Philox(key=key, counter=7 + (3 << 64)).state
+        state = generators._stream(key.tolist(), (7, 3, 0, 0)).bit_generator.state
+        assert state.keys() == fresh.keys()
+        for field in ("bit_generator", "buffer_pos", "has_uint32", "uinteger"):
+            assert state[field] == fresh[field]
+        for field in ("counter", "key"):
+            np.testing.assert_array_equal(state["state"][field], fresh["state"][field])
+        np.testing.assert_array_equal(state["buffer"], fresh["buffer"])
+
+    @pytest.mark.parametrize("n", [3, 6])
+    def test_set_stream_draws_numpys_bits(self, n):
+        # At n = 3 the 18 Gaussian uniforms leave two of the four words of a
+        # Philox block unused, and the angle draw starts with them.
+        key = stream_key(9, 1)
+        rng = philox(key, 4 * 17)
+        expected = (rng.random((2, n, n)), rng.uniform(-0.785, 0.785, size=n))
+        # A stream used before must not leak into the one set after it.
+        generators._stream((1, 2), (3, 0, 0, 0)).random(5)
+        reset = generators._stream(key.tolist(), (4 * 17, 0, 0, 0))
+        np.testing.assert_array_equal(reset.random((2, n, n)), expected[0])
+        np.testing.assert_array_equal(reset.uniform(-0.785, 0.785, size=n), expected[1])
+
+    def test_negative_seeds_raise_value_error(self):
+        for make in (
+            lambda: child_seed(-1, 0),
+            lambda: stream_key(-1),
+            lambda: stream_key(0, -1),
+            lambda: gen_positive_definite(3, -1),
+            lambda: gen_sectorial(3, 0.5, -1),
+            lambda: gen_accretive_dissipative(3, -1),
+            lambda: random_sequence_pair(3, -1),
+        ):
+            with pytest.raises(ValueError):
+                make()
+
+    @pytest.mark.parametrize("seed", [3.7, 2.0, True, np.float64(1.0), np.bool_(False)])
+    def test_float_and_bool_seeds_raise_type_error(self, seed):
+        # Truncating would silently draw the stream of another seed.
+        for make in (
+            lambda: child_seed(seed, 0),
+            lambda: child_seed(2, seed),
+            lambda: rng_stream(seed),
+            lambda: stream_key(seed),
+            lambda: stream_key(2, seed),
+            lambda: gen_positive_definite(3, seed),
+            lambda: gen_sectorial(3, 0.5, seed),
+            lambda: gen_accretive_dissipative(3, seed),
+            lambda: random_sequence_pair(3, seed),
+            lambda: TrialConfig(seed=seed, n=3),
+        ):
+            with pytest.raises(TypeError):
+                make()
+        # numpy integers are ints, and draw the same streams
+        np.testing.assert_array_equal(gen_sectorial(3, 0.5, np.uint64(3)), gen_sectorial(3, 0.5, 3))
+        assert child_seed(np.int64(3), np.uint8(1)) == child_seed(3, 1)
+
+
+class TestAddressStacks:
+    """Each seeded draw takes an int seed or a (T, 3) uint64 stack of addresses."""
+
+    @pytest.mark.parametrize("name", list(SEEDED))
+    def test_int_seed_is_its_address(self, name):
+        draw = SEEDED[name]
+        seeds = [3, 4, 2**64 + 5]
+        addresses = np.array([[*stream_key(seed), 0] for seed in seeds], dtype=np.uint64)
+        assert addresses.shape == (3, 3)
+        stacked = arrays(draw(addresses))
         for t, seed in enumerate(seeds):
             one = arrays(draw(seed))
             assert len(stacked) == len(one)
@@ -293,13 +276,13 @@ class TestKeyStacks:
 
     @pytest.mark.parametrize("name", list(SEEDED))
     @pytest.mark.parametrize("bad", [
-        np.ones((4, 2), dtype=np.int64),
-        np.ones((4, 2), dtype=float),
-        np.ones((4, 3), dtype=np.uint64),
-        np.ones(2, dtype=np.uint64),  # one draw's key, no stack axis
-        np.ones((4, 2, 1), dtype=np.uint64),
-        np.ones((4, 2, 2), dtype=np.uint64),  # two keys per draw: every draw takes one stream's
-    ], ids=["int64", "float", "key-width-3", "unstacked", "extra-axis", "two-keys-per-draw"])
-    def test_bad_key_stack_raises_value_error(self, name, bad):
-        with pytest.raises(ValueError, match=r"stack of Philox keys of shape \(T, 2\)"):
+        np.ones((4, 3), dtype=np.int64),
+        np.ones((4, 3), dtype=float),
+        np.ones((4, 2), dtype=np.uint64),  # keys with no trial index
+        np.ones(3, dtype=np.uint64),  # one draw's address, no stack axis
+        np.ones((4, 3, 1), dtype=np.uint64),
+        np.ones((4, 2, 3), dtype=np.uint64),  # two addresses per draw
+    ], ids=["int64", "float", "keys-only", "unstacked", "extra-axis", "two-per-draw"])
+    def test_bad_address_stack_raises_value_error(self, name, bad):
+        with pytest.raises(ValueError, match=r"stack of addresses .* of shape \(T, 3\)"):
             SEEDED[name](bad)
