@@ -6,7 +6,8 @@ class SectoriaError(Exception):
 
 
 class SingularMatrixError(SectoriaError):
-    """An LU pivot fell below the singularity threshold."""
+    """A least singular value, or an elimination pivot, fell below the
+    singularity threshold."""
 
 
 class SingularLeadingBlockError(SingularMatrixError):

@@ -230,33 +230,45 @@ def _require_pivots(pivot_abs, scale) -> None:
         )
 
 
-@functools.cache
-def _lapack():
-    """SciPy's complex ``getrf`` and ``getrs``.  SciPy is imported on the
-    first call, so a run whose solves are all certified never loads it."""
-    import scipy.linalg
+def _require_invertible(m: np.ndarray) -> None:
+    """Raise :class:`SingularMatrixError` if a matrix A of the (T, n, n)
+    stack ``m`` is zero or ``np.linalg.svd`` puts sigma_min(A) below
+    ``PIVOT_RTOL * ||A||_F``, or ``as_square_matrix``'s ``ValueError`` if A
+    is not finite; the first failing matrix decides.
 
-    return scipy.linalg.get_lapack_funcs(("getrf", "getrs"), dtype=np.complex128)
-
-
-def _lu_factor(m: np.ndarray):
-    """LU with partial pivoting; rejects pivots below the relative threshold."""
-    lu, piv, _ = _lapack()[0](m)
-    _require_pivots(np.abs(lu.diagonal()).min(), frobenius(m))
-    return lu, piv
+    One ``_cholesky_clears`` of the Hermitian parts H = (A + A*)/2 against
+    f = PIVOT_RTOL ||A||_F first tries to clear the stack: sigma_min(A) >=
+    lambda_min(H), as a unit x has ||Ax|| >= |x*Ax| >= x*Hx.  It clears only
+    where lambda_min of the computed H, net of its Cholesky's rounding,
+    exceeds f + 6 n^1.5 eps B with B >= ||A||_F.  That margin covers H's own
+    rounding, eps ||A||_F, and the SVD's backward error, about n eps ||A||_2,
+    so the SVD would clear A too; it decides what the certificate does not.
+    The checks' Schur complements, of operands with Re A shown positive
+    definite, clear.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):  # where A is not finite
+        norms = frobenius_stack(m)
+        floor = PIVOT_RTOL * norms
+        if _cholesky_clears((m + adjoint(m)) / 2, floor, norms):
+            return
+    finite = np.isfinite(m).all(axis=(1, 2))
+    sigma_min = np.full(len(m), np.nan)
+    sigma_min[finite] = np.linalg.svd(m[finite], compute_uv=False)[:, -1]
+    failed = ~((sigma_min >= floor) & (norms != 0.0))
+    if failed.any():
+        if not finite[failed.argmax()]:
+            raise ValueError("matrix entries must be finite")
+        raise SingularMatrixError(f"least singular value below {PIVOT_RTOL:g} * ||A||_F; "
+                                  "matrix is numerically singular")
 
 
 # Kept beside solve_stack: perfbench traces each solve of one matrix as one solve call.
 def solve(a, b) -> np.ndarray:
-    """Solve A X = B via LU with partial pivoting, returned column-major, as
-    LAPACK returns it.  Where ``_gesv_certified`` allows, numpy's ``gesv``
-    solves it; otherwise SciPy's ``getrf`` and ``getrs`` do, and raise."""
+    """Solve A X = B by numpy's ``gesv``, LU with partial pivoting, after
+    ``_require_invertible``; returned column-major, as LAPACK returns it."""
     m = as_square_matrix(a)
-    b = np.asarray(b, dtype=np.complex128)
-    if b.ndim == 2 and _gesv_certified(m[None], b[None]):
-        return np.asfortranarray(np.linalg.solve(m, b))
-    lu, piv = _lu_factor(m)
-    return _lapack()[1](lu, piv, b)[0]
+    _require_invertible(m[None])
+    return np.asfortranarray(np.linalg.solve(m, np.asarray(b, dtype=np.complex128)))
 
 
 def inverse(a) -> np.ndarray:
@@ -265,87 +277,22 @@ def inverse(a) -> np.ndarray:
     return solve(m, np.eye(m.shape[0], dtype=np.complex128))
 
 
-def _column_major_stack(shape) -> np.ndarray:
-    """An empty (T, r, c) stack whose matrices are column-major, as LAPACK returns them."""
-    return np.empty((shape[0], shape[2], shape[1]), dtype=np.complex128).swapaxes(1, 2)
-
-
-# Above this order a solve that ``_gesv_certified`` clears, which factors
-# each matrix twice, costs more than the LAPACK call that it saves.
-DET_CERTIFICATE_MAX_ORDER = 15
-
-
-def _log_sigma_min_bound(log_det, log_norm, n: int):
-    """log of a lower bound on sigma_min of an n-by-n matrix A, from
-    log|det A| and log ||A||_F: log(|det A| (n - 1)^((n-1)/2) / ||A||_F^(n-1)).
-
-    |det A| is the product of the singular values, so sigma_min(A) is
-    |det A| over the product of the other n - 1.  By the AM-GM inequality
-    that product is at most (s / (n - 1))^((n-1)/2), where s, the sum of
-    their squares, is at most ||A||_F^2; hence the bound.  With log|det A|
-    from ``slogdet``, a backward-stable LU, it holds for A plus a relative
-    perturbation of about n eps.  The logs may be Python floats or arrays; a
-    log of -inf or NaN gives -inf or NaN, which clears no ``bound >= x``.
-    """
-    return log_det + (n - 1) / 2 * math.log(max(n - 1, 1)) - (n - 1) * log_norm
-
-
-def _gesv_certified(m: np.ndarray, b: np.ndarray) -> bool:
-    """May one ``np.linalg.solve`` solve the (T, n, n) stack ``m`` against
-    the (T, n, k) stack ``b`` in place of ``solve``'s ``getrf`` and ``getrs``?
-
-    Yes if n is at most ``DET_CERTIFICATE_MAX_ORDER``, k is at least 2, and
-    ``_log_sigma_min_bound`` shows that every matrix passes ``_lu_factor``'s
-    pivot test.  ``gesv`` is ``getrf`` then ``getrs``, so it gives their
-    bits, but not for one right-hand side, where ``getrs`` takes another
-    route.  Partial pivoting keeps |l_ij| <= sqrt(2), so ||L||_2 <= n, and
-    every pivot of an n-by-n A is |u_kk| >= sigma_min(U) >= sigma_min(A) / n.
-    A matrix whose bound is at least 2 n PIVOT_RTOL ||A||_F therefore
-    passes; the factor 2 covers rounding.  ``slogdet`` factors with
-    ``getrf``, as ``_lu_factor`` does.
-
-    ||A||_F^2 comes from one plain ``vecdot``.  A square whose norm lies
-    outside ``_DIRECT_NORMS``, where ``frobenius_stack`` would sum again, may
-    have lost its small terms to underflow, or be inf or NaN; it fails, and
-    leaves the matrix to LAPACK.  A stack of one is tested on Python floats,
-    which are cheaper there than arrays.
-    """
-    n = m.shape[-1]
-    if n > DET_CERTIFICATE_MAX_ORDER or b.shape[-1] < 2:
-        return False
-    v = m.reshape(len(m), -1)
-    with np.errstate(over="ignore", invalid="ignore"):
-        squares = np.vecdot(v, v).real
-    low, high = _DIRECT_NORMS
-    least = math.log(2 * n * PIVOT_RTOL)
-    if len(m) == 1:
-        square = squares.item()
-        if not low * low < square < high * high:
-            return False
-        log_norm = math.log(square) / 2
-        return _log_sigma_min_bound(np.linalg.slogdet(m)[1].item(), log_norm, n) - log_norm >= least
-    if not ((squares > low * low) & (squares < high * high)).all():
-        return False
-    log_norms = np.log(squares) / 2
-    return bool((_log_sigma_min_bound(np.linalg.slogdet(m)[1], log_norms, n) - log_norms >= least).all())
+def _gesv_stack(m: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """One batched, untested ``np.linalg.solve``, column-major like ``solve``, with its bits."""
+    out = np.empty((len(b), b.shape[2], b.shape[1]), dtype=np.complex128).swapaxes(1, 2)
+    out[...] = np.linalg.solve(m, b)
+    return out
 
 
 def solve_stack(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``solve`` for each pair of matrices of two stacks, with ``solve``'s bits.
-
-    A stack of more than one matrix that ``_gesv_certified`` clears is
-    solved by one ``np.linalg.solve``.  Any other stack is solved one matrix
-    at a time, so that the first failing matrix raises; a stack of one is
-    thus one ``solve`` call.
-    """
-    out = _column_major_stack(b.shape)
+    """``solve`` for each pair of matrices of two stacks, with its bits: one
+    ``_require_invertible`` of the stack, then one ``_gesv_stack``.  A stack
+    of one is one ``solve`` call."""
     m = np.asarray(a, dtype=np.complex128)
-    if len(m) > 1 and _gesv_certified(m, b):
-        out[...] = np.linalg.solve(m, b)
-        return out
-    for t in range(len(m)):
-        out[t] = solve(m[t], b[t])
-    return out
+    if len(m) == 1:
+        return solve(m[0], b[0])[None]
+    _require_invertible(m)
+    return _gesv_stack(m, b)
 
 
 @matrix_or_stack(1)
@@ -366,11 +313,13 @@ def multiply_unfused(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return (xr * yr - xi * yi) + 1j * (xr * yi + xi * yr)
 
 
-def _schur_complement_stack(m: np.ndarray, p: int) -> np.ndarray:
+def _schur_complement_stack(m: np.ndarray, p: int, invertible: bool = False) -> np.ndarray:
     """A22 - A21 A11^{-1} A12 for each matrix of a stack split after row and
-    column p, on the row-major blocks that BLAS sees for one matrix."""
+    column p, on the row-major blocks that BLAS sees for one matrix; A11 is
+    tested by ``solve_stack`` unless the caller has shown it ``invertible``."""
     m = np.ascontiguousarray(m)
-    return m[:, p:, p:] - m[:, p:, :p] @ solve_stack(m[:, :p, :p], m[:, :p, p:])
+    x = (_gesv_stack if invertible else solve_stack)(m[:, :p, :p], m[:, :p, p:])
+    return m[:, p:, p:] - m[:, p:, :p] @ x
 
 
 # Blocks up to this order are eliminated one column at a time; a larger one
@@ -390,8 +339,9 @@ def _pivot_magnitudes(m: np.ndarray, scale: np.ndarray) -> np.ndarray:
     n = m.shape[-1]
     if n > _ELIMINATION_BLOCK:
         h = n // 2
-        return np.concatenate([_pivot_magnitudes(m[:, :h, :h], scale),
-                               _pivot_magnitudes(_schur_complement_stack(m, h), scale)], axis=-1)
+        leading = _pivot_magnitudes(m[:, :h, :h], scale)  # tested before A/A11 is formed
+        trailing = _pivot_magnitudes(_schur_complement_stack(m, h, invertible=True), scale)
+        return np.concatenate([leading, trailing], axis=-1)
     u = np.array(m, dtype=np.complex128, order="C")  # a fresh copy, eliminated in place
     with np.errstate(all="ignore"):
         for j in range(n - 1):

@@ -367,8 +367,7 @@ class TestHermitianGuardAborts:
         # membership rests on the boundary tolerance.
         *([name, "--n", "6", "--alpha", alpha, "--trials", "20", "--seed", "0"]
           for name in ("main1", "main2", "det-step") for alpha in ("0", "1e-6")),
-        # n = 20 lies above the order up to which the determinant bound
-        # certifies a solve.
+        # n = 20: its Schur complements solve blocks of order 10.
         ["lemma-2-5", "--n", "20", "--alpha", "0.785", "--trials", "20", "--seed", "0"],
     ])
     def test_suite_finishes(self, argv, capsys):
@@ -548,40 +547,68 @@ def test_module_entry_point(files):
     assert proc.stdout.startswith("alpha_rad 0.0")
 
 
-# Runs every check's suite at n = 6 in a fresh interpreter, then one solve
-# that needs a pivoted LU; prints what it saw as JSON.
-COLD_START = """
-import contextlib, io, json, sys
-from sectoria import cli, gen_sectorial, inverse_block_identity, solve
+# Runs in a fresh interpreter in which ``import scipy`` fails: every check's
+# suite at n = 2, 6 and 40 (blocks of order 20, and the blocked leading
+# minors above order 32), every check at n = 16 from matrix files, the other
+# commands and the three block identities; prints what it saw as JSON.
+NO_SCIPY = """
+import contextlib, io, json, os, sys
+sys.modules["scipy"] = None
+from sectoria import (cartesian_schur_identity, child_seed, cli, gen_accretive_dissipative,
+                      gen_positive_definite, gen_sectorial, inverse_block_identity,
+                      real_inverse_identity, sector_angle_bisect)
+sectorial, pd, ad = (lambda seed: gen_sectorial(16, 0.785, seed), lambda seed: gen_positive_definite(16, seed),
+                     lambda seed: gen_accretive_dissipative(16, seed))
+operands = {"a": sectorial, "b": sectorial, "p": pd, "q": pd, "c": ad, "d": ad}
+files = {}
+for i, (key, draw) in enumerate(operands.items()):
+    files[key] = os.path.join(sys.argv[1], f"{key}.json")
+    cli.write_matrix(files[key], draw(child_seed(23, i)))
+family_files = {"pd_pair": "pq", "sectorial_pair": "ab", "ad_pair": "cd", "single": "a", "sequence": "ab"}
 codes = {}
-for name in cli.CHECKS:
-    for trials in ("1", "20"):
-        with contextlib.redirect_stdout(io.StringIO()):
-            codes[f"{name} {trials}"] = cli.main(["trials", name, "--n", "6", "--alpha", "0.785",
-                                                 "--trials", trials, "--seed", "7"])
-suites = "scipy" in sys.modules
-a = gen_sectorial(6, 0.785, 1)
-b = a[:, :1] + 1.0
-x = solve(a, b)
-one_column = "scipy" in sys.modules
-import scipy.linalg
-lapack = scipy.linalg.lu_solve(scipy.linalg.lu_factor(a), b)
-residual = inverse_block_identity(gen_sectorial(40, 0.785, 2), 20)
-print(json.dumps({"codes": codes, "suites": suites, "one_column": one_column,
-                  "bits": x.tobytes() == lapack.tobytes() and x.flags.f_contiguous,
-                  "residual": residual}))
+def run(key, argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes[key] = cli.main(argv)
+for name, check in cli.CHECKS.items():
+    for n in ("2", "6", "40"):
+        run(f"trials {name} {n}", ["trials", name, "--n", n, "--alpha", "0.785", "--trials", "3", "--seed", "7"])
+    alpha = ["--alpha", "0.785"] if check.family == "sectorial_pair" else []
+    run(f"check {name}", ["check", name, *(files[k] for k in family_files[check.family]), *alpha])
+run("angle", ["angle", files["a"]])
+run("boundary", ["boundary", files["a"], "--points", "16"])
+a = gen_sectorial(16, 0.785, 1)
+residuals = [inverse_block_identity(a, 8), cartesian_schur_identity(a, 8).residual, real_inverse_identity(a)]
+print(json.dumps({"codes": codes, "bisected": sector_angle_bisect(a), "residuals": residuals}))
 """
 
 
-def test_suites_at_small_n_never_load_scipy():
-    # Every solve of a small suite is certified for numpy's gesv; SciPy is
-    # imported only by the first solve that needs its pivoted LU.
+def test_runs_without_scipy(tmp_path):
     env = {**os.environ, "PYTHONPATH": str(Path(s.__file__).parents[1])}
-    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-c", COLD_START],
+    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-c", NO_SCIPY, str(tmp_path)],
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     seen = json.loads(proc.stdout)
-    assert seen["codes"] == {f"{name} {trials}": 0 for name in CHECKS for trials in ("1", "20")}
-    assert not seen["suites"]
-    assert seen["one_column"] and seen["bits"]
-    assert seen["residual"] < 1e-10
+    expected = {f"trials {name} {n}": 0 for name in CHECKS for n in (2, 6, 40)}
+    expected |= {f"check {name}": 3 if name == "schur-wrongsec" else 0 for name in CHECKS}
+    assert seen["codes"] == {**expected, "angle": 0, "boundary": 0}
+    assert 0 < seen["bisected"] < 0.785 + 1e-6
+    assert max(seen["residuals"]) < 1e-10
+
+
+# The suites whose n = 2 Schur complements solve against one column.
+THREAD_SUITES = """
+from sectoria import cli
+for name in ("main1", "lemma-2-5", "claim1", "schur-wrongsec"):
+    cli.main(["trials", name, "--n", "2", "--alpha", "0.785", "--trials", "200", "--seed", "3"])
+"""
+
+
+def test_suites_print_the_same_bits_under_one_and_two_blas_threads():
+    outputs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": str(Path(s.__file__).parents[1]), "OPENBLAS_NUM_THREADS": threads}
+        proc = subprocess.run([sys.executable, "-c", THREAD_SUITES], capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert len(outputs[0].splitlines()) == 4
+    assert outputs[0] == outputs[1]

@@ -2,7 +2,6 @@ import math
 
 import numpy as np
 import pytest
-import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -17,7 +16,7 @@ from sectoria import (
     rng_stream,
     solve,
 )
-from sectoria.linalg import (PD_RTOL, as_hermitian, log_abs_determinant, log_abs_leading_minors,
+from sectoria.linalg import (PD_RTOL, PIVOT_RTOL, as_hermitian, log_abs_determinant, log_abs_leading_minors,
                              positive_definite_stack)
 from oracles import determinant, eigenvalues_by_charpoly
 
@@ -199,68 +198,37 @@ def gaussian_stack(t, n, k, seed):
     return rng.standard_normal((t, n, k)) + 1j * rng.standard_normal((t, n, k))
 
 
-def lapack_solve(a, b):
-    """SciPy's getrf, then its getrs: the reference bits of ``solve``."""
-    return scipy.linalg.lu_solve(scipy.linalg.lu_factor(a), b)
+def numpy_solve(a, b):
+    """numpy's gesv on one matrix, column-major: the reference bits of ``solve``."""
+    return np.asfortranarray(np.linalg.solve(a + 0j, b + 0j))
 
 
-LIMIT = sectoria.linalg.DET_CERTIFICATE_MAX_ORDER
+def per_matrix(a, b):
+    return np.stack([numpy_solve(a[t], b[t]) for t in range(len(a))])
 
 
-class TestCertifiedSolve:
-    """``solve`` takes numpy's gesv for a small certified block with at least
-    two right-hand sides, SciPy's getrf and getrs otherwise; both routes
-    give LAPACK's bits, column-major."""
+@pytest.fixture
+def route(monkeypatch):
+    """Solve a stack through ``solve_stack``, counting its ``solve`` calls."""
+    calls = []
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 6, 12, 15, 16, 20])
-    @pytest.mark.parametrize("k", [1, 2, 5, "eye"])
-    def test_equals_lapack(self, monkeypatch, n, k):
-        loads = []
-        lapack = sectoria.linalg._lapack
-        monkeypatch.setattr(sectoria.linalg, "_lapack", lambda: loads.append(1) or lapack())
-        a = gaussian_stack(1, n, n, 300 + n)[0]
-        b = np.eye(n) if k == "eye" else gaussian_stack(1, n, k, 301 + n)[0]
-        out = solve(a, b)
-        assert (not loads) == (n <= LIMIT and b.shape[-1] > 1)
-        assert out.tobytes() == lapack_solve(a, b).tobytes()
-        assert out.dtype == np.complex128 and out.flags.f_contiguous
+    def counted(a, b):
+        calls.append(1)
+        return solve(a, b)
 
-    def test_one_dimensional_right_hand_side(self):
-        a = gaussian_stack(1, 4, 4, 5)[0]
-        b = gaussian_stack(1, 4, 1, 6)[0, :, 0]
-        out = solve(a, b)
-        assert out.shape == (4,) and out.tobytes() == lapack_solve(a, b).tobytes()
+    monkeypatch.setattr(sectoria.linalg, "solve", counted)
+
+    def run(a, b):
+        calls.clear()
+        return sectoria.linalg.solve_stack(a, b), len(calls)
+
+    return run
 
 
-class TestSolveStackRoutes:
-    """A small stack is solved as one batch, any other one matrix at a time;
-    both routes give every matrix LAPACK's bits, as ``solve`` does."""
-
-    @staticmethod
-    def per_matrix(a, b):
-        return np.stack([lapack_solve(a[t], b[t]) for t in range(len(a))])
-
-    @staticmethod
-    def batched(a, b):
-        return len(a) > 1 and a.shape[-1] <= LIMIT and b.shape[-1] > 1
-
-    @pytest.fixture
-    def route(self, monkeypatch):
-        """Solve a stack through ``solve_stack``, recording whether it called ``solve``."""
-        calls = []
-
-        def counted(a, b):
-            calls.append(1)
-            return solve(a, b)
-
-        monkeypatch.setattr(sectoria.linalg, "solve", counted)
-
-        def run(a, b):
-            calls.clear()
-            out = sectoria.linalg.solve_stack(a, b)
-            return out, not calls
-
-        return run
+class TestSolveStack:
+    """``solve_stack`` gives each matrix of a stack the bits of one
+    ``np.linalg.solve`` of that matrix alone, column-major, as ``solve``
+    does; a stack of one is one ``solve`` call, a longer one none."""
 
     @pytest.mark.parametrize("t", [1, 2, 64])
     @pytest.mark.parametrize("n", [1, 2, 3, 6, 12, 15, 16, 20])
@@ -269,19 +237,38 @@ class TestSolveStackRoutes:
         a = gaussian_stack(t, n, n, 100 * n + t)
         b = (np.broadcast_to(np.eye(n), a.shape) if k == "eye"
              else gaussian_stack(t, n, k, 100 * n + t + 1))
-        out, batched = route(a, b)
-        assert batched == self.batched(a, b)
-        assert out.tobytes() == self.per_matrix(a, b).tobytes()
-        # column-major matrices, as LAPACK returns them, on both routes
-        assert all(m.flags.f_contiguous for m in out)
+        out, calls = route(a, b)
+        assert calls == (t == 1)
+        assert out.dtype == np.complex128 and all(m.flags.f_contiguous for m in out)
+        assert out.tobytes() == per_matrix(a, b).tobytes()
+
+    @pytest.mark.parametrize("accretive", [False, True])
+    @pytest.mark.parametrize("n", [1, 2, 3, 6, 12, 15, 16, 20])
+    @pytest.mark.parametrize("k", [1, 2, 5, "eye"])
+    def test_solve_is_numpy_gesv_column_major(self, accretive, n, k):
+        # An accretive matrix is cleared by the Cholesky certificate, a
+        # Gaussian one by the SVD; the solve is the same either way.
+        a = gaussian_stack(1, n, n, 300 + n)[0]
+        if accretive:
+            a += 2 * np.linalg.norm(a, 2) * np.eye(n)
+        b = np.eye(n) if k == "eye" else gaussian_stack(1, n, k, 301 + n)[0]
+        out = solve(a, b)
+        assert out.dtype == np.complex128 and out.flags.f_contiguous
+        assert out.tobytes() == np.linalg.solve(a, b).tobytes()
+
+    def test_one_dimensional_right_hand_side(self):
+        a = gaussian_stack(1, 4, 4, 5)[0]
+        b = gaussian_stack(1, 4, 1, 6)[0, :, 0]
+        out = solve(a, b)
+        assert out.shape == (4,) and out.tobytes() == np.linalg.solve(a, b).tobytes()
 
     @pytest.mark.parametrize("n", [2, 3, 6, 12])
     def test_real_stack_is_solved_in_complex_arithmetic(self, route, n):
         a = gaussian_stack(64, n, n, n).real
         b = gaussian_stack(64, n, 3, n + 1).real
-        out, batched = route(a, b)
-        assert batched and out.dtype == np.complex128
-        assert out.tobytes() == self.per_matrix(a + 0j, b + 0j).tobytes()
+        out, calls = route(a, b)
+        assert not calls and out.dtype == np.complex128
+        assert out.tobytes() == per_matrix(a, b).tobytes()
 
     @pytest.mark.parametrize("k", [0, 1, 63])
     def test_singular_matrix_raises_what_solve_raises(self, route, k):
@@ -292,48 +279,8 @@ class TestSolveStackRoutes:
         with pytest.raises(SingularMatrixError) as raised:
             route(a, gaussian_stack(64, 3, 2, 8))
         assert str(raised.value) == str(expected.value)
-
-    @pytest.mark.parametrize("largest", [None, 2e-162])
-    @pytest.mark.parametrize("n", [2, 3, 6, 15])
-    def test_determinant_bound_never_passes_a_failing_pivot(self, n, largest, route):
-        # sigma_min = 10**-e sigma_max takes the matrices across both the
-        # determinant bound and the pivot threshold 1e-13 ||A||_F.  Each
-        # matrix goes through solve_stack beside the identity, and through
-        # solve alone.  Scaled so that its largest entry is 2e-162, a matrix
-        # keeps that entry's square, a subnormal, and loses the squares of
-        # most others to 0, so a norm summed from them comes out far too
-        # small; the certificate must then leave the matrix to LAPACK.
-        certified = sectoria.linalg._gesv_certified
-        exponents = np.arange(0.0, 18.0, 0.5)
-        shown, nonsingular = 0, 0
-        for i, e in enumerate(exponents):
-            q1, q2 = (np.linalg.qr(m)[0] for m in gaussian_stack(2, n, n, 1000 * n + i))
-            sigma = np.linspace(2.0, 0.5, n)
-            sigma[-1] = 10.0 ** -e
-            stack = np.stack([np.eye(n), (q1 * sigma) @ q2.conj().T])
-            if largest is not None:
-                stack *= largest / np.abs(stack).max(axis=(1, 2), keepdims=True)
-            b = gaussian_stack(2, n, 2, i)
-            alone = certified(stack[1:], b[1:])
-            try:
-                sectoria.linalg._lu_factor(stack[1])
-            except SingularMatrixError:
-                assert not alone and not certified(stack, b)
-                with pytest.raises(SingularMatrixError):
-                    route(stack, b)
-                with pytest.raises(SingularMatrixError):
-                    solve(stack[1], b[1])
-                continue
-            nonsingular += 1
-            out, batched = route(stack, b)
-            assert batched == certified(stack, b) == alone
-            shown += batched
-            assert out.tobytes() == self.per_matrix(stack, b).tobytes()
-            assert solve(stack[1], b[1]).tobytes() == out[1].tobytes()
-        # the bound shows some nonsingular matrices, none at the bottom of
-        # the float range, and leaves the others to LAPACK's pivoted LU,
-        # which rejects some
-        assert (shown == 0 if largest else 0 < shown) and shown < nonsingular < len(exponents)
+        assert str(raised.value) == ("least singular value below 1e-13 * ||A||_F; "
+                                     "matrix is numerically singular")
 
     def test_non_finite_stack_raises_the_first_failure(self, route):
         a = gaussian_stack(64, 3, 3, 9)
@@ -341,36 +288,79 @@ class TestSolveStackRoutes:
         a[5, 1, 1] = np.nan
         with pytest.raises(ValueError, match="^matrix entries must be finite$"):
             route(a, b)
+        a[7] = 0.0  # a singular matrix after the non-finite one leaves it first
+        with pytest.raises(ValueError, match="^matrix entries must be finite$"):
+            route(a, b)
         a[2] = 0.0  # a singular matrix before the non-finite one raises first
         with pytest.raises(SingularMatrixError):
             route(a, b)
+        a[2, 0, 0] = np.inf  # and a non-finite one before it, first again
+        with pytest.raises(ValueError, match="^matrix entries must be finite$"):
+            route(a, b)
 
 
-class TestSigmaMinBound:
-    @given(
-        n=st.integers(1, 24),
-        seed=st.integers(0, 2**32 - 1),
-        kind=st.sampled_from(["gaussian", "rescaled", "near_singular"]),
-        exponent=st.floats(-100.0, 100.0),
-        tiny=st.floats(-14.0, -3.0),
-    )
-    @settings(max_examples=150, deadline=None)
-    def test_never_exceeds_the_smallest_singular_value(self, n, seed, kind, exponent, tiny):
-        # Both sides round at about n eps ||X||_2, so the excess is measured
-        # against sigma_max: on a near-singular 2-by-2 factor the two differ
-        # in relative terms far more than 1e-12 of sigma_min.
-        x = gaussian_stack(1, n, n, seed)[0]
-        if kind == "rescaled":
-            x *= 10.0 ** exponent
-        elif kind == "near_singular":
-            u, sigma, vh = np.linalg.svd(x)
-            sigma[-1] = 0.0
-            x = (u * sigma) @ vh + 10.0 ** tiny * gaussian_stack(1, n, n, seed + 1)[0]
-        sigma = np.linalg.svd(x, compute_uv=False)
-        log_bound = sectoria.linalg._log_sigma_min_bound(
-            np.linalg.slogdet(x)[1], math.log(sectoria.linalg.frobenius(x)), n)
-        bound = math.exp(log_bound)
-        assert bound <= sigma[-1] + 1e-12 * sigma[0]
+def planted_singular_values(n, e, seed, kind):
+    """An n-by-n matrix with singular values 2 .. 0.5 and a least one of
+    10^-e.  An accretive one is normal, U diag(d) U* with |d_j| those values
+    and |arg d_j| <= 1.2, so its Hermitian part is positive definite; an
+    indefinite one is Q1 diag(sigma) Q2* and its diagonal entries' real
+    parts have both signs."""
+    sigma = np.linspace(2.0, 0.5, n)
+    sigma[-1] = 10.0 ** -e
+    q1, q2 = (np.linalg.qr(m)[0] for m in gaussian_stack(2, n, n, seed))
+    if kind == "accretive":
+        phases = np.exp(1j * np.random.default_rng(seed).uniform(-1.2, 1.2, n))
+        return (q1 * (sigma * phases)) @ q1.conj().T
+    a = (q1 * sigma) @ q2.conj().T
+    a[0] *= -np.copysign(1.0, a[0, 0].real)
+    a[1] *= np.copysign(1.0, a[1, 1].real)
+    return a
+
+
+class TestSingularValueRule:
+    """A matrix is numerically singular, and ``solve`` and ``solve_stack``
+    raise, exactly when ``np.linalg.svd`` puts sigma_min(A) below
+    ``PIVOT_RTOL * ||A||_F``.  The Cholesky certificate of the Hermitian
+    part settles accretive matrices well inside that range without the SVD."""
+
+    @pytest.mark.parametrize("largest", [None, 2e-162])
+    @pytest.mark.parametrize("kind", ["accretive", "indefinite"])
+    @pytest.mark.parametrize("n", [2, 3, 6, 15])
+    def test_raises_exactly_below_the_threshold(self, monkeypatch, route, n, kind, largest):
+        # sigma_min = 10^-e sigma_max takes the matrices across the
+        # threshold.  Each goes through solve alone and through solve_stack
+        # beside the identity.  Scaled so that its largest entry is 2e-162,
+        # a matrix keeps that entry's square, a subnormal, and loses most
+        # other squares to 0; its norm is then summed again.
+        svd = np.linalg.svd
+        svds = []
+        monkeypatch.setattr(np.linalg, "svd", lambda *args, **kw: svds.append(1) or svd(*args, **kw))
+        verdicts, certified = [], 0
+        for i, e in enumerate(np.arange(0.0, 18.0, 0.25)):
+            a = planted_singular_values(n, e, 1000 * n + i, kind)
+            if largest is not None:
+                a *= largest / np.abs(a).max()
+            stack = np.stack([np.eye(n) * np.abs(a).max(), a])
+            b = gaussian_stack(2, n, 2, i)
+            singular = svd(a, compute_uv=False)[-1] < PIVOT_RTOL * frobenius(a)
+            svds.clear()
+            if singular:
+                with pytest.raises(SingularMatrixError):
+                    solve(a, b[1])
+                with pytest.raises(SingularMatrixError):
+                    route(stack, b)
+            else:
+                assert solve(a, b[1]).tobytes() == numpy_solve(a, b[1]).tobytes()
+                assert route(stack, b)[0].tobytes() == per_matrix(stack, b).tobytes()
+            assert len(svds) in (0, 2)
+            certified += not svds
+            verdicts.append(singular)
+        # both verdicts occur, in one run from nonsingular to singular
+        assert verdicts == sorted(verdicts) and 0 < sum(verdicts) < len(verdicts)
+        if kind == "indefinite":
+            assert certified == 0
+        else:
+            assert certified >= len(verdicts) - sum(verdicts) - 3
 
 
 class TestDeterminant:
@@ -442,6 +432,13 @@ class TestLogAbsLeadingMinors:
 
     def test_blocked_at_default_block_size(self):
         assert_minors_match_slogdet(s.gen_positive_definite(80, 33))
+
+    def test_split_solves_skip_the_singular_value_test(self, monkeypatch):
+        # A11 has passed the pivot test before A/A11 is formed.
+        a = s.gen_sectorial(80, 0.9, 34)
+        expected = log_abs_leading_minors(a)
+        monkeypatch.setattr(sectoria.linalg, "_require_invertible", None)
+        assert log_abs_leading_minors(a).tobytes() == expected.tobytes()
 
     def test_last_entry_is_the_full_determinant(self):
         a = s.gen_sectorial(8, 0.9, 5)

@@ -46,8 +46,8 @@ class TestSchurComplement:
     @pytest.mark.parametrize("n, p", [(n, p) for n in (2, 3, 6, 16, 24)
                                       for p in sorted({1, n // 2, n - 1})])
     def test_stack_equals_each_matrix(self, n, p, t):
-        # Small leading blocks are solved as one batch, larger ones one
-        # matrix at a time; the complements keep their bits either way.
+        # A stack's leading blocks are solved as one batch, and each
+        # complement keeps the bits it has alone.
         a = np.stack([gen_sectorial(n, 0.9, 1000 * n + i) for i in range(t)])
         stacked = schur_complement(a, p)
         assert stacked.tobytes() == np.stack([schur_complement(m, p) for m in a]).tobytes()
