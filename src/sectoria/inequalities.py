@@ -285,8 +285,9 @@ def check_weak_log_majorization(a, tol: float = DEFAULT_TOL) -> Reports:
     is the canonical decomposition and alpha its angle.  Z = diag(e^{i theta})
     is unitary, so each singular value is 1, and each partial sum of
     log(sec(alpha) cos theta_j), taken in descending order, is compared with 0."""
-    dec = sector.sectorial_decompose(a)
-    ratios = np.sort(np.cos(dec.thetas) / np.cos(dec.angle)[:, None], axis=-1)[:, ::-1]
+    thetas = sector.sectorial_thetas(a)
+    alphas = sector.half_angle(thetas)
+    ratios = np.sort(np.cos(thetas) / np.cos(alphas)[:, None], axis=-1)[:, ::-1]
     # np.log rounds by memory layout, a stack's differently from one matrix's,
     # so the logs are taken one entry at a time.
     logs = np.array([[math.log(r) for r in row] for row in ratios.tolist()])
@@ -294,7 +295,7 @@ def check_weak_log_majorization(a, tol: float = DEFAULT_TOL) -> Reports:
     worst_k = np.argmin(partial, axis=-1)  # slack increases with the log gap
     return [
         scalar_report("weak-log-major", sums[k], 0.0, tol, f"alpha={alpha:.9f} min_partial_slack_at_k={k + 1}")
-        for alpha, sums, k in zip(dec.angle, partial, worst_k)
+        for alpha, sums, k in zip(alphas, partial, worst_k)
     ]
 
 

@@ -129,7 +129,9 @@ def frobenius_stack(m: np.ndarray) -> np.ndarray:
     and imaginary parts of the raveled matrix with two dot products, and
     ``vecdot`` on the strided parts of each raveled row does the same.  A
     nonzero matrix with a norm outside ``_DIRECT_NORMS``, where squares may
-    overflow or underflow, is summed again from its entries over their largest."""
+    overflow or underflow, is summed again from its entries over their
+    largest.  A matrix with an infinite entry has the norm inf, and one with
+    a NaN entry NaN, as their first sum gives."""
     low, high = _DIRECT_NORMS
     v = m.reshape(len(m), -1)
     with np.errstate(over="ignore"):
@@ -137,9 +139,9 @@ def frobenius_stack(m: np.ndarray) -> np.ndarray:
         norms = f.tolist()  # Python's min and max beat numpy's on the few norms of most calls
         if low < min(norms) and max(norms) < high or not v.any():
             return f
-        redo = ~((f > low) & (f < high)) & ((f != 0.0) | v.any(axis=-1))
+        redo = np.flatnonzero(~((f > low) & (f < high)) & ((f != 0.0) | v.any(axis=-1)))
         scale = np.abs(v[redo]).max(axis=-1)
-        scale[~(scale < np.inf)] = 1.0  # a non-finite row, as it is
+        redo, scale = redo[scale < np.inf], scale[scale < np.inf]
         w = v[redo] / scale[:, None]
         f[redo] = scale * np.sqrt(np.vecdot(w.real, w.real) + np.vecdot(w.imag, w.imag))
     return f

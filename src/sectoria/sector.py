@@ -100,6 +100,12 @@ def in_sector(m, alpha: float, tol: float = MEMBERSHIP_TOL) -> SectorMembership 
             for k, j in enumerate(first.tolist())]
 
 
+def half_angle(thetas: np.ndarray) -> np.ndarray:
+    """max_j |theta_j| of each row of angles: the half-angle of the
+    smallest sector that contains W(A)."""
+    return np.max(np.abs(thetas), axis=-1)
+
+
 class SectorialDecomposition(NamedTuple):
     """Invertible factor X and angles theta with A = X diag(e^{i theta}) X*,
     of a matrix, or of each matrix of a stack: X of shape (T, n, n) and the
@@ -110,48 +116,68 @@ class SectorialDecomposition(NamedTuple):
 
     @property
     def angle(self) -> float | np.ndarray:
-        """max_j |theta_j|, the half-angle of the smallest enclosing sector:
-        a float for a matrix, an array of T for a stack."""
-        angle = np.max(np.abs(self.thetas), axis=-1)
+        """``half_angle`` of the thetas: a float for a matrix, an array of T
+        for a stack."""
+        angle = half_angle(self.thetas)
         return float(angle) if self.thetas.ndim == 1 else angle
 
     def reconstruct(self) -> np.ndarray:
         return (self.x * np.exp(1j * self.thetas)[..., None, :]) @ linalg.adjoint(self.x)
 
 
+def _congruence(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The Cholesky factor L of H = Re A, C = L^{-1} K L^{-*} with K = Im A,
+    and the angles theta = atan(eig C), sorted descending, of each matrix of
+    a validated stack.
+
+    H must be positive definite, its least eigenvalue above ``PD_RTOL *
+    ||A||_F``.  A = L (I + iC) L*, and C = U diag(tan theta) U* is Hermitian
+    by construction; only rounding breaks its symmetry, so it is symmetrized
+    rather than tested.  The angles take ``eigvalsh`` alone.
+    """
+    re, im = linalg.cartesian_split(m)
+    scale = linalg.frobenius_stack(m)
+    if not linalg.positive_definite_stack(re, scale):
+        lowest = np.linalg.eigvalsh(re)[:, 0]
+        fails = ~(lowest > linalg.PD_RTOL * scale)
+        raise NotSectorialError(
+            f"real part is not positive definite (min eigenvalue {lowest[np.argmax(fails)]:.3e})"
+        )
+    factor = np.linalg.cholesky(re)
+    factor_inv = np.linalg.inv(factor)
+    c = factor_inv @ im @ linalg.adjoint(factor_inv)
+    c = (c + linalg.adjoint(c)) / 2.0
+    return factor, c, np.arctan(np.linalg.eigvalsh(c))[:, ::-1].copy()
+
+
+@linalg.matrix_or_stack(1)
+def sectorial_thetas(m) -> np.ndarray:
+    """The angles theta_j of A = X diag(e^{i theta_j}) X*, sorted
+    descending, without X: shape (n,) for a matrix, (T, n) for a stack."""
+    return _congruence(m)[2]
+
+
 @linalg.matrix_or_stack(1)
 def sectorial_decompose(m) -> SectorialDecomposition:
     """Canonical congruence diagonalization A = X diag(e^{i theta_j}) X*.
 
-    With H = Re A (required positive definite) and K = Im A, the angles are
-    atan of the eigenvalues of H^{-1/2} K H^{-1/2}; column j of H^{1/2} U is
-    rescaled by cos(theta_j)^{-1/2} so the diagonal unitary carries all the
-    phase and X Z X* reproduces A.
+    With Re A = L L* (required positive definite) and C = L^{-1} Im(A)
+    L^{-*} = U diag(tan theta) U*, the angles are those of
+    ``sectorial_thetas`` and X = L U diag(cos theta)^{-1/2}: the diagonal
+    unitary carries all the phase and X Z X* reproduces A.  The ``eigh`` of
+    C gives U only; its columns, in ascending order of eigenvalue, are
+    reversed to match the thetas.
     """
-    re, im = linalg.cartesian_split(m)
-    hw, hv = np.linalg.eigh(re)
-    fails = hw[:, 0] <= linalg.PD_RTOL * linalg.frobenius_stack(m)
-    if fails.any():
-        raise NotSectorialError(
-            f"real part is not positive definite (min eigenvalue {hw[np.argmax(fails), 0]:.3e})"
-        )
-    root = (hv * np.sqrt(hw)[:, None, :]) @ linalg.adjoint(hv)
-    root_inv = (hv * (1.0 / np.sqrt(hw))[:, None, :]) @ linalg.adjoint(hv)
-    # C = H^{-1/2} K H^{-1/2} is Hermitian by construction; only rounding
-    # breaks its symmetry, so it is symmetrized rather than tested.
-    c = root_inv @ im @ linalg.adjoint(root_inv)
-    d, u = np.linalg.eigh((c + linalg.adjoint(c)) / 2.0)
-    thetas = np.arctan(d)
-    x = (root @ u) / np.sqrt(np.cos(thetas))[:, None, :]
-    order = np.argsort(-thetas, axis=-1, kind="stable")
-    return SectorialDecomposition(np.take_along_axis(x, order[:, None, :], axis=-1),
-                                  np.take_along_axis(thetas, order, axis=-1))
+    factor, c, thetas = _congruence(m)
+    u = np.linalg.eigh(c)[1][:, :, ::-1]
+    return SectorialDecomposition((factor @ u) / np.sqrt(np.cos(thetas))[:, None, :], thetas)
 
 
 @linalg.matrix_or_stack(1)
 def sector_angle(m) -> float | list[float]:
-    """Half-angle of the smallest sector containing W(A); a list of T for a stack."""
-    return [float(a) for a in sectorial_decompose(m).angle]
+    """Half-angle of the smallest sector containing W(A), the ``half_angle``
+    of ``sectorial_thetas``; a list of T for a stack."""
+    return [float(a) for a in half_angle(sectorial_thetas(m))]
 
 
 def sector_angle_bisect(a) -> float:

@@ -269,20 +269,24 @@ def test_index_error_of_a_check_is_a_bug_and_surfaces(argv, files, monkeypatch):
     assert len(calls) == 1  # the four trials' chunk is not replayed
 
 
-@pytest.mark.parametrize("argv", [
-    ["angle", "A"],
-    ["check", "lemma-2-6", "A"],
-    ["trials", "weak-log-major", "--n", "3", "--trials", "4"],
+@pytest.mark.parametrize("solver, argv", [
+    ("eigh", ["angle", "A"]),
+    ("eigvalsh", ["angle", "A"]),
+    ("eigvalsh", ["check", "lemma-2-6", "A"]),
+    ("eigvalsh", ["check", "claim1", "A"]),
+    ("eigvalsh", ["trials", "weak-log-major", "--n", "3", "--trials", "4"]),
 ])
-def test_eigensolver_failure_is_a_precondition_failure(argv, files, monkeypatch, capsys):
-    # numpy's LinAlgError is a ValueError, which the decomposition lets through.
+def test_eigensolver_failure_is_a_precondition_failure(solver, argv, files, monkeypatch, capsys):
+    # numpy's LinAlgError is a ValueError, which the decomposition lets
+    # through.  The angles take eigvalsh alone; only the decomposition's X
+    # takes eigh.
     _, paths = files
     argv = [paths["sect_a"] if x == "A" else x for x in argv]
 
     def not_converged(h):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
-    monkeypatch.setattr(np.linalg, "eigh", not_converged)
+    monkeypatch.setattr(np.linalg, solver, not_converged)
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

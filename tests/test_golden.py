@@ -48,13 +48,13 @@ GOLDEN = {
             '{"name": "lemma-2-5", "trials": 40, "failures": 0, "min_slack": 1.3477501438948904e-05, "median_slack": 0.0006200651116694197, "config": {"seed": 0, "n": 6, "alpha": 0.785, "partition": null}}'
         ),
         'lemma-2-6': (
-            '{"name": "lemma-2-6", "trials": 40, "failures": 0, "min_slack": 0.4945526999764388, "median_slack": 0.7115876288941321, "config": {"seed": 0, "n": 6, "alpha": 0.785, "partition": null}}'
+            '{"name": "lemma-2-6", "trials": 40, "failures": 0, "min_slack": 0.4945526999764388, "median_slack": 0.7115876288941329, "config": {"seed": 0, "n": 6, "alpha": 0.785, "partition": null}}'
         ),
         'claim1': (
-            '{"name": "claim1", "trials": 40, "failures": 0, "min_slack": 0.0005317957282269371, "median_slack": 0.020724380565721547, "config": {"seed": 0, "n": 6, "alpha": 0.785, "partition": null}}'
+            '{"name": "claim1", "trials": 40, "failures": 0, "min_slack": 0.0005317957282270201, "median_slack": 0.020724380565721515, "config": {"seed": 0, "n": 6, "alpha": 0.785, "partition": null}}'
         ),
         'weak-log-major': (
-            '{"name": "weak-log-major", "trials": 40, "failures": 0, "min_slack": 0.2069850364275413, "median_slack": 0.28992060015938736, "config": {"seed": 0, "n": 6, "alpha": 0.785, "partition": null}}'
+            '{"name": "weak-log-major", "trials": 40, "failures": 0, "min_slack": 0.2069850364275417, "median_slack": 0.2899206001593955, "config": {"seed": 0, "n": 6, "alpha": 0.785, "partition": null}}'
         ),
         'schur-wrongsec': (
             '{"name": "schur-wrongsec", "trials": 40, "failures": 40, "min_slack": -0.48126338238685623, "median_slack": -0.12095156466110936, "config": {"seed": 0, "n": 6, "alpha": 0.785, "partition": null}}'
@@ -95,13 +95,13 @@ GOLDEN = {
             '{"name": "lemma-2-5", "trials": 40, "failures": 0, "min_slack": -4.020516428370273e-16, "median_slack": 3.2442996299582336e-19, "config": {"seed": 18446744073709551621, "n": 3, "alpha": 0.785, "partition": null}}'
         ),
         'lemma-2-6': (
-            '{"name": "lemma-2-6", "trials": 40, "failures": 0, "min_slack": 0.08808544983034813, "median_slack": 0.3804857560658732, "config": {"seed": 18446744073709551621, "n": 3, "alpha": 0.785, "partition": null}}'
+            '{"name": "lemma-2-6", "trials": 40, "failures": 0, "min_slack": 0.08808544983035076, "median_slack": 0.380485756065875, "config": {"seed": 18446744073709551621, "n": 3, "alpha": 0.785, "partition": null}}'
         ),
         'claim1': (
-            '{"name": "claim1", "trials": 40, "failures": 0, "min_slack": 0.00042953774614874117, "median_slack": 0.05411072819182693, "config": {"seed": 18446744073709551621, "n": 3, "alpha": 0.785, "partition": null}}'
+            '{"name": "claim1", "trials": 40, "failures": 0, "min_slack": 0.0004295377461486988, "median_slack": 0.05411072819182694, "config": {"seed": 18446744073709551621, "n": 3, "alpha": 0.785, "partition": null}}'
         ),
         'weak-log-major': (
-            '{"name": "weak-log-major", "trials": 40, "failures": 0, "min_slack": 0.06342340847196919, "median_slack": 0.25518176280396787, "config": {"seed": 18446744073709551621, "n": 3, "alpha": 0.785, "partition": null}}'
+            '{"name": "weak-log-major", "trials": 40, "failures": 0, "min_slack": 0.06342340847196841, "median_slack": 0.25518176280396787, "config": {"seed": 18446744073709551621, "n": 3, "alpha": 0.785, "partition": null}}'
         ),
         'schur-wrongsec': (
             '{"name": "schur-wrongsec", "trials": 40, "failures": 40, "min_slack": -0.4843333736815755, "median_slack": -0.06026837161899498, "config": {"seed": 18446744073709551621, "n": 3, "alpha": 0.785, "partition": null}}'

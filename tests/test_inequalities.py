@@ -628,6 +628,7 @@ KERNELS = {
     "sector.in_sector": (s.sector.in_sector, _sector_mix, 1, (0.4,)),
     "sector.sectorial_decompose": (s.sector.sectorial_decompose, _sectorial, 1, ()),
     "sector.sector_angle": (s.sector.sector_angle, _sectorial, 1, ()),
+    "sector.sectorial_thetas": (s.sector.sectorial_thetas, _sectorial, 1, ()),
     "schur.schur_complement": (s.schur.schur_complement, _sectorial, 1, (2,)),
     "inequalities.determinant_bound_levels": (s.inequalities.determinant_bound_levels, _pd, 2, ()),
     "inequalities.log_minor_ratios": (s.inequalities.log_minor_ratios, _sectorial, 2, ()),

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -23,6 +24,24 @@ from oracles import determinant, eigenvalues_by_charpoly
 
 def random_matrix(n, seed):
     return complex_gaussian(n, rng_stream(seed))
+
+
+class TestFrobenius:
+    @pytest.mark.parametrize("bad, norm", [(np.inf, math.inf), (complex(0.0, -np.inf), math.inf), (np.nan, math.nan),
+                                           (complex(np.inf, np.nan), math.nan)])
+    def test_non_finite_entry_without_a_warning(self, bad, norm):
+        # A complex infinite entry once gave NaN: the rescaling divided it by 1.
+        a = np.array([[bad, 0.0], [0.0, 1.0]], dtype=complex)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = frobenius(a)
+            finite = [np.eye(2), 1e200 * random_matrix(2, 1), 1e-200 * random_matrix(2, 2), random_matrix(2, 3)]
+            rows = np.stack([a, *finite, a]).reshape(6, -1)
+            stacked = sectoria.linalg.frobenius_stack(rows)
+        assert np.array_equal([got, stacked[0], stacked[-1]], [norm] * 3, equal_nan=True)
+        # The finite rows keep the bits that they have without the others.
+        assert stacked[1:-1].tobytes() == sectoria.linalg.frobenius_stack(rows[1:-1]).tobytes()
+        assert stacked[1:-1].tolist() == [frobenius(m) for m in finite]
 
 
 class TestCartesianSplit:
@@ -65,8 +84,8 @@ class TestHermitianEigen:
     ``as_hermitian``, the guard that Hermitian inputs pass first."""
 
     def test_matches_charpoly_oracle(self):
-        # tan(theta_j) are the eigenvalues of H^{-1/2} K H^{-1/2}, which is
-        # similar to H^{-1} K for A = H + iK.
+        # tan(theta_j) are the eigenvalues of L^{-1} K L^{-*}, with H = L L*,
+        # which is similar to H^{-1} K for A = H + iK.
         for seed in range(5):
             a = s.gen_sectorial(5, 1.0, seed)
             re, im = cartesian_split(a)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -22,10 +23,11 @@ from sectoria import (
     sector_angle_bisect,
     sectorial_decompose,
 )
+from sectoria.inequalities import check_weak_log_majorization
 from sectoria.cli import FAMILIES, main, write_matrix
 from sectoria.generators import TrialConfig, stream_key, trial_addresses
 from sectoria.linalg import PD_RTOL
-from sectoria.sector import MEMBERSHIP_TOL
+from sectoria.sector import MEMBERSHIP_TOL, sectorial_thetas
 from oracles import in_sector_reference, numerical_range_samples
 
 
@@ -53,6 +55,35 @@ def planted_real_part(n: int, alpha: float, level: float, seed: int, pinned: boo
     z = rng.uniform(1.0, 2.0, size=n - 1) * np.exp(1j * thetas)
     z = np.concatenate(([level * PD_RTOL * np.linalg.norm(z)], z))
     return (u * z) @ u.conj().T
+
+
+def conditioned_planted(n: int, exponent: int, seed: int, alpha: float = 0.785) -> np.ndarray:
+    """X diag(e^{i theta}) X* with X = U diag(s) V, U and V random unitaries
+    and the s_j geometric from 1 to 10^(-exponent / 2), so that cond(Re A)
+    is about 10^exponent; theta_1 = alpha and the others are uniform in
+    (-alpha, alpha), so that the planted half-angle is alpha."""
+    rng = np.random.default_rng([n, exponent, seed])
+    u, v = (np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))[0] for _ in range(2))
+    x = (u * np.logspace(0, -exponent / 2, n)) @ v
+    thetas = rng.uniform(-alpha, alpha, size=n)
+    thetas[0] = alpha
+    return (x * np.exp(1j * thetas)) @ x.conj().T
+
+
+def planted_precondition(n: int, delta: float, seed: int, c: float) -> np.ndarray:
+    """c (H + iK) with K a random Hermitian matrix and lambda_min(H) =
+    PD_RTOL (1 + delta) ||H + iK||_F, up to rounding; the other eigenvalues
+    of H lie in [0.5, 2]."""
+    rng = np.random.default_rng([n, seed])
+    u, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    rest = rng.uniform(0.5, 2.0, size=n - 1)
+    g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    k = (g + g.conj().T) / 4
+    # ||H + iK||_F^2 = ||H||_F^2 + ||K||_F^2 for Hermitian H and K.
+    others = math.hypot(np.linalg.norm(rest), np.linalg.norm(k))
+    r = PD_RTOL * (1 + delta)
+    h = (u * np.concatenate(([r * others / math.sqrt(1 - r * r)], rest))) @ u.conj().T
+    return c * ((h + h.conj().T) / 2 + 1j * k)
 
 
 class TestInSector:
@@ -221,7 +252,7 @@ class TestSectorialDecompose:
 
     def test_ill_conditioned_real_part(self):
         # Trial 7665 of this weak-log-major suite: cond(Re A) is about 1.3e7, and
-        # the rounding of H^{-1/2} K H^{-1/2} breaks the 1e-10 input guard.
+        # the rounding of C = L^{-1} K L^{-*} breaks the 1e-10 input guard.
         c = TrialConfig(seed=2, n=6, alpha=0.785, trials=7666)
         (a,), _ = FAMILIES["single"](c, 7665, 7666)
         assert np.linalg.cond(a + a.conj().T) > 1e7
@@ -264,6 +295,86 @@ class TestSectorialDecompose:
             sectorial_decompose(stack)
         assert str(stacked.value) == str(alone.value)
         assert str(alone.value) == "real part is not positive definite (min eigenvalue -5.000e-01)"
+
+
+class TestOneSourceOfAngles:
+    @pytest.mark.parametrize("n", [1, 2, 6, 16])
+    def test_every_reader_prints_the_same_bits(self, n, tmp_path, capsys):
+        # sector_angle, the decomposition, the angle command and
+        # weak-log-major's alpha all read sectorial_thetas.
+        stack = gen_sectorial(n, 0.785, trial_addresses(stream_key(n, 0), 0, 3))
+        thetas = sectorial_thetas(stack)
+        angles = sector_angle(stack)
+        dec = sectorial_decompose(stack)
+        assert dec.thetas.tobytes() == thetas.tobytes()
+        assert [a.hex() for a in dec.angle.tolist()] == [a.hex() for a in angles]
+        reports = check_weak_log_majorization(stack)
+        for t, a in enumerate(stack):
+            one = sectorial_decompose(a)
+            assert one.thetas.tobytes() == sectorial_thetas(a).tobytes() == thetas[t].tobytes()
+            assert one.angle.hex() == sector_angle(a).hex() == angles[t].hex()
+            for report in (reports[t], check_weak_log_majorization(a)):
+                assert report.detail.split()[2] == f"alpha={angles[t]:.9f}"
+            path = str(tmp_path / f"a{t}.json")
+            write_matrix(path, a)
+            assert main(["angle", path]) == 0
+            assert capsys.readouterr().out.splitlines() == [
+                f"alpha_rad {angles[t]!r}", f"alpha_deg {math.degrees(angles[t])!r}",
+                "thetas " + " ".join(repr(v) for v in thetas[t].tolist()),
+            ]
+
+    def test_angles_take_no_eigenvectors(self, monkeypatch):
+        def no_vectors(h):
+            raise AssertionError("eigh called")
+
+        monkeypatch.setattr(np.linalg, "eigh", no_vectors)
+        a = gen_sectorial(6, 0.785, trial_addresses(stream_key(6, 0), 0, 3))
+        sector_angle(a)
+        check_weak_log_majorization(a)
+
+
+# Bound on max |sector_angle(A) - alpha| over 64 draws of conditioned_planted,
+# per (n, log10 cond(Re A)).  The Cholesky route meets each with a margin of
+# at least 2; the eigendecomposition of Re A with H^{-1/2}, which it
+# replaced, missed six of the nine.
+PLANTED_ANGLE_BOUNDS = {
+    (6, 4): 1.2e-13, (16, 4): 1.2e-13, (64, 4): 4e-14,
+    (6, 7): 1.5e-10, (16, 7): 6e-11, (64, 7): 1.5e-11,
+    (6, 10): 4e-7, (16, 10): 4e-8, (64, 10): 2.5e-8,
+}
+
+
+class TestPlantedAngleAccuracy:
+    @pytest.mark.parametrize("n, exponent", list(PLANTED_ANGLE_BOUNDS))
+    def test_planted_angle_is_recovered(self, n, exponent):
+        stack = np.stack([conditioned_planted(n, exponent, seed) for seed in range(64)])
+        cond = np.linalg.cond(stack + stack.conj().swapaxes(1, 2))
+        assert np.all((cond > 10.0 ** (exponent - 0.5)) & (cond < 10.0 ** (exponent + 0.5)))
+        assert max(abs(a - 0.785) for a in sector_angle(stack)) <= PLANTED_ANGLE_BOUNDS[n, exponent]
+
+
+class TestAnglePrecondition:
+    @pytest.mark.parametrize("n", [1, 2, 6, 16, 128])
+    def test_rejects_exactly_what_eigvalsh_rejects(self, n):
+        # The Cholesky certificate of positive_definite_stack may clear only
+        # what eigvalsh clears, and the Cholesky factor that the angles take
+        # never fails on what eigvalsh clears, at any scale.
+        deltas = [-0.9, -0.5, -0.1, -1e-2, -1e-3, 0.0, 1e-3, 1e-2, 0.1, 1, 10, 1e3]
+        verdicts = set()
+        for c in (1e-200, 1.0, 1e200):
+            for delta in deltas:
+                a = planted_precondition(n, delta, 0, c)
+                h = (a + a.conj().T) / 2
+                lowest = np.linalg.eigvalsh(h)[0]
+                accepted = lowest > PD_RTOL * frobenius(a)
+                verdicts.add(bool(accepted))
+                if accepted:
+                    assert np.all(np.isfinite(np.diagonal(np.linalg.cholesky(h))))
+                    assert abs(sectorial_thetas(a)).max() < math.pi / 2
+                else:
+                    with pytest.raises(NotSectorialError, match=re.escape(f"(min eigenvalue {lowest:.3e})")):
+                        sector_angle(a)
+        assert verdicts == {True, False}
 
 
 class TestSectorAngle:
