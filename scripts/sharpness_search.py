@@ -20,7 +20,8 @@ import numpy as np
 from sectoria.cli import FAMILIES, chunk_size
 from sectoria.generators import ALPHA_GUARD, TrialConfig
 from sectoria.inequalities import log_minor_ratios, log_ratio_sum_rhs_stack, real_schur_terms_stack
-from sectoria.linalg import adjoint, log_abs_determinant
+from sectoria.linalg import log_abs_determinant
+from sectoria.sector import sectorial_thetas
 
 
 def needed_det_exponents(a, b, alpha):
@@ -31,11 +32,10 @@ def needed_det_exponents(a, b, alpha):
 
 def needed_loewner_exponents(a, b, alpha, p):
     """Per pair of stacked operands: the smallest c with sec^c L >= R, so
-    that sec^c covers the top generalized eigenvalue of (R, L)."""
+    that sec^c covers the top generalized eigenvalue of (R, L).  That
+    eigenvalue is tan of the largest congruence angle of L + iR."""
     lhs, rhs = real_schur_terms_stack(a, b, p)
-    w, v = np.linalg.eigh(lhs)
-    root_inv = (v * (1.0 / np.sqrt(w))[:, None, :]) @ adjoint(v)
-    tops = np.linalg.eigvalsh(root_inv @ rhs @ adjoint(root_inv))[:, -1]
+    tops = np.tan(sectorial_thetas(lhs + 1j * rhs)[:, 0])
     return [math.log(top) / math.log(1.0 / math.cos(alpha)) if top > 0.0 else -math.inf
             for top in tops.tolist()]
 

@@ -203,31 +203,23 @@ def run_check(
 
 @dataclass(frozen=True)
 class SuiteSummary:
-    """Aggregate of one randomized trial suite."""
+    """Aggregate of one randomized trial suite, with the config it ran."""
 
     name: str
-    trials: int
+    config: TrialConfig
     failures: int
     min_slack: float
     median_slack: float
-    seed: int
-    n: int
-    alpha: float
-    partition: int | None
 
     def to_dict(self) -> dict:
+        c = self.config
         return {
             "name": self.name,
-            "trials": self.trials,
+            "trials": c.trials,
             "failures": self.failures,
             "min_slack": self.min_slack,
             "median_slack": self.median_slack,
-            "config": {
-                "seed": self.seed,
-                "n": self.n,
-                "alpha": self.alpha,
-                "partition": self.partition,
-            },
+            "config": {"seed": c.seed, "n": c.n, "alpha": c.alpha, "partition": c.partition},
         }
 
 
@@ -278,17 +270,8 @@ def run_trials(name: str, config: TrialConfig, tol: float) -> SuiteSummary:
         lowest = middle = math.nan
     else:
         lowest, middle = min(slacks), float(statistics.median(slacks))
-    return SuiteSummary(
-        name=name,
-        trials=config.trials,
-        failures=sum(1 for r in reports if not r.holds),
-        min_slack=lowest,
-        median_slack=middle,
-        seed=config.seed,
-        n=config.n,
-        alpha=config.alpha,
-        partition=config.partition,
-    )
+    failures = sum(1 for r in reports if not r.holds)
+    return SuiteSummary(name, config, failures, min_slack=lowest, median_slack=middle)
 
 
 def falsify_schur_wrongsec(config: TrialConfig, tol: float = ineq.DEFAULT_TOL) -> ineq.InequalityReport:
@@ -307,11 +290,11 @@ def falsify_schur_wrongsec(config: TrialConfig, tol: float = ineq.DEFAULT_TOL) -
 
 
 def _cmd_angle(args) -> int:
-    m = read_matrix(args.file)
-    dec = sector.sectorial_decompose(m)
-    print(f"alpha_rad {dec.angle!r}")
-    print(f"alpha_deg {math.degrees(dec.angle)!r}")
-    print("thetas " + " ".join(repr(float(t)) for t in dec.thetas))
+    thetas = sector.sectorial_thetas(read_matrix(args.file))
+    angle = float(sector.half_angle(thetas))
+    print(f"alpha_rad {angle!r}")
+    print(f"alpha_deg {math.degrees(angle)!r}")
+    print("thetas " + " ".join(repr(float(t)) for t in thetas))
     return EXIT_OK
 
 

@@ -114,10 +114,9 @@ def _require_in_sector(m: np.ndarray, alpha: float, what: str) -> None:
     tolerance of the check."""
     for res in sector.in_sector(m, alpha):
         if not res:
-            w = res.witness
-            extra = f" (witness point {w.point!r})" if w is not None else ""
             raise NotSectorialError(
-                f"{what} is not inside the sector of half-angle {alpha:.6g}{extra}"
+                f"{what} is not inside the sector of half-angle {alpha:.6g}"
+                f" (witness point {res.witness.point!r})"
             )
 
 

@@ -83,10 +83,7 @@ def cartesian_schur_identity(a, p: int) -> CartesianSchurParts:
     correction = y @ middle @ y.conj().T
 
     m_part = schur_complement(re, p)
-    try:
-        n_part = schur_complement(im, p)
-    except SingularLeadingBlockError as exc:
-        raise SingularBlockError(str(exc)) from exc
+    n_part = schur_complement(im, p)
     direct = schur_complement(m, p)
     residual = linalg.frobenius(m_part + 1j * n_part + correction - direct)
     return CartesianSchurParts(m_part, n_part, y, correction, residual)

@@ -99,6 +99,10 @@ class TestProductExpansion:
         with pytest.raises(ValueError):
             product_expansion_check(np.ones(21))
 
+    def test_rejects_a_negative_entry(self):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            product_expansion_check(np.array([1.0, -1e-300, 2.0]))
+
 
 class TestCheckClaim2:
     def test_n1_equality(self):
@@ -177,6 +181,15 @@ class TestCheckClaim2:
         with pytest.raises(ValueError):
             PositiveSequencePair(np.ones((1, 1, 2)), np.ones((1, 1, 2)))
 
+    def test_rejects_non_finite_entries(self):
+        for bad in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="entries must be finite"):
+                PositiveSequencePair(np.array([1.0, 2.0]), np.array([1.0, bad]))
+
+    def test_random_pair_needs_one_step(self):
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            random_sequence_pair(0, 3)
+
 
 class TestAmGmBound:
     def test_unit_entries_equality(self):
@@ -215,3 +228,11 @@ class TestAmGmBound:
     def test_empty_residual_family(self):
         with pytest.raises(OmegaPrimeEmptyError):
             claim2_am_gm_bound(np.array([1.0, 2.0]))
+
+    def test_rejects_oversize(self):
+        with pytest.raises(ValueError, match="n must be <= 20"):
+            claim2_am_gm_bound(np.ones(21))
+
+    def test_rejects_a_zero_entry(self):
+        with pytest.raises(ValueError, match="finite and strictly positive"):
+            claim2_am_gm_bound(np.array([1.0, 0.0, 2.0]))

@@ -90,6 +90,21 @@ class TestAngleCommand:
         _, paths = files
         assert main(["angle", paths["non_sectorial"]]) == 2
 
+    def test_takes_no_eigenvectors(self, files, monkeypatch, capsys):
+        # The angles take eigvalsh alone: with eigh unable to converge,
+        # angle prints the decomposition's angle and thetas, bit for bit.
+        _, paths = files
+        dec = s.sectorial_decompose(read_matrix(paths["sect_a"]))
+        expected = [f"alpha_rad {dec.angle!r}", f"alpha_deg {math.degrees(dec.angle)!r}",
+                    "thetas " + " ".join(repr(float(t)) for t in dec.thetas)]
+
+        def not_converged(h):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", not_converged)
+        assert main(["angle", paths["sect_a"]]) == 0
+        assert capsys.readouterr().out.splitlines() == expected
+
 
 class TestCheckCommand:
     def test_main2_holds(self, files, capsys):
@@ -153,6 +168,13 @@ class TestCheckCommand:
                 assert out == "" and "finite and nonnegative" in err
         assert main(hartfiel + ["--tol", "0"]) == 0
         assert json.loads(capsys.readouterr().out)["tol"] == 0.0
+
+    def test_tol_that_is_no_number_is_usage_error(self, files, capsys):
+        # A separate -x is not a float, so it stays a flag and --tol lacks its value.
+        _, paths = files
+        assert main(["check", "hartfiel", paths["pd_a"], paths["pd_b"], "--tol", "-x"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: argument --tol: expected one argument\n"
 
     @pytest.mark.parametrize("bad", ["-inf", "-1e-3"])
     def test_negative_alpha_reaches_the_range_check(self, files, capsys, bad):
@@ -270,16 +292,15 @@ def test_index_error_of_a_check_is_a_bug_and_surfaces(argv, files, monkeypatch):
 
 
 @pytest.mark.parametrize("solver, argv", [
-    ("eigh", ["angle", "A"]),
+    ("eigh", ["boundary", "A"]),
     ("eigvalsh", ["angle", "A"]),
     ("eigvalsh", ["check", "lemma-2-6", "A"]),
     ("eigvalsh", ["check", "claim1", "A"]),
     ("eigvalsh", ["trials", "weak-log-major", "--n", "3", "--trials", "4"]),
 ])
 def test_eigensolver_failure_is_a_precondition_failure(solver, argv, files, monkeypatch, capsys):
-    # numpy's LinAlgError is a ValueError, which the decomposition lets
-    # through.  The angles take eigvalsh alone; only the decomposition's X
-    # takes eigh.
+    # numpy's LinAlgError is a ValueError, which the commands let through.
+    # The angles take eigvalsh alone; boundary's support points take eigh.
     _, paths = files
     argv = [paths["sect_a"] if x == "A" else x for x in argv]
 
@@ -525,7 +546,7 @@ class TestBoundaryCommand:
         _, paths = files
         out = str(tmp_path / "boundary.csv")
         assert main(["boundary", paths["rotated"], "--points", "90", "--out", out]) == 0
-        rows = open(out).read().strip().splitlines()
+        rows = Path(out).read_text().strip().splitlines()
         assert rows[0] == "re,im" and len(rows) == 91
 
     def test_shift_matrix_circle(self, files, capsys):

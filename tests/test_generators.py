@@ -122,6 +122,39 @@ class TestFactorScreen:
                                            generators.frobenius_stack(clear) ** 2)
         assert not generators._near_singular(clear).any()
 
+    def test_redraw_repeats_until_the_screen_clears(self, monkeypatch):
+        # Trial 1 is flagged by the stack's screen and again at its first
+        # redraw, so it keeps the second draw of its redraw stream, which
+        # starts at counter word 1 = i + 1.
+        n, alpha, i = 4, 0.7, 1
+        key = stream_key(3, 0)
+        addresses = trial_addresses(key, 0, 3)
+        plain_a, plain_thetas = gen_sectorial_planted(n, alpha, addresses)
+        screen, screened = generators._near_singular, []
+
+        def flag_twice(x):
+            screened.append(x.copy())
+            near = screen(x)
+            if len(screened) <= 2:
+                near[i if len(screened) == 1 else 0] = True
+            return near
+
+        monkeypatch.setattr(generators, "_near_singular", flag_twice)
+        a, thetas = gen_sectorial_planted(n, alpha, addresses)
+        assert len(screened) == 3
+        rng = philox(key, (i + 1) << 64)
+        first, kept = (generators.complex_gaussian(n, rng) for _ in range(2))
+        planted = rng.uniform(-alpha, alpha, size=n)
+        planted[0] = alpha
+        np.testing.assert_array_equal(screened[1][0], first)
+        np.testing.assert_array_equal(screened[2][0], kept)
+        np.testing.assert_array_equal(thetas[i], np.sort(planted)[::-1])
+        np.testing.assert_array_equal(a[i], (kept * np.exp(1j * planted)) @ adjoint(kept))
+        # The other trials keep their first draws.
+        for t in (0, 2):
+            np.testing.assert_array_equal(a[t], plain_a[t])
+            np.testing.assert_array_equal(thetas[t], plain_thetas[t])
+
 
 class TestAccretiveDissipative:
     def test_both_parts_positive_definite(self):

@@ -427,6 +427,12 @@ class TestReportContract:
         assert doc["name"] == "main2"
         assert set(doc) == {"name", "kind", "slack", "holds", "tol", "detail"}
 
+    def test_loewner_rejects_a_non_hermitian_difference(self):
+        lhs = np.eye(2, dtype=complex)[None]
+        rhs = np.array([[[0.0, 1.0], [0.0, 0.0]]], dtype=complex)
+        with pytest.raises(ValueError, match="^main1: difference matrix is not Hermitian$"):
+            s.inequalities.loewner_reports("main1", lhs, rhs, 1e-8)
+
     @given(seed=st.integers(0, 2**31), alpha_hi=st.floats(0.9, 1.4))
     @settings(max_examples=20, deadline=None)
     def test_alpha_monotonicity(self, seed, alpha_hi):

@@ -114,7 +114,7 @@ class TestCartesianSchurIdentity:
     def test_singular_imaginary_block(self):
         # Im A has a zero leading block
         a = np.array([[1.0, 1j], [1j, 1.0 + 1j]])
-        with pytest.raises(SingularBlockError):
+        with pytest.raises(SingularBlockError, match="leading block of the imaginary part is singular"):
             cartesian_schur_identity(a, 1)
 
     def test_rejects_non_accretive(self):
