@@ -109,10 +109,12 @@ def _require_pd(m: np.ndarray, what: str) -> np.ndarray:
     return sym
 
 
-def _require_in_sector(m: np.ndarray, alpha: float, what: str) -> None:
+def _require_in_sector(operands: dict[str, np.ndarray], alpha: float) -> None:
     """Require membership at ``sector.MEMBERSHIP_TOL``, whatever the slack
-    tolerance of the check."""
-    for res in sector.in_sector(m, alpha):
+    tolerance of the check, of every matrix of the named stacks, which share
+    an order n, in one test; the first failing matrix, in order, raises."""
+    names = [what for what, m in operands.items() for _ in m]
+    for what, res in zip(names, sector._memberships(list(operands.values()), alpha)):
         if not res:
             raise NotSectorialError(
                 f"{what} is not inside the sector of half-angle {alpha:.6g}"
@@ -135,12 +137,23 @@ def _require_pd_pair(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarr
 
 def _require_sectorial_pair(a: np.ndarray, b: np.ndarray, alpha: float) -> float:
     """Validate alpha, then stacks of A and B in its sector and of one size;
-    returns alpha as a float."""
+    returns alpha as a float.  A and B are tested as one stack, or one after
+    the other where their sizes differ."""
     alpha = sector.validate_sector_angle(alpha)
-    _require_in_sector(a, alpha, "A")
-    _require_in_sector(b, alpha, "B")
+    if a.shape == b.shape:
+        _require_in_sector({"A": a, "B": b}, alpha)
+    else:
+        _require_in_sector({"A": a}, alpha)
+        _require_in_sector({"B": b}, alpha)
     _require_pair(a, b)
     return alpha
+
+
+def _require_accretive_dissipative(m: np.ndarray, what: str) -> None:
+    """Require Re A and Im A positive definite for every matrix of a stack."""
+    parts = np.concatenate(linalg.cartesian_split(m))
+    if not linalg.positive_definite_stack(parts, np.tile(linalg.frobenius_stack(m), 2)):
+        raise NotAccretiveDissipativeError(f"{what} must have positive definite real and imaginary parts")
 
 
 def log_ratio_sum_rhs_stack(log_an, x: np.ndarray, with_sqrt: bool) -> np.ndarray:
@@ -171,12 +184,12 @@ class LogMinorRatios(NamedTuple):
 
 @linalg.matrix_or_stack(2)
 def log_minor_ratios(a, b) -> LogMinorRatios:
-    """log|det A| and the log ratios of the leading minors of B and A, each
-    from one elimination of A and one of B; a minor may lie outside the
-    float range."""
+    """log|det A| and the log ratios of the leading minors of B and A, from
+    one elimination of A and B stacked; a minor may lie outside the float
+    range."""
     _require_pair(a, b)
-    la = linalg.log_abs_leading_minors(a)
-    return LogMinorRatios(la[:, -1], linalg.log_abs_leading_minors(b) - la)
+    la, lb = np.split(linalg.log_abs_leading_minors(np.concatenate([a, b])), 2)
+    return LogMinorRatios(la[:, -1], lb - la)
 
 
 class DeterminantBoundLevels(NamedTuple):
@@ -241,8 +254,8 @@ def check_hartfiel(a, b, tol: float = DEFAULT_TOL) -> Reports:
 def check_schur_pd(a, b, p: int, tol: float = DEFAULT_TOL) -> Reports:
     """(A+B)/(A11+B11) >= A/A11 + B/B11 in the Loewner order for PD A, B."""
     ha, hb = _require_pd_pair(a, b)
-    lhs = schur.schur_complement(ha + hb, p)
-    rhs = schur.schur_complement(ha, p) + schur.schur_complement(hb, p)
+    lhs = schur._accretive_complement(ha + hb, p)
+    rhs = schur._accretive_complement(ha, p) + schur._accretive_complement(hb, p)
     return loewner_reports("schur-pd", lhs, rhs, tol)
 
 
@@ -259,7 +272,7 @@ def check_inverse_real_part(a, tol: float = DEFAULT_TOL) -> Reports:
 @linalg.matrix_or_stack(1)
 def check_schur_real_part(a, p: int, tol: float = DEFAULT_TOL) -> Reports:
     """Re(A/A11) >= (Re A)/(Re A11) when Re A is positive definite."""
-    lhs, rhs = _real_part_schur_terms(a, p)
+    lhs, rhs = _real_part_schur_terms(a, linalg.accretive_parts(a).re, p)
     return loewner_reports("lemma-2-5", lhs, rhs, tol)
 
 
@@ -301,27 +314,28 @@ def check_weak_log_majorization(a, tol: float = DEFAULT_TOL) -> Reports:
 @linalg.matrix_or_stack(1)
 def check_claim1(a, p: int, tol: float = DEFAULT_TOL) -> Reports:
     """sec^2(alpha) (Re A)/(Re A11) >= Re(A/A11) with alpha the sector angle of A."""
-    rhs, lhs = _real_part_schur_terms(a, p)
-    alphas = sector.sector_angle(a)
+    parts = linalg.accretive_parts(a)
+    rhs, lhs = _real_part_schur_terms(a, parts.re, p)
+    alphas = sector.half_angle(sector._congruence_of_parts(*parts)[2]).tolist()
     sec2 = np.array([(1.0 / math.cos(alpha)) ** 2 for alpha in alphas])
     return loewner_reports("claim1", sec2[:, None, None] * lhs, rhs, tol, [f"alpha={alpha:.9f}" for alpha in alphas])
 
 
-def _real_part_schur_terms(a: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+def _real_part_schur_terms(a: np.ndarray, re: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
     """Re(A/A11) and the symmetrized (Re A)/(Re A11), the two sides of
-    Lemma 2.5, for each stacked operand, after checking that Re A is
-    positive definite."""
-    re, _ = linalg.accretive_parts(a)
-    re_schur = schur.schur_complement(re, p)
-    return linalg.cartesian_split(schur.schur_complement(a, p)).re, (re_schur + linalg.adjoint(re_schur)) / 2.0
+    Lemma 2.5, for each stacked operand, from its real part ``re``, which
+    ``linalg.accretive_parts`` has shown positive definite."""
+    re_schur = schur._accretive_complement(re, p)
+    return linalg.cartesian_split(schur._accretive_complement(a, p)).re, (re_schur + linalg.adjoint(re_schur)) / 2.0
 
 
-def real_schur_terms_stack(a: np.ndarray, b: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+def _real_schur_terms(a: np.ndarray, b: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
     """Re((A+B)/(A11+B11)) and Re(A/A11) + Re(B/B11), the two sides of the
-    uncorrected Schur bound, for each pair of stacked operands."""
+    uncorrected Schur bound, for each pair of stacked operands whose real
+    parts a precondition has shown positive definite."""
 
     def re_schur(m):
-        return linalg.cartesian_split(schur.schur_complement(m, p)).re
+        return linalg.cartesian_split(schur._accretive_complement(m, p)).re
 
     return re_schur(a + b), re_schur(a) + re_schur(b)
 
@@ -332,7 +346,7 @@ def check_main1(a, b, alpha: float, p: int, tol: float = DEFAULT_TOL) -> Reports
     with numerical range in the alpha sector."""
     alpha = _require_sectorial_pair(a, b, alpha)
     sec2 = (1.0 / math.cos(alpha)) ** 2
-    lhs, rhs = real_schur_terms_stack(a, b, p)
+    lhs, rhs = _real_schur_terms(a, b, p)
     return loewner_reports("main1", sec2 * lhs, rhs, tol)
 
 
@@ -341,7 +355,7 @@ def check_schur_wrongsec(a, p: int, tol: float = DEFAULT_TOL) -> Reports:
     """The uncorrected bound Re((A+B)/(A11+B11)) >= Re(A/A11) + Re(B/B11)
     with B = A*; false in general, equality for Hermitian A."""
     linalg.accretive_parts(a)
-    lhs, rhs = real_schur_terms_stack(a, linalg.adjoint(a), p)
+    lhs, rhs = _real_schur_terms(a, linalg.adjoint(a), p)
     return loewner_reports("schur-wrongsec", lhs, rhs, tol)
 
 
@@ -353,8 +367,9 @@ def check_det_step(
     >= |det A_{k+1} / det A_k| + |det B_{k+1} / det B_k|.
 
     With ``k`` None every step k = 1..n-1 is checked and the worst one is
-    reported.  Sector membership is tested once, and each of A, B and A+B is
-    factored once (only its leading (k+1)-by-(k+1) block for a single k).
+    reported.  Sector membership is tested once, and A+B, A and B are
+    eliminated once, as one stack (only their leading (k+1)-by-(k+1) blocks
+    for a single k).
     """
     alpha = _require_sectorial_pair(a, b, alpha)
     n = a.shape[-1]
@@ -367,12 +382,11 @@ def check_det_step(
     else:
         first, size = k, k + 1
 
-    def log_steps(m):
-        """log|det M_{j+1} / det M_j| for j = first..size-1."""
-        return np.diff(linalg.log_abs_leading_minors(m[:, :size, :size]), axis=-1)[:, first - 1:]
-
-    log_lhs = -3.0 * math.log(math.cos(alpha)) + log_steps(a + b)
-    log_rhs = np.logaddexp(log_steps(a), log_steps(b))
+    minors = linalg.log_abs_leading_minors(np.concatenate([m[:, :size, :size] for m in (a + b, a, b)]))
+    # log|det M_{j+1} / det M_j| for j = first..size-1, for M = A+B, A and B
+    steps = np.diff(minors, axis=-1)[:, first - 1:].reshape(3, len(a), -1)
+    log_lhs = -3.0 * math.log(math.cos(alpha)) + steps[0]
+    log_rhs = np.logaddexp(steps[1], steps[2])
     worst = np.argmin(log_lhs - log_rhs, axis=-1)  # slack increases with the log gap
     return [
         scalar_report("det-step", lhs[w], rhs[w], tol, f"k={first + int(w)}")
@@ -395,13 +409,9 @@ def check_main2(a, b, alpha: float, tol: float = DEFAULT_TOL) -> Reports:
 def check_corollary_ad(a, b, tol: float = DEFAULT_TOL) -> Reports:
     """2^{3n/2 - 1} |det(A+B)| >= the sqrt-refined ratio bound, for
     accretive-dissipative A and B (Re and Im parts positive definite)."""
+    _require_accretive_dissipative(a, "A")
+    _require_accretive_dissipative(b, "B")
     _require_pair(a, b)
-    for m, what in ((a, "A"), (b, "B")):
-        parts = np.concatenate(linalg.cartesian_split(m))
-        if not linalg.positive_definite_stack(parts, np.tile(linalg.frobenius_stack(m), 2)):
-            raise NotAccretiveDissipativeError(
-                f"{what} must have positive definite real and imaginary parts"
-            )
     exponent = 1.5 * a.shape[-1] - 1.0
     log_lhs = exponent * _LOG2 + linalg.log_abs_determinant(a + b)
     log_rhs = log_ratio_sum_rhs_stack(*log_minor_ratios(a, b), with_sqrt=True)

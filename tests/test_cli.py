@@ -448,8 +448,45 @@ class TestSectorialPairPreconditionOrder:
     def test_order(self, name, run):
         a3, b3, b4 = (s.gen_sectorial(n, self.ALPHA, seed) for n, seed in ((3, 31), (3, 32), (4, 33)))
         assert run(name, -a3, -b3) == self.outside("A", -a3)
-        assert run(name, a3, -b4) == self.outside("B", -b4)
+        assert run(name, a3, -b3) == self.outside("B", -b3)  # A and B tested as one stack
+        assert run(name, a3, -b4) == self.outside("B", -b4)  # one after the other
         assert run(name, a3, b4) == "error: operands must share a dimension, got (3, 3) and (4, 4)\n"
+
+
+class TestPdAndAdPairPreconditionOrder:
+    """A, then B, then equal shapes, as for sectorial pairs: each operand's
+    definiteness is tested before the shapes are compared."""
+
+    @pytest.fixture
+    def run(self, tmp_path, capsys):
+        def run(name, a, b):
+            paths = [str(tmp_path / "a.json"), str(tmp_path / "b.json")]
+            write_matrix(paths[0], a)
+            write_matrix(paths[1], b)
+            assert main(["check", name, *paths]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            return captured.err
+        return run
+
+    @pytest.mark.parametrize("name", ["det-superadditivity", "haynsworth", "hartfiel", "schur-pd"])
+    def test_pd_pair_order(self, name, run):
+        p3, q3, q4 = (s.gen_positive_definite(n, seed) for n, seed in ((3, 41), (3, 42), (4, 43)))
+        skew = np.triu(np.ones((3, 3))) * 1j  # not Hermitian
+        assert run(name, skew, skew) == "error: A must be Hermitian positive definite\n"
+        assert run(name, -p3, -q3) == "error: A is not positive definite\n"
+        assert run(name, p3, skew) == "error: B must be Hermitian positive definite\n"
+        assert run(name, p3, -q4) == "error: B is not positive definite\n"
+        assert run(name, p3, q4) == "error: operands must share a dimension, got (3, 3) and (4, 4)\n"
+
+    def test_ad_pair_order(self, run):
+        a3, b3, b4 = (s.gen_accretive_dissipative(n, seed) for n, seed in ((3, 51), (3, 52), (4, 53)))
+        message = "error: {} must have positive definite real and imaginary parts\n"
+        assert run("corollary-ad", a3.conj(), b3.conj()) == message.format("A")
+        assert run("corollary-ad", a3, b3.conj()) == message.format("B")
+        assert run("corollary-ad", a3.conj(), b4) == message.format("A")
+        assert run("corollary-ad", a3, b4.conj()) == message.format("B")
+        assert run("corollary-ad", a3, b4) == "error: operands must share a dimension, got (3, 3) and (4, 4)\n"
 
 
 class TestSuiteReduction:

@@ -255,8 +255,8 @@ def leave_sector(m: np.ndarray) -> np.ndarray:
 @pytest.mark.parametrize("name", ["main1", "main2", "det-step"])
 def test_first_failing_trial_reports_its_error(name, n, trials, bad_b, bad_a, monkeypatch, capsys):
     # At n = 6 both bad trials share the one chunk; at n = 40 they sit in the
-    # second chunk (trials 10..19), and trial bad_a's A fails the first test
-    # of the stacked evaluation, which runs before any B is looked at.
+    # second chunk (trials 10..19).  The stacked evaluation tests A and B as
+    # one stack and reports trial bad_a's A, as A's failures come before B's.
     original = FAMILIES["sectorial_pair"]
 
     def patched(c, lo, hi):
@@ -285,13 +285,11 @@ def test_first_failing_trial_reports_its_error(name, n, trials, bad_b, bad_a, mo
     assert captured.err == f"error: {message}\n"
 
 
-@pytest.mark.parametrize("reach_the_solve", [False, True])
 @pytest.mark.parametrize("name", ["main1", "schur-pd", "lemma-2-5", "claim1"])
-def test_singular_leading_block_in_a_batched_chunk(name, reach_the_solve, monkeypatch, capsys):
+def test_singular_leading_block_in_a_batched_chunk(name, monkeypatch, capsys):
     # Trial 7 of a 20-trial chunk at n = 6 gets a zero leading 3-by-3 block.
-    # Its preconditions reject it first; with them switched off, the chunk's
-    # batched solve meets the singular block.  Either way the suite prints
-    # what the per-trial loop (chunks of one trial) prints.
+    # Its preconditions reject it, before any Schur complement is formed, and
+    # the suite prints what the per-trial loop (chunks of one trial) prints.
     family = CHECKS[name].family
     original = FAMILIES[family]
 
@@ -303,12 +301,6 @@ def test_singular_leading_block_in_a_batched_chunk(name, reach_the_solve, monkey
         return a, b
 
     monkeypatch.setitem(FAMILIES, family, patched)
-    if reach_the_solve:
-        ineq = s.inequalities
-        monkeypatch.setattr(ineq, "_require_sectorial_pair", lambda a, b, alpha: alpha)
-        monkeypatch.setattr(ineq, "_require_pd_pair", lambda a, b: (a, b))
-        monkeypatch.setattr(s.linalg, "accretive_parts", lambda m: s.linalg.cartesian_split(m))
-        monkeypatch.setattr(s.sector, "sector_angle", lambda m: np.zeros(len(m)))
     argv = ["trials", name, "--n", "6", "--alpha", str(ALPHA), "--trials", "20", "--seed", "3"]
 
     def run():
@@ -321,7 +313,94 @@ def test_singular_leading_block_in_a_batched_chunk(name, reach_the_solve, monkey
     monkeypatch.setattr(cli, "chunk_size", lambda n, family="single": 1)
     assert batched == run()
     assert batched[0] == 2
-    assert ("leading 3-by-3 block is numerically singular" in batched[1]) == reach_the_solve
+    assert "leading 3-by-3 block is numerically singular" not in batched[1]
+
+
+# The checks that take Schur complements, with the operands whose leading
+# blocks they solve: their preconditions show Re M positive definite for each.
+COMPLEMENT_OPERANDS = {
+    "main1": lambda a, b: (a, b, a + b),
+    "schur-pd": lambda a, b: (a, b, a + b),
+    "lemma-2-5": lambda a, b: (a, (a + a.conj().T) / 2),
+    "claim1": lambda a, b: (a, (a + a.conj().T) / 2),
+    "schur-wrongsec": lambda a, b: (a, a.conj().T, a + a.conj().T),
+}
+
+
+class TestNoSecondCertificate:
+    """A check's preconditions prove every leading block it solves
+    invertible: lambda_min(Re A) > PD_RTOL ||A||_F gives sigma_min(A11) >=
+    lambda_min(Re A11) > PD_RTOL ||A11||_F, ten times PIVOT_RTOL, so no check
+    runs the solve's own test, and claim1 shows Re A positive definite once."""
+
+    @pytest.mark.parametrize("n", [2, 6, 40])
+    def test_no_check_tests_a_block_again(self, n, monkeypatch):
+        calls = []
+        require_invertible = s.linalg._require_invertible
+        positive_definite = s.linalg.positive_definite_stack
+
+        def counted_invertible(m):
+            calls.append("invertible")
+            return require_invertible(m)
+
+        def counted_positive_definite(h, scale):
+            calls.append("positive definite")
+            return positive_definite(h, scale)
+
+        monkeypatch.setattr(s.linalg, "_require_invertible", counted_invertible)
+        monkeypatch.setattr(s.linalg, "positive_definite_stack", counted_positive_definite)
+        for name in CHECKS:
+            for trials in (1, 3):
+                calls.clear()
+                argv = ["trials", name, "--n", str(n), "--alpha", str(ALPHA), "--trials", str(trials)]
+                assert main(argv) in (0, 3), name
+                assert "invertible" not in calls, name
+                if name == "claim1":
+                    assert calls == ["positive definite"]
+        # The counter sees the test that a public Schur complement runs.
+        calls.clear()
+        s.schur_complement(s.gen_sectorial(n, ALPHA, 0), n // 2)
+        assert calls == ["invertible"]
+
+    @staticmethod
+    def planted(n, delta, seed, c, alpha):
+        """c U diag(s_j e^{i theta_j}) U*, normal, with |theta_j| < alpha and
+        lambda_min(Re A) = s_1 cos theta_1 = PD_RTOL (1 + delta) ||A||_F up to
+        rounding; U fixes e_1, so that A11 holds that eigenvalue.  alpha = 0
+        gives a Hermitian positive definite A."""
+        rng = np.random.default_rng([n, seed])
+        u = np.eye(n, dtype=complex)
+        u[1:, 1:] = np.linalg.qr(rng.normal(size=(n - 1, n - 1)) + 1j * rng.normal(size=(n - 1, n - 1)))[0]
+        theta = 0.9 * alpha * rng.uniform(-1.0, 1.0, size=n)
+        r = rng.uniform(0.5, 2.0, size=n)
+        r[0] = s.linalg.PD_RTOL * (1 + delta) * np.linalg.norm(r[1:]) / math.cos(theta[0])
+        return c * (u * (r * np.exp(1j * theta))) @ u.conj().T
+
+    @pytest.mark.parametrize("n", [2, 6, 16])
+    @pytest.mark.parametrize("name", list(COMPLEMENT_OPERANDS))
+    def test_operands_at_the_precondition_floor_clear_the_solve_test(self, name, n):
+        p = n // 2
+        alpha = 0.0 if CHECKS[name].family == "pd_pair" else ALPHA
+        verdicts = set()
+        for c in (1e-200, 1.0, 1e200):
+            for delta in (-0.5, 1e-2, 0.1, 1.0, 10.0):
+                a = self.planted(n, delta, 0, c, alpha)
+                b = self.planted(n, delta, 1, c, alpha)
+                re = (a + a.conj().T) / 2
+                accepted = np.linalg.eigvalsh(re)[0] > s.linalg.PD_RTOL * s.frobenius(a)
+                verdicts.add(bool(accepted))
+                if not accepted:
+                    with pytest.raises(s.SectoriaError) as info:
+                        CHECKS[name].evaluate(a, b, ALPHA, p, s.DEFAULT_TOL)
+                    assert not isinstance(info.value, s.SingularMatrixError)
+                    continue
+                report = CHECKS[name].evaluate(a, b, ALPHA, p, s.DEFAULT_TOL)
+                assert math.isfinite(report.slack)
+                for m in COMPLEMENT_OPERANDS[name](a, b):
+                    block = m[:p, :p]
+                    sigma_min = np.linalg.svd(block / c, compute_uv=False)[-1]
+                    assert sigma_min >= s.linalg.PIVOT_RTOL * s.frobenius(block / c)
+        assert verdicts == {True, False}
 
 
 def test_falsifier_keeps_the_lowest_index_on_ties(monkeypatch):

@@ -355,6 +355,77 @@ class TestDetStepAllK:
             s.check_det_step(np.eye(1), np.eye(1), 0.0)
 
 
+def _stacks(n, count, seed):
+    return [np.stack([s.gen_sectorial(n, 0.6, 1000 * seed + 10 * k + t) for t in range(count)]) for k in range(2)]
+
+
+class TestStackedEliminations:
+    """``log_minor_ratios`` eliminates A and B as one stack, and
+    ``check_det_step`` A+B, A and B: each matrix keeps the bits of its own
+    ``log_abs_leading_minors`` call, also where the elimination splits at
+    ``_ELIMINATION_BLOCK`` = 32 (n = 33 and 64)."""
+
+    @pytest.mark.parametrize("count", [1, 5])
+    @pytest.mark.parametrize("n", [1, 2, 6, 33, 64])
+    def test_log_minor_ratios(self, n, count):
+        a, b = _stacks(n, count, 1)
+        la, lb = s.linalg.log_abs_leading_minors(a), s.linalg.log_abs_leading_minors(b)
+        got = s.inequalities.log_minor_ratios(a, b)
+        assert _bits(got) == _bits((la[:, -1], lb - la))
+        assert _bits(s.inequalities.log_minor_ratios(a[0], b[0])) == _bits((la[0, -1], lb[0] - la[0]))
+
+    @pytest.mark.parametrize("count", [1, 5])
+    @pytest.mark.parametrize("n", [2, 6, 33, 64])
+    def test_det_step(self, n, count):
+        a, b = _stacks(n, count, 2)
+        alpha = 0.6
+        for first, size in [(1, n), (1, 2), (n - 1, n)]:
+            k = None if size == n and first == 1 else first
+
+            def log_steps(m):
+                return np.diff(s.linalg.log_abs_leading_minors(m[:, :size, :size]), axis=-1)[:, first - 1:]
+
+            log_lhs = -3.0 * math.log(math.cos(alpha)) + log_steps(a + b)
+            log_rhs = np.logaddexp(log_steps(a), log_steps(b))
+            worst = np.argmin(log_lhs - log_rhs, axis=-1)
+            expected = [s.scalar_report("det-step", lhs[w], rhs[w], s.DEFAULT_TOL, f"k={first + int(w)}")
+                        for lhs, rhs, w in zip(log_lhs, log_rhs, worst)]
+            assert s.check_det_step(a, b, alpha, k) == expected
+            assert s.check_det_step(a[0], b[0], alpha, k) == expected[0]
+
+
+class TestStackedMembership:
+    """A sectorial pair's A and B are tested as one stack: the first failing
+    matrix of A, else of B, raises, with the witness that ``in_sector`` gives
+    it alone."""
+
+    @staticmethod
+    def message(what, m, alpha):
+        return f"{what} is not inside the sector of half-angle {alpha:.6g} (witness point {s.in_sector(m, alpha).witness.point!r})"
+
+    @pytest.mark.parametrize("name, n", [(name, n) for name in ("main1", "main2", "det-step")
+                                         for n in (1, 2, 6) if n > 1 or name == "main2"])
+    def test_first_failure_names_its_operand(self, name, n):
+        def check(a, b):
+            return cli.CHECKS[name].evaluate(a, b, 0.6, None, s.DEFAULT_TOL)
+
+        a, b = _stacks(n, 4, 3)
+        a[2], b[0], b[3] = -a[2], -b[0], 1j * b[3]
+        with pytest.raises(NotSectorialError) as info:
+            check(a, b)
+        assert str(info.value) == self.message("A", a[2], 0.6)
+        a[2] = -a[2]
+        with pytest.raises(NotSectorialError) as info:
+            check(a, b)
+        assert str(info.value) == self.message("B", b[0], 0.6)
+        b[0] = -b[0]
+        with pytest.raises(NotSectorialError) as info:
+            check(a, b)
+        assert str(info.value) == self.message("B", b[3], 0.6)
+        b[3] = -1j * b[3]
+        assert len(check(a, b)) == 4
+
+
 class TestMain2:
     def test_identity_pair_equality(self):
         report = s.check_main2(np.eye(3), np.eye(3), 0.0)

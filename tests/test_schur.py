@@ -19,7 +19,9 @@ from sectoria import (
     inverse_block_identity,
     real_inverse_identity,
     schur_complement,
+    solve,
 )
+from sectoria import linalg
 from sectoria.linalg import as_hermitian
 from oracles import determinant
 
@@ -134,3 +136,56 @@ class TestRealInverseIdentity:
     def test_rejects_non_accretive(self):
         with pytest.raises(NotAccretiveError):
             real_inverse_identity(np.array([[-2.0]]))
+
+
+class TestIdentitiesTestEachBlockOnce:
+    """Re A positive definite makes A, Re A, A11 and (Re A)11 invertible, so
+    the identities solve them untested, with the bits of the tested public
+    route; they test (Im A)11, M11^{-1} - i N11^{-1} and Re A + Im A (Re
+    A)^{-1} Im A, whose norm ||A||_F does not bound."""
+
+    @pytest.fixture
+    def tested(self, monkeypatch):
+        blocks = []
+        require_invertible = linalg._require_invertible
+
+        def counted(m):
+            blocks.append(m.copy())
+            return require_invertible(m)
+
+        monkeypatch.setattr(linalg, "_require_invertible", counted)
+        return blocks
+
+    @staticmethod
+    def samples(n):
+        return [gen_accretive_dissipative(n, 70 + n), gen_sectorial(n, math.pi / 3, 80 + n)]
+
+    @pytest.mark.parametrize("n", [2, 3, 6])
+    def test_cartesian_schur_identity(self, n, tested):
+        p = n // 2
+        for a in self.samples(n):
+            re, im = cartesian_split(a)
+            m11_inv, n11_inv = inverse(re[:p, :p]), inverse(im[:p, :p])
+            expected = [schur_complement(re, p), schur_complement(im, p),
+                        re[p:, :p] @ m11_inv - im[p:, :p] @ n11_inv]
+            direct = schur_complement(a, p)
+            tested.clear()
+            parts = cartesian_schur_identity(a, p)
+            assert len(tested) == 2
+            np.testing.assert_array_equal(tested[0][0], im[:p, :p])
+            np.testing.assert_array_equal(tested[1][0], m11_inv - 1j * n11_inv)
+            for got, want in zip((parts.m_part, parts.n_part, parts.y_factor), expected):
+                assert got.tobytes() == want.tobytes()
+            assert parts.residual == frobenius(parts.m_part + 1j * parts.n_part + parts.correction - direct)
+
+    @pytest.mark.parametrize("n", [1, 2, 6])
+    def test_real_inverse_identity(self, n, tested):
+        for a in self.samples(n):
+            re, im = cartesian_split(a)
+            inv_a = inverse(a)
+            middle = re + im @ solve(re, im)
+            expected = frobenius(cartesian_split(inv_a).re - inverse(middle)) / frobenius(inv_a)
+            tested.clear()
+            assert real_inverse_identity(a) == expected
+            assert len(tested) == 1
+            np.testing.assert_array_equal(tested[0][0], middle)
