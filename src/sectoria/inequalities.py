@@ -112,9 +112,12 @@ def _require_pd(m: np.ndarray, what: str) -> np.ndarray:
 def _require_in_sector(operands: dict[str, np.ndarray], alpha: float) -> None:
     """Require membership at ``sector.MEMBERSHIP_TOL``, whatever the slack
     tolerance of the check, of every matrix of the named stacks, which share
-    an order n, in one test; the first failing matrix, in order, raises."""
+    an order n, in one ``sector.in_sector`` call; the first failing matrix,
+    in order, raises."""
+    stacks = list(operands.values())
     names = [what for what, m in operands.items() for _ in m]
-    for what, res in zip(names, sector._memberships(list(operands.values()), alpha)):
+    stack = np.concatenate(stacks) if len(stacks) > 1 else stacks[0]
+    for what, res in zip(names, sector.in_sector(stack, alpha)):
         if not res:
             raise NotSectorialError(
                 f"{what} is not inside the sector of half-angle {alpha:.6g}"
@@ -329,13 +332,14 @@ def _real_part_schur_terms(a: np.ndarray, re: np.ndarray, p: int) -> tuple[np.nd
     return linalg.cartesian_split(schur._accretive_complement(a, p)).re, (re_schur + linalg.adjoint(re_schur)) / 2.0
 
 
-def _real_schur_terms(a: np.ndarray, b: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+def _real_schur_terms(a: np.ndarray, b: np.ndarray, p: int, complement) -> tuple[np.ndarray, np.ndarray]:
     """Re((A+B)/(A11+B11)) and Re(A/A11) + Re(B/B11), the two sides of the
     uncorrected Schur bound, for each pair of stacked operands whose real
-    parts a precondition has shown positive definite."""
+    parts a precondition has shown positive definite, with the Schur
+    complements of ``complement(m, p)``."""
 
     def re_schur(m):
-        return linalg.cartesian_split(schur._accretive_complement(m, p)).re
+        return linalg.cartesian_split(complement(m, p)).re
 
     return re_schur(a + b), re_schur(a) + re_schur(b)
 
@@ -346,7 +350,10 @@ def check_main1(a, b, alpha: float, p: int, tol: float = DEFAULT_TOL) -> Reports
     with numerical range in the alpha sector."""
     alpha = _require_sectorial_pair(a, b, alpha)
     sec2 = (1.0 / math.cos(alpha)) ** 2
-    lhs, rhs = _real_schur_terms(a, b, p)
+    # The public, tested complement, though membership implies its test:
+    # perfbench traces public functions only, and its tracer test pins
+    # schur.schur_complement and linalg.solve inside main1.
+    lhs, rhs = _real_schur_terms(a, b, p, schur.schur_complement)
     return loewner_reports("main1", sec2 * lhs, rhs, tol)
 
 
@@ -355,7 +362,7 @@ def check_schur_wrongsec(a, p: int, tol: float = DEFAULT_TOL) -> Reports:
     """The uncorrected bound Re((A+B)/(A11+B11)) >= Re(A/A11) + Re(B/B11)
     with B = A*; false in general, equality for Hermitian A."""
     linalg.accretive_parts(a)
-    lhs, rhs = _real_schur_terms(a, linalg.adjoint(a), p)
+    lhs, rhs = _real_schur_terms(a, linalg.adjoint(a), p, schur._accretive_complement)
     return loewner_reports("schur-wrongsec", lhs, rhs, tol)
 
 

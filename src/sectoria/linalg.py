@@ -177,12 +177,10 @@ def as_hermitian(m) -> np.ndarray:
     return (m + adjoint(m)) / 2.0
 
 
-def _cholesky_clears(h: np.ndarray, floor, norm, overwrite: bool = False) -> bool:
+def _cholesky_clears(h: np.ndarray, floor, norm) -> bool:
     """Would ``eigvalsh`` put the least eigenvalue of every matrix of the
     exactly Hermitian (T, n, n) stack ``h`` above its ``floor``?  ``floor``
     and ``norm``, a bound on ||h||_F, broadcast to one entry per matrix.
-    The shift below is taken off a copy of ``h``, or, with ``overwrite``,
-    off ``h`` itself, which must then be C-ordered.
 
     True only if one ``np.linalg.cholesky`` factors every M = h - (floor +
     margin) I, with margin 8 n^1.5 eps B and B = norm + sqrt(n) |floor| >=
@@ -196,7 +194,7 @@ def _cholesky_clears(h: np.ndarray, floor, norm, overwrite: bool = False) -> boo
     NaN pivot, which some LAPACK builds pass, leaves a NaN on L's diagonal.
     """
     t, n = len(h), h.shape[-1]
-    m = h if overwrite else h.copy()
+    m = h.copy()
     with np.errstate(invalid="ignore", over="ignore"):
         shift = floor + 8 * n**1.5 * _EPS * (norm + math.sqrt(n) * np.abs(floor))
         m.reshape(t, -1)[:, ::n + 1] -= np.reshape(shift, (-1, 1))
@@ -247,11 +245,13 @@ def _require_invertible(m: np.ndarray) -> None:
     exceeds f + 6 n^1.5 eps B with B >= ||A||_F.  That margin covers H's own
     rounding, eps ||A||_F, and the SVD's backward error, about n eps ||A||_2,
     so the SVD would clear A too; it decides what the certificate does not.
+    The checks' Schur complements, of operands with Re A shown positive
+    definite, clear.
     """
     with np.errstate(over="ignore", invalid="ignore"):  # where A is not finite
         norms = frobenius_stack(m)
         floor = PIVOT_RTOL * norms
-        if _cholesky_clears((m + adjoint(m)) / 2, floor, norms, overwrite=True):
+        if _cholesky_clears((m + adjoint(m)) / 2, floor, norms):
             return
     finite = np.isfinite(m).all(axis=(1, 2))
     sigma_min = np.full(len(m), np.nan)

@@ -40,7 +40,8 @@ def _accretive_complement(m: np.ndarray, p: int) -> np.ndarray:
     ``linalg.accretive_parts`` show it; A + B, A* and Re A of such operands
     qualify too.  Then sigma_min(A11) >= lambda_min(Re A11) >= lambda_min(Re
     A) > 1e-12 ||A11||_F, ten times the ``linalg.PIVOT_RTOL`` ||A11||_F
-    that a solve's test asks for, so A11 is solved untested."""
+    that a solve's test asks for, so A11 is solved untested.  A stack whose
+    leading block has just passed that test itself qualifies as well."""
     return linalg._schur_complement_stack(m, validate_partition(m.shape[-1], p), invertible=True)
 
 
@@ -101,7 +102,9 @@ def cartesian_schur_identity(a, p: int) -> CartesianSchurParts:
     middle = _block_inverse(m11_inv - 1j * n11_inv, "M11^{-1} - i N11^{-1}")
     correction = y @ middle @ y.conj().T
 
-    m_part, n_part, direct = (_accretive_complement(x[None], p)[0] for x in (re, im, m))
+    m_part, direct = (_accretive_complement(x[None], p)[0] for x in (re, m))
+    # N11 is not covered by Re A; it passed _block_inverse's test above.
+    n_part = _accretive_complement(im[None], p)[0]
     residual = linalg.frobenius(m_part + 1j * n_part + correction - direct)
     return CartesianSchurParts(m_part, n_part, y, correction, residual)
 

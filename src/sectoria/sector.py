@@ -26,15 +26,10 @@ def validate_sector_angle(alpha: float) -> float:
     return a
 
 
-def _rotated_real_part(m: np.ndarray, mh: np.ndarray, beta: float, out: np.ndarray | None = None) -> np.ndarray:
-    """Hermitian part of e^{i beta} A, (e^{i beta} A + e^{-i beta} A*)/2, with
-    mh = A*, written to ``out`` if given; the same operations, in the same
-    order, either way."""
+def _rotated_real_part(m: np.ndarray, mh: np.ndarray, beta: float) -> np.ndarray:
+    """Hermitian part of e^{i beta} A, (e^{i beta} A + e^{-i beta} A*)/2, with mh = A*."""
     w = complex(math.cos(beta), math.sin(beta))
-    out = np.multiply(w, m, out=out)
-    out += np.conj(w) * mh
-    out /= 2.0
-    return out
+    return (w * m + np.conj(w) * mh) / 2.0
 
 
 @dataclass(frozen=True)
@@ -67,49 +62,24 @@ def _rotations(alpha: float) -> tuple[float, float, float]:
     return (math.pi / 2 - alpha, alpha - math.pi / 2, 0.0)
 
 
-def _rotated_parts(stacks: list[np.ndarray], alpha: float) -> np.ndarray:
-    """The parts Re(e^{i beta} A) of in_sector's tests of each matrix of the
-    stacks, which share an order n, in one (3, T, n, n) buffer, T their
-    total length: each stack's parts are computed on that stack alone."""
-    h = np.empty((3, sum(map(len, stacks)), *stacks[0].shape[1:]), dtype=np.complex128)
-    lo = 0
-    for m in stacks:
-        mh = linalg.adjoint(m)
-        for part, beta in zip(h[:, lo:lo + len(m)], _rotations(alpha)):
-            _rotated_real_part(m, mh, beta, out=part)
-        lo += len(m)
-    return h
-
-
-def _first_failures(stacks: list[np.ndarray], alpha: float, tol: float,
-                    scale: np.ndarray) -> tuple[np.ndarray | None, np.ndarray]:
-    """The index of the first failing test of in_sector for each matrix of
-    the stacks, in order, 3 where all pass, and the parts of
-    ``_rotated_parts``, or None where every matrix passes; ``scale`` holds
-    the norms ||A||_F.  One Cholesky certificate of the 3T parts, shifted
-    in place, answers for stacks inside the sector; any others are built
-    again for one ``eigvalsh``, which applies the tests."""
-    h = _rotated_parts(stacks, alpha)
+def _first_failures(m: np.ndarray, alpha: float, tol: float, scale: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The parts Re(e^{i beta} A) of in_sector's tests of each matrix of a
+    stack, shape (3, T, n, n), and the index of each matrix's first failing
+    test, 3 where all pass; ``scale`` holds ||A||_F.  One Cholesky
+    certificate of the 3T parts answers for a stack inside the sector; any
+    other takes one ``eigvalsh`` of the same parts, which applies the tests."""
+    mh = linalg.adjoint(m)
+    h = np.stack([_rotated_real_part(m, mh, beta) for beta in _rotations(alpha)])
+    parts = h.reshape(-1, *m.shape[1:])
     # For tol = inf and A = 0 the floor -tol * ||A||_F is NaN, which every
     # eigenvalue passes, as it passes -inf.
     with np.errstate(invalid="ignore"):
         floors = np.array([[-tol], [-tol], [linalg.PD_RTOL]]) * scale
-    if linalg._cholesky_clears(h.reshape(-1, *h.shape[2:]), floors, scale, overwrite=True):
-        return None, np.full(len(scale), 3)
-    h = _rotated_parts(stacks, alpha)
-    lowest = np.linalg.eigvalsh(h.reshape(-1, *h.shape[2:]))[:, 0].reshape(3, -1)
-    fails = np.concatenate([lowest[:2] < floors[:2], ~(lowest[2:] > floors[2:]), np.ones((1, len(scale)), dtype=bool)])
+    if linalg._cholesky_clears(parts, floors, scale):
+        return h, np.full(len(m), 3)
+    lowest = np.linalg.eigvalsh(parts)[:, 0].reshape(3, -1)
+    fails = np.concatenate([lowest[:2] < floors[:2], ~(lowest[2:] > floors[2:]), np.ones((1, len(m)), dtype=bool)])
     return h, np.argmax(fails, axis=0)
-
-
-def _memberships(stacks: list[np.ndarray], alpha: float, tol: float = MEMBERSHIP_TOL) -> list[SectorMembership]:
-    """``in_sector`` of each matrix of the validated stacks, which share an
-    order n, in order, from one test of all of them; each matrix gets the
-    verdict and the witness that it gets alone."""
-    h, first = _first_failures(stacks, alpha, tol, np.concatenate([linalg.frobenius_stack(m) for m in stacks]))
-    matrices = (a for m in stacks for a in m)
-    return [SectorMembership(True) if j == 3 else SectorMembership(False, _witness(a, h[j, k], _rotations(alpha)[j]))
-            for k, (j, a) in enumerate(zip(first.tolist(), matrices))]
 
 
 @linalg.matrix_or_stack(1)
@@ -124,7 +94,10 @@ def in_sector(m, alpha: float, tol: float = MEMBERSHIP_TOL) -> SectorMembership 
     returned as a witness.  For a (T, n, n) stack the result is the list of
     the T memberships.
     """
-    return _memberships([m], validate_sector_angle(alpha), tol)
+    alpha = validate_sector_angle(alpha)
+    h, first = _first_failures(m, alpha, tol, linalg.frobenius_stack(m))
+    return [SectorMembership(True) if j == 3 else SectorMembership(False, _witness(m[k], h[j, k], _rotations(alpha)[j]))
+            for k, j in enumerate(first.tolist())]
 
 
 def half_angle(thetas: np.ndarray) -> np.ndarray:
@@ -221,7 +194,7 @@ def sector_angle_bisect(a) -> float:
 
     def inside(alpha: float) -> bool:
         # in_sector's verdict, without the witness that it would build
-        return _first_failures([m], alpha, BISECT_TOL, scale)[1][0] == 3
+        return _first_failures(m, alpha, BISECT_TOL, scale)[1][0] == 3
 
     hi = math.pi / 2 - 1e-12
     if not inside(hi):
