@@ -193,8 +193,13 @@ def _cholesky_clears(h: np.ndarray, floor, norm) -> bool:
     decides nothing.  numpy raises ``LinAlgError`` if any matrix fails; a
     NaN pivot, which some LAPACK builds pass, leaves a NaN on L's diagonal.
     """
-    t, n = len(h), h.shape[-1]
-    m = h.copy()
+    return _shifted_cholesky_clears(h.copy(), floor, norm)
+
+
+def _shifted_cholesky_clears(m: np.ndarray, floor, norm) -> bool:
+    """``_cholesky_clears`` of the C-contiguous stack ``m``, which it shifts
+    in place, so that ``m`` holds M on return."""
+    t, n = len(m), m.shape[-1]
     with np.errstate(invalid="ignore", over="ignore"):
         shift = floor + 8 * n**1.5 * _EPS * (norm + math.sqrt(n) * np.abs(floor))
         m.reshape(t, -1)[:, ::n + 1] -= np.reshape(shift, (-1, 1))

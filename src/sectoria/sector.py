@@ -62,12 +62,69 @@ def _rotations(alpha: float) -> tuple[float, float, float]:
     return (math.pi / 2 - alpha, alpha - math.pi / 2, 0.0)
 
 
+# The norms ||A||_F at which every rounding error of _edges_clear is
+# relative: none of its entries, products or Cholesky pivots underflows or
+# overflows.
+_EDGE_NORMS = (2.0**-970, 2.0**970)
+
+
+def _edges_clear(m: np.ndarray, alpha: float, tol: float, scale: np.ndarray) -> bool:
+    """Does every matrix of the stack ``m`` pass all three of in_sector's
+    tests, as shown from its two edge parts alone?  ``scale`` holds ||A||_F.
+
+    With beta = pi/2 - alpha and w = cos beta + i sin beta as the rotations
+    round them, the edge parts are R+ = Re(w A) and R- = Re(conj(w) A), and
+    R+ + R- = 2 cos beta Re A exactly, so by Weyl's inequality
+    lambda_min(Re A) >= (lambda_min R+ + lambda_min R-) / (2 cos beta).
+    One Cholesky certificate of the 2T parts, shifted in place in the one
+    buffer that holds them, clears R+ at its own floor -tol ||A||_F and R-
+    at max(-tol, tol + 2 cos beta PD_RTOL + c eps) ||A||_F.  That is at
+    least R-'s own floor, and the two floors sum to at least (2 cos beta
+    PD_RTOL + c eps) ||A||_F.
+
+    The term c = 10 covers rounding, with u = eps / 2.  Each computed part
+    is within (sqrt 5 + 1) u ||A||_F of its exact value, in the Frobenius
+    norm: one complex product per entry (Higham, Accuracy and Stability of
+    Numerical Algorithms, Lemma 3.5) and one sum.  The computed Re A, (A +
+    A*)/2, is within u ||A||_F of the exact one, and 2 cos beta <= 2.  So
+    the computed parts sum to 2 cos beta times the computed Re A within 4.3
+    eps ||A||_F in the 2-norm.  Rounding the floors costs at most 2 eps
+    ||A||_F where |tol| < 1; a larger |tol| never clears R- of a nonzero
+    matrix.  That leaves 3.7 eps ||A||_F for the strict inequality.  The
+    certificate puts each part's least eigenvalue 6 n^1.5 eps ||A||_F above
+    its floor (see ``linalg._cholesky_clears``).  Those two margins cover
+    the backward error of ``eigvalsh`` on each part, and on Re A that
+    error times 2 cos beta.  So ``eigvalsh`` would pass all three tests.
+    False decides nothing.  A stack with a norm outside ``_EDGE_NORMS`` is
+    not tried.
+    """
+    low, high = _EDGE_NORMS
+    if not ((scale > low) & (scale < high)).all():
+        return False
+    beta = math.pi / 2 - alpha
+    w = complex(math.cos(beta), math.sin(beta))
+    parts = np.empty((2, *m.shape), dtype=np.complex128)
+    spare = np.empty(m.shape, dtype=np.complex128)
+    for part, v in zip(parts, (w, w.conjugate())):
+        # Re(v A) = (P + P*)/2 with P = v A, whose adjoint has the bits of
+        # conj(v) A*, as conjugation commutes with rounding.
+        np.multiply(v, m, out=part)
+        part += np.conjugate(part, out=spare).swapaxes(-1, -2)
+    parts /= 2.0
+    floors = np.array([[-tol], [max(-tol, tol + 2 * w.real * linalg.PD_RTOL + 10 * linalg._EPS)]]) * scale
+    return linalg._shifted_cholesky_clears(parts.reshape(-1, *m.shape[1:]), floors, scale)
+
+
 def _first_failures(m: np.ndarray, alpha: float, tol: float, scale: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The parts Re(e^{i beta} A) of in_sector's tests of each matrix of a
-    stack, shape (3, T, n, n), and the index of each matrix's first failing
-    test, 3 where all pass; ``scale`` holds ||A||_F.  One Cholesky
+    """The parts Re(e^{i beta} A) of in_sector's three tests of each matrix
+    of a stack, shape (3, T, n, n), and the index of each matrix's first
+    failing test, 3 where all pass; ``scale`` holds ||A||_F.  One Cholesky
     certificate of the 3T parts answers for a stack inside the sector; any
-    other takes one ``eigvalsh`` of the same parts, which applies the tests."""
+    other takes one ``eigvalsh`` of the same parts, which applies the tests.
+    This is in_sector's route where ``_edges_clear`` does not clear, and
+    the only route of ``sector_angle_bisect``, an independent oracle whose
+    probes close in on the sector's edge, where the edge parts do not
+    clear."""
     mh = linalg.adjoint(m)
     h = np.stack([_rotated_real_part(m, mh, beta) for beta in _rotations(alpha)])
     parts = h.reshape(-1, *m.shape[1:])
@@ -93,9 +150,17 @@ def in_sector(m, alpha: float, tol: float = MEMBERSHIP_TOL) -> SectorMembership 
     violating eigenpair of the first failing test, in that order, is
     returned as a witness.  For a (T, n, n) stack the result is the list of
     the T memberships.
+
+    A stack whose two edge parts clear ``_edges_clear`` is inside, with Re
+    A tested by Weyl's bound; any other takes ``_first_failures``, which
+    tests all three parts.  Every verdict and witness is that of
+    ``eigvalsh`` on the three parts.
     """
     alpha = validate_sector_angle(alpha)
-    h, first = _first_failures(m, alpha, tol, linalg.frobenius_stack(m))
+    scale = linalg.frobenius_stack(m)
+    if _edges_clear(m, alpha, tol, scale):
+        return [SectorMembership(True) for _ in m]
+    h, first = _first_failures(m, alpha, tol, scale)
     return [SectorMembership(True) if j == 3 else SectorMembership(False, _witness(m[k], h[j, k], _rotations(alpha)[j]))
             for k, j in enumerate(first.tolist())]
 

@@ -78,7 +78,14 @@ def in_sector_reference(a, alpha: float, tol: float):
     witness of the first failing test being (beta, eigenvalue, vector,
     point) from a full eigendecomposition of its rotated part."""
     m = np.asarray(a, dtype=complex)
-    scale = float(np.linalg.norm(m))  # a float: -inf * 0.0 is NaN with no warning
+    # A float: -inf * 0.0 is NaN with no warning.  np.linalg.norm sums the
+    # squares of the entries, which over- or underflow far from 1; there it
+    # is taken of A over its largest entry.
+    with np.errstate(over="ignore"):
+        scale = float(np.linalg.norm(m))
+    big = float(np.abs(m).max())
+    if big and not 1e-150 < scale < 1e150:
+        scale = big * float(np.linalg.norm(m / big))
     for beta in (math.pi / 2 - alpha, alpha - math.pi / 2, 0.0):
         w = complex(math.cos(beta), math.sin(beta))
         h = (w * m + np.conj(w) * m.conj().T) / 2.0

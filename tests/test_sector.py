@@ -1,5 +1,6 @@
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -24,10 +25,11 @@ from sectoria import (
     sectorial_decompose,
 )
 from sectoria.inequalities import check_weak_log_majorization
+from sectoria import linalg, sector
 from sectoria.cli import FAMILIES, main, write_matrix
 from sectoria.generators import TrialConfig, stream_key, trial_addresses
-from sectoria.linalg import PD_RTOL
-from sectoria.sector import MEMBERSHIP_TOL, sectorial_thetas
+from sectoria.linalg import PD_RTOL, adjoint, frobenius_stack
+from sectoria.sector import BISECT_ITERS, BISECT_TOL, MEMBERSHIP_TOL, sectorial_thetas
 from oracles import in_sector_reference, numerical_range_samples
 
 
@@ -57,17 +59,56 @@ def planted_real_part(n: int, alpha: float, level: float, seed: int, pinned: boo
     return (u * z) @ u.conj().T
 
 
+def planted_factors(n: int, exponent: int, seed: int, alpha: float) -> tuple:
+    """U, s, V and theta of ``conditioned_planted``."""
+    rng = np.random.default_rng([n, exponent, seed])
+    u, v = (np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))[0] for _ in range(2))
+    thetas = rng.uniform(-alpha, alpha, size=n)
+    thetas[0] = alpha
+    return u, np.logspace(0, -exponent / 2, n), v, thetas
+
+
 def conditioned_planted(n: int, exponent: int, seed: int, alpha: float = 0.785) -> np.ndarray:
     """X diag(e^{i theta}) X* with X = U diag(s) V, U and V random unitaries
     and the s_j geometric from 1 to 10^(-exponent / 2), so that cond(Re A)
     is about 10^exponent; theta_1 = alpha and the others are uniform in
     (-alpha, alpha), so that the planted half-angle is alpha."""
-    rng = np.random.default_rng([n, exponent, seed])
-    u, v = (np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))[0] for _ in range(2))
-    x = (u * np.logspace(0, -exponent / 2, n)) @ v
-    thetas = rng.uniform(-alpha, alpha, size=n)
-    thetas[0] = alpha
+    u, s, v, thetas = planted_factors(n, exponent, seed, alpha)
+    x = (u * s) @ v
     return (x * np.exp(1j * thetas)) @ x.conj().T
+
+
+def dyadic_planted(n: int, exponent: int, seed: int) -> np.ndarray:
+    """``conditioned_planted``'s X diag(z) X*, z = e^{i theta}, formed in
+    exact arithmetic from U, s, V and the parts of z each rounded to 30
+    significant bits, and rounded once: its bits do not depend on the
+    platform's LAPACK, BLAS or libm."""
+    u, s, v, thetas = planted_factors(n, exponent, seed, 0.785)
+
+    def exact(x):
+        mantissa, e = np.frexp(x)
+        return [Fraction(float(y)) for y in np.ldexp(np.round(np.ldexp(mantissa, 30)), e - 30).ravel()]
+
+    def product(a, b):  # a b^T, of complex matrices held as (real, imaginary) pairs of rows
+        (ar, ai), (br, bi) = a, b
+        return ([[sum(x * y for x, y in zip(r, c)) - sum(x * y for x, y in zip(i, d)) for c, d in zip(br, bi)]
+                 for r, i in zip(ar, ai)],
+                [[sum(x * y for x, y in zip(r, d)) + sum(x * y for x, y in zip(i, c)) for c, d in zip(br, bi)]
+                 for r, i in zip(ar, ai)])
+
+    def rows(x):
+        return [x[k:k + n] for k in range(0, n * n, n)]
+
+    ur, ui, vr, vi = (rows(exact(part)) for part in (u.real, u.imag, v.real, v.imag))
+    sr = exact(s)
+    zr, zi = exact(np.cos(thetas)), exact(np.sin(thetas))
+    # X = (U diag(s)) (V^T)^T, and A = (X diag(z)) (conj X)^T.
+    x = product(([[a * b for a, b in zip(r, sr)] for r in ur], [[a * b for a, b in zip(r, sr)] for r in ui]),
+                ([list(c) for c in zip(*vr)], [list(c) for c in zip(*vi)]))
+    xz = ([[a * c - b * d for a, b, c, d in zip(r, i, zr, zi)] for r, i in zip(*x)],
+          [[a * d + b * c for a, b, c, d in zip(r, i, zr, zi)] for r, i in zip(*x)])
+    ar, ai = product(xz, (x[0], [[-b for b in r] for r in x[1]]))
+    return np.array([[complex(float(a), float(b)) for a, b in zip(r, i)] for r, i in zip(ar, ai)])
 
 
 def planted_precondition(n: int, delta: float, seed: int, c: float) -> np.ndarray:
@@ -144,12 +185,13 @@ class TestInSector:
                 return _f(h)
             monkeypatch.setattr(np.linalg, name, spy)
         assert all(in_sector(stack, 0.785))
-        assert calls == [("cholesky", (192, 6, 6))]
-        # One matrix outside the sector adds one eigensolve of all 3T parts.
+        assert calls == [("cholesky", (128, 6, 6))]
+        # One matrix outside the sector sends the stack to the three-part
+        # route: a certificate and then one eigensolve of all 3T parts.
         calls.clear()
         stack[5] = stack[5].conj() * np.exp(0.5j)
         assert [bool(r) for r in in_sector(stack, 0.785)] == [k != 5 for k in range(64)]
-        assert calls == [("cholesky", (192, 6, 6)), ("eigvalsh", (192, 6, 6))]
+        assert calls == [("cholesky", (128, 6, 6)), ("cholesky", (192, 6, 6)), ("eigvalsh", (192, 6, 6))]
 
     @pytest.mark.parametrize("tol", [0.0, 1e-13, MEMBERSHIP_TOL, -1e-3, math.inf, math.nan])
     def test_certificate_keeps_every_verdict_and_witness(self, tol):
@@ -218,6 +260,176 @@ class TestInSector:
         if np.linalg.svd(x, compute_uv=False)[-1] < 1e-6:
             return
         assert in_sector(a, min(alpha + 1e-9, math.pi / 2 - 1e-12), 1e-9)
+
+
+def normal_matrix(z: np.ndarray, seed: int) -> np.ndarray:
+    """U diag(z) U* with U a random unitary: its numerical range is the
+    convex hull of the z_j."""
+    rng = np.random.default_rng(seed)
+    n = len(z)
+    u, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    return (u * z) @ u.conj().T
+
+
+def r_minus_near_tol(n: int, alpha: float, level: float, seed: int) -> np.ndarray:
+    """A normal matrix whose edge part Re(e^{i(alpha - pi/2)} A) has least
+    eigenvalue about level * 1e-3 * ||A||_F, from z_1 near the lower edge
+    of the sector of half-angle alpha; the other eigenvalues lie in its
+    inner half, where both edge parts exceed 1e-3 ||A||_F for alpha >= 0.3."""
+    rng = np.random.default_rng([n, seed])
+    rest = rng.uniform(1.0, 2.0, size=n - 1) * np.exp(1j * rng.uniform(-alpha / 2, alpha / 2, size=n - 1))
+    gap = level * 1e-3 * math.hypot(1.0, np.linalg.norm(rest))
+    # z_1 = e^{i(delta - alpha)}, with Re(e^{-i beta} z_1) = sin(delta) = gap
+    z = np.concatenate(([np.exp(1j * (math.asin(gap) - alpha))], rest))
+    return normal_matrix(z, seed)
+
+
+def assert_reference_membership(res, m: np.ndarray, alpha: float, tol: float) -> None:
+    """``res`` has the verdict and the witness bits of three eigensolves."""
+    inside, witness = in_sector_reference(m, alpha, tol)
+    assert bool(res) == inside
+    if witness is None:
+        assert res.witness is None
+        return
+    w = res.witness
+    assert (w.rotation, w.eigenvalue.hex(), w.point) == (witness[0], witness[1].hex(), witness[3])
+    np.testing.assert_array_equal(w.vector, witness[2])
+
+
+class TestEdgeCertificate:
+    """in_sector clears a stack from its two edge parts, with Weyl's bound
+    standing in for the strict test of Re A, or falls back to the three
+    parts; either way it gives the verdicts and witnesses of three
+    eigensolves."""
+
+    def test_negative_tol_keeps_the_lower_edge_floor(self):
+        # With tol = -1e-3 the lower edge passes only at 1e-3 ||A||_F; a
+        # floor of (tol + ...) ||A||_F alone would clear every matrix here.
+        levels = (-0.5, 0.0, 0.5, 0.99, 1.01, 2.0)
+        for alpha in (0.3, 0.785, 1.3):
+            for n in (2, 6):
+                stack = np.stack([r_minus_near_tol(n, alpha, level, seed) for level in levels for seed in range(2)])
+                for res, m in zip(in_sector(stack, alpha, -1e-3), stack):
+                    assert_reference_membership(res, m, alpha, -1e-3)
+                    assert_reference_membership(in_sector(m, alpha, -1e-3), m, alpha, -1e-3)
+                outside = [not in_sector_reference(m, alpha, -1e-3)[0] for m in stack]
+                assert outside == [level < 1 for level in levels for _ in range(2)]
+
+    def test_a_tight_lower_edge_falls_back(self, monkeypatch):
+        alpha = 0.785
+        tight = [conditioned_planted(n, 4, seed) for n in (2, 6, 16) for seed in range(3)]
+        tight += [planted_real_part(n, alpha, 3, seed, True) for n in (2, 6, 16) for seed in range(3)]
+        tight = [np.ascontiguousarray(m.conj().T) for m in tight]
+        falls = []
+        first_failures = sector._first_failures
+        monkeypatch.setattr(sector, "_first_failures", lambda *a: falls.append(1) or first_failures(*a))
+        for m in tight:
+            assert_reference_membership(in_sector(m, alpha), m, alpha, MEMBERSHIP_TOL)
+        assert len(falls) == len(tight)
+        for n in (2, 6, 16):
+            stack = np.stack([m for m in tight if len(m) == n])
+            for res, m in zip(in_sector(stack, alpha), stack):
+                assert_reference_membership(res, m, alpha, MEMBERSHIP_TOL)
+        assert len(falls) == len(tight) + 3
+
+    @pytest.mark.parametrize("alpha", [0.0, 1e-8, 0.785])
+    @pytest.mark.parametrize("tol", [0.0, MEMBERSHIP_TOL, -1e-3, math.inf, math.nan])
+    def test_edge_cases_give_the_reference_verdicts(self, alpha, tol):
+        # Planted thresholds, both tight edges, generator draws, zero
+        # matrices and lower edges near the floor of a negative tol, at
+        # scales 1, 1e-200 and 1e200: alone, in one stack, and in a stack of
+        # those that are inside, which the edge certificate may clear.
+        for n in (1, 2, 6):
+            cases = [np.zeros((n, n), dtype=complex), np.eye(n, dtype=complex)]
+            cases += list(gen_sectorial(n, max(alpha, 1e-3), trial_addresses(stream_key(n, 2), 0, 3)))
+            if n > 1:
+                for level in (0.5, 1.0, 2.0, 3.0, 1e3):
+                    for seed, pinned in ((1, True), (2, False)):
+                        m = planted_real_part(n, alpha, level, seed, pinned)
+                        cases += [m, m.conj().T]
+                cases += [conditioned_planted(n, 4, 0, max(alpha, 1e-3)).conj().T]
+                if alpha > 0.1:
+                    cases += [r_minus_near_tol(n, alpha, level, 0) for level in (0.0, 0.5, 2.0)]
+            for c in (1.0, 1e-200, 1e200):
+                stack = c * np.stack(cases)
+                for res, m in zip(in_sector(stack, alpha, tol), stack):
+                    assert_reference_membership(res, m, alpha, tol)
+                    assert_reference_membership(in_sector(m, alpha, tol), m, alpha, tol)
+                inside = np.array([in_sector_reference(m, alpha, tol)[0] for m in stack])
+                if inside.any():
+                    assert all(in_sector(stack[inside], alpha, tol))
+
+    @given(n=st.integers(2, 12), seed=st.integers(0, 2**16), level=st.floats(0.0, 4.0),
+           k=st.floats(-2.0, 2.0), alpha=st.floats(0.0, 1.5), lower=st.booleans(),
+           pinned=st.booleans(), exponent=st.floats(-200.0, 200.0))
+    @settings(max_examples=150, deadline=None)
+    def test_never_clears_what_the_eigensolves_reject_at_any_scale(self, n, seed, level, k, alpha, lower,
+                                                                   pinned, exponent):
+        # lambda_min(Re A) planted at level * PD_RTOL ||A||_F, with an
+        # eigenvalue on the upper or lower edge of the sector when pinned.
+        # Unpinned, both edge parts have least eigenvalue about cos(beta)
+        # level PD_RTOL ||A||_F, and tol = -k cos(beta) PD_RTOL puts their
+        # floors on either side of it, so that Weyl's bound is tight.
+        tol = -k * math.cos(math.pi / 2 - alpha) * PD_RTOL
+        a = planted_real_part(n, alpha, level, seed, pinned) * 10.0 ** exponent
+        if lower:
+            a = np.ascontiguousarray(a.conj().T)
+        if sector._edges_clear(a[None], alpha, tol, frobenius_stack(a[None])):
+            assert in_sector_reference(a, alpha, tol)[0]
+        assert_reference_membership(in_sector(a, alpha, tol), a, alpha, tol)
+
+    @pytest.mark.parametrize("n", [1, 2, 6, 16, 128])
+    @pytest.mark.parametrize("t", [1, 5])
+    def test_edge_parts_have_the_bits_of_the_rotated_parts(self, monkeypatch, n, t):
+        certified = []
+        shifted_cholesky_clears = linalg._shifted_cholesky_clears
+
+        def spy(m, floor, norm):
+            certified.append((m.copy(), floor))
+            return shifted_cholesky_clears(m, floor, norm)
+
+        monkeypatch.setattr(linalg, "_shifted_cholesky_clears", spy)
+        stack = gen_sectorial(n, 0.3, trial_addresses(stream_key(n, 1), 0, t))
+        for alpha in (0.3, 0.785, 1.3):
+            beta = math.pi / 2 - alpha
+            certified.clear()
+            assert all(in_sector(stack, alpha))
+            [(parts, _)] = certified
+            expected = np.stack([sector._rotated_real_part(stack, adjoint(stack), b) for b in (beta, -beta)])
+            assert parts.tobytes() == expected.tobytes()
+            # Both parts and R-'s floor take one cos(beta): the edge parts
+            # of the identity are cos(beta) I, and the floor adds twice it.
+            certified.clear()
+            assert all(in_sector(np.eye(n, dtype=complex)[None], alpha, 0.0))
+            [(parts, floors)] = certified
+            cos = parts[:, 0, 0].real
+            assert cos.tolist() == [math.cos(beta)] * 2 and math.cos(-beta) == math.cos(beta)
+            assert floors[1, 0] == (2 * math.cos(beta) * PD_RTOL + 10 * np.finfo(float).eps) * math.sqrt(n)
+
+    def test_bisection_keeps_the_three_parts(self, monkeypatch):
+        # Every probe of sector_angle_bisect factors or solves all three
+        # parts of its one matrix, and the bisection of three eigensolves
+        # gives its bits.
+        shapes = []
+        for name in ("cholesky", "eigvalsh"):
+            def spy(h, _f=getattr(np.linalg, name)):
+                shapes.append(h.shape)
+                return _f(h)
+            monkeypatch.setattr(np.linalg, name, spy)
+        matrices = [gen_sectorial(4, 0.6, 3), planted_real_part(6, 0.785, 3, 1, True),
+                    conditioned_planted(6, 4, 1), gen_positive_definite(3, 0)]
+        for a in matrices:
+            shapes.clear()
+            angle = sector_angle_bisect(a)
+            assert shapes and {shape[0] for shape in shapes} == {3}
+            lo, hi = 0.0, math.pi / 2 - 1e-12
+            if not in_sector_reference(a, lo, BISECT_TOL)[0]:
+                for _ in range(BISECT_ITERS):
+                    mid = 0.5 * (lo + hi)
+                    lo, hi = (lo, mid) if in_sector_reference(a, mid, BISECT_TOL)[0] else (mid, hi)
+            else:
+                hi = 0.0
+            assert angle.hex() == hi.hex()
 
 
 class TestSectorialDecompose:
@@ -351,6 +563,31 @@ class TestPlantedAngleAccuracy:
         cond = np.linalg.cond(stack + stack.conj().swapaxes(1, 2))
         assert np.all((cond > 10.0 ** (exponent - 0.5)) & (cond < 10.0 ** (exponent + 0.5)))
         assert max(abs(a - 0.785) for a in sector_angle(stack)) <= PLANTED_ANGLE_BOUNDS[n, exponent]
+
+
+# The half-angles of dyadic_planted(n, exponent, seed), exact to the digits
+# shown, from a 60-digit mpmath Cholesky route: Re A = L L*, and the
+# largest |eigenvalue| t of L^{-1} Im(A) L^{-*} gives atan(t).  They lie
+# 1.3e-10 to 1.3e-8 from the planted 0.785, which a test against 0.785
+# counts as the algorithm's error.
+EXACT_PLANTED_ANGLES = {
+    (6, 4, 0): 0.78500000013325907024,
+    (6, 7, 0): 0.78500000013568643842,
+    (16, 7, 0): 0.78500000014152609426,
+    (6, 10, 1): 0.78500001332464960286,
+}
+
+
+class TestExactPlantedAngle:
+    @pytest.mark.parametrize("n, exponent, seed", list(EXACT_PLANTED_ANGLES))
+    def test_angle_is_within_a_twentieth_of_eps_cond(self, n, exponent, seed):
+        # Against the exact angle of the matrix as stored, the error is the
+        # algorithm's alone: at most 0.05 eps cond(Re A).
+        a = dyadic_planted(n, exponent, seed)
+        cond = np.linalg.cond(a + a.conj().T)
+        assert 10.0 ** (exponent - 0.5) < cond < 10.0 ** (exponent + 0.5)
+        error = abs(sector_angle(a) - EXACT_PLANTED_ANGLES[n, exponent, seed])
+        assert error <= 0.05 * np.finfo(float).eps * cond
 
 
 class TestAnglePrecondition:
