@@ -81,8 +81,8 @@ def conditioned_planted(n: int, exponent: int, seed: int, alpha: float = 0.785) 
 def dyadic_planted(n: int, exponent: int, seed: int) -> np.ndarray:
     """``conditioned_planted``'s X diag(z) X*, z = e^{i theta}, formed in
     exact arithmetic from U, s, V and the parts of z each rounded to 30
-    significant bits, and rounded once: its bits do not depend on the
-    platform's LAPACK, BLAS or libm."""
+    significant bits, and rounded once: its bits do not depend on the last
+    bits of the platform's LAPACK, BLAS or libm."""
     u, s, v, thetas = planted_factors(n, exponent, seed, 0.785)
 
     def exact(x):
