@@ -224,10 +224,10 @@ class SuiteSummary:
 
 
 def chunk_size(n: int, family: str = "single") -> int:
-    """Trials evaluated as one stack at dimension n: at most 2**14 entries
-    per operand stack, 256 KiB of complex matrices, and at least one trial.
-    A matrix operand has n * n entries, a sequence n + 1."""
-    return max(1, 2**14 // (n + 1 if family == "sequence" else n * n))
+    """Trials evaluated as one stack at dimension n: at most
+    ``linalg.STACK_ENTRIES`` entries per operand stack, and at least one
+    trial.  A matrix operand has n * n entries, a sequence n + 1."""
+    return max(1, linalg.STACK_ENTRIES // (n + 1 if family == "sequence" else n * n))
 
 
 def _trial_reports(name: str, config: TrialConfig, tol: float) -> list[ineq.InequalityReport]:

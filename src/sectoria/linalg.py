@@ -1,8 +1,9 @@
 """Dense complex matrix kernel.
 
-Every operation is a pure function of its inputs and never mutates its
-arguments.  All tolerances are relative to the Frobenius norm, so the
-contracts are invariant under the rescaling A -> c*A.
+Every public operation is a pure function of its inputs and never mutates
+its arguments (``_cholesky_clears`` shifts the buffers handed to it).  All
+tolerances are relative to the Frobenius norm, so the contracts are
+invariant under the rescaling A -> c*A.
 
 A function decorated with ``matrix_or_stack`` takes one n-by-n matrix per
 operand, or a stack of T matrices of one size, an array of shape (T, n, n),
@@ -32,6 +33,9 @@ HERMITIAN_RTOL = 1e-10
 # A Hermitian matrix counts as positive definite when its minimum eigenvalue
 # exceeds PD_RTOL times the reference scale.
 PD_RTOL = 1e-12
+# The most entries of one batched LAPACK call, 256 KiB of complex matrices:
+# a chunk of trials' operands, or a chunk of boundary directions' parts.
+STACK_ENTRIES = 2**14
 
 _TINY = np.finfo(float).tiny
 _EPS = np.finfo(float).eps
@@ -142,7 +146,9 @@ def frobenius_stack(m: np.ndarray) -> np.ndarray:
         redo = np.flatnonzero(~((f > low) & (f < high)) & ((f != 0.0) | v.any(axis=-1)))
         scale = np.abs(v[redo]).max(axis=-1)
         redo, scale = redo[scale < np.inf], scale[scale < np.inf]
-        w = v[redo] / scale[:, None]
+        w = v[redo]
+        # Divided as a real view: a complex division takes 1 / scale, which overflows if subnormal.
+        np.divide(w.view(w.real.dtype), scale[:, None], out=w.view(w.real.dtype))
         f[redo] = scale * np.sqrt(np.vecdot(w.real, w.real) + np.vecdot(w.imag, w.imag))
     return f
 
@@ -181,6 +187,8 @@ def _cholesky_clears(h: np.ndarray, floor, norm) -> bool:
     """Would ``eigvalsh`` put the least eigenvalue of every matrix of the
     exactly Hermitian (T, n, n) stack ``h`` above its ``floor``?  ``floor``
     and ``norm``, a bound on ||h||_F, broadcast to one entry per matrix.
+    ``h`` is a buffer that the caller hands over: a C-contiguous stack is
+    shifted in place, and any other in a copy.
 
     True only if one ``np.linalg.cholesky`` factors every M = h - (floor +
     margin) I, with margin 8 n^1.5 eps B and B = norm + sqrt(n) |floor| >=
@@ -193,12 +201,7 @@ def _cholesky_clears(h: np.ndarray, floor, norm) -> bool:
     decides nothing.  numpy raises ``LinAlgError`` if any matrix fails; a
     NaN pivot, which some LAPACK builds pass, leaves a NaN on L's diagonal.
     """
-    return _shifted_cholesky_clears(h.copy(), floor, norm)
-
-
-def _shifted_cholesky_clears(m: np.ndarray, floor, norm) -> bool:
-    """``_cholesky_clears`` of the C-contiguous stack ``m``, which it shifts
-    in place, so that ``m`` holds M on return."""
+    m = np.ascontiguousarray(h)  # so that the reshape below is a view
     t, n = len(m), m.shape[-1]
     with np.errstate(invalid="ignore", over="ignore"):
         shift = floor + 8 * n**1.5 * _EPS * (norm + math.sqrt(n) * np.abs(floor))
@@ -213,9 +216,9 @@ def _shifted_cholesky_clears(m: np.ndarray, floor, norm) -> bool:
 def positive_definite_stack(h: np.ndarray, scale: np.ndarray) -> bool:
     """Is the least eigenvalue of every exactly Hermitian matrix of ``h``
     above ``PD_RTOL`` times its ``scale``, a bound on its norm?  ``eigvalsh``
-    decides what the Cholesky certificate does not clear."""
+    decides what the Cholesky certificate, on a copy, does not clear."""
     floor = PD_RTOL * scale
-    return _cholesky_clears(h, floor, scale) or bool((np.linalg.eigvalsh(h)[:, 0] > floor).all())
+    return _cholesky_clears(h.copy(), floor, scale) or bool((np.linalg.eigvalsh(h)[:, 0] > floor).all())
 
 
 @matrix_or_stack(1)

@@ -26,10 +26,18 @@ def validate_sector_angle(alpha: float) -> float:
     return a
 
 
-def _rotated_real_part(m: np.ndarray, mh: np.ndarray, beta: float) -> np.ndarray:
-    """Hermitian part of e^{i beta} A, (e^{i beta} A + e^{-i beta} A*)/2, with mh = A*."""
-    w = complex(math.cos(beta), math.sin(beta))
-    return (w * m + np.conj(w) * mh) / 2.0
+def _rotated_parts(m: np.ndarray, betas) -> np.ndarray:
+    """Re(e^{i beta} A) of each matrix of the stack ``m`` for each rotation
+    beta, shape (len(betas), T, n, n): (P + P*)/2 with P = w A and w = cos
+    beta + i sin beta.  P*, formed in one spare buffer, has the bits of
+    conj(w) A*, so each part has the bits of (w A + conj(w) A*)/2."""
+    parts = np.empty((len(betas), *m.shape), dtype=np.complex128)
+    spare = np.empty(m.shape, dtype=np.complex128)
+    for part, beta in zip(parts, betas):
+        np.multiply(complex(math.cos(beta), math.sin(beta)), m, out=part)
+        part += np.conjugate(part, out=spare).swapaxes(-1, -2)
+    parts /= 2.0
+    return parts
 
 
 @dataclass(frozen=True)
@@ -102,39 +110,25 @@ def _edges_clear(m: np.ndarray, alpha: float, tol: float, scale: np.ndarray) -> 
     if not ((scale > low) & (scale < high)).all():
         return False
     beta = math.pi / 2 - alpha
-    w = complex(math.cos(beta), math.sin(beta))
-    parts = np.empty((2, *m.shape), dtype=np.complex128)
-    spare = np.empty(m.shape, dtype=np.complex128)
-    for part, v in zip(parts, (w, w.conjugate())):
-        # Re(v A) = (P + P*)/2 with P = v A, whose adjoint has the bits of
-        # conj(v) A*, as conjugation commutes with rounding.
-        np.multiply(v, m, out=part)
-        part += np.conjugate(part, out=spare).swapaxes(-1, -2)
-    parts /= 2.0
-    floors = np.array([[-tol], [max(-tol, tol + 2 * w.real * linalg.PD_RTOL + 10 * linalg._EPS)]]) * scale
-    return linalg._shifted_cholesky_clears(parts.reshape(-1, *m.shape[1:]), floors, scale)
+    parts = _rotated_parts(m, (beta, -beta))
+    floors = np.array([[-tol], [max(-tol, tol + 2 * math.cos(beta) * linalg.PD_RTOL + 10 * linalg._EPS)]]) * scale
+    return linalg._cholesky_clears(parts.reshape(-1, *m.shape[1:]), floors, scale)
 
 
 def _first_failures(m: np.ndarray, alpha: float, tol: float, scale: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The parts Re(e^{i beta} A) of in_sector's three tests of each matrix
     of a stack, shape (3, T, n, n), and the index of each matrix's first
-    failing test, 3 where all pass; ``scale`` holds ||A||_F.  One Cholesky
-    certificate of the 3T parts answers for a stack inside the sector; any
-    other takes one ``eigvalsh`` of the same parts, which applies the tests.
-    This is in_sector's route where ``_edges_clear`` does not clear, and
-    the only route of ``sector_angle_bisect``, an independent oracle whose
-    probes close in on the sector's edge, where the edge parts do not
-    clear."""
-    mh = linalg.adjoint(m)
-    h = np.stack([_rotated_real_part(m, mh, beta) for beta in _rotations(alpha)])
-    parts = h.reshape(-1, *m.shape[1:])
+    failing test, 3 where all pass; ``scale`` holds ||A||_F.  One
+    ``eigvalsh`` of the 3T parts applies the tests.  This is in_sector's
+    route where ``_edges_clear`` does not clear, and the only route of
+    ``sector_angle_bisect``, an independent oracle whose probes close in on
+    the sector's edge, where most would not clear a certificate."""
+    h = _rotated_parts(m, _rotations(alpha))
     # For tol = inf and A = 0 the floor -tol * ||A||_F is NaN, which every
     # eigenvalue passes, as it passes -inf.
     with np.errstate(invalid="ignore"):
         floors = np.array([[-tol], [-tol], [linalg.PD_RTOL]]) * scale
-    if linalg._cholesky_clears(parts, floors, scale):
-        return h, np.full(len(m), 3)
-    lowest = np.linalg.eigvalsh(parts)[:, 0].reshape(3, -1)
+    lowest = np.linalg.eigvalsh(h.reshape(-1, *m.shape[1:]))[:, 0].reshape(3, -1)
     fails = np.concatenate([lowest[:2] < floors[:2], ~(lowest[2:] > floors[2:]), np.ones((1, len(m)), dtype=bool)])
     return h, np.argmax(fails, axis=0)
 
@@ -152,8 +146,8 @@ def in_sector(m, alpha: float, tol: float = MEMBERSHIP_TOL) -> SectorMembership 
     the T memberships.
 
     A stack whose two edge parts clear ``_edges_clear`` is inside, with Re
-    A tested by Weyl's bound; any other takes ``_first_failures``, which
-    tests all three parts.  Every verdict and witness is that of
+    A tested by Weyl's bound; any other takes ``_first_failures``, one
+    ``eigvalsh`` of the three parts.  Every verdict and witness is that of
     ``eigvalsh`` on the three parts.
     """
     alpha = validate_sector_angle(alpha)
@@ -252,8 +246,8 @@ def sector_angle(m) -> float | list[float]:
 
 
 def sector_angle_bisect(a) -> float:
-    """Bisection of ``in_sector`` over [0, pi/2); independent of the
-    decomposition route."""
+    """Bisection of ``in_sector``'s three-part route, ``_first_failures``,
+    over [0, pi/2); independent of the decomposition route."""
     m = linalg.as_square_matrix(a)[None]
     scale = linalg.frobenius_stack(m)
 
@@ -281,16 +275,17 @@ def numerical_range_boundary(a, m_points: int) -> np.ndarray:
 
     For each direction phi_t = 2 pi t / m the top eigenvector v of
     Re(e^{-i phi_t} A) supports the numerical range, and v* A v is the
-    matching boundary point.
+    matching boundary point.  One stacked ``eigh`` solves the parts of a
+    chunk of directions, ``linalg.STACK_ENTRIES`` entries at most.
     """
     mat = linalg.as_square_matrix(a)
     if m_points < 3:
         raise ValueError("at least 3 boundary points are required")
     points = np.empty(m_points, dtype=np.complex128)
-    mh = linalg.adjoint(mat)
-    for t in range(m_points):
-        phi = 2.0 * math.pi * t / m_points
-        _, v = np.linalg.eigh(_rotated_real_part(mat, mh, -phi))
-        top = v[:, -1]
-        points[t] = top.conj() @ mat @ top
+    betas = [-2.0 * math.pi * t / m_points for t in range(m_points)]
+    step = max(1, linalg.STACK_ENTRIES // mat.size)
+    for lo in range(0, m_points, step):
+        _, v = np.linalg.eigh(_rotated_parts(mat[None], betas[lo:lo + step])[:, 0])
+        for t, top in enumerate(v[:, :, -1], lo):
+            points[t] = top.conj() @ mat @ top
     return points

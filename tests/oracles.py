@@ -80,12 +80,17 @@ def in_sector_reference(a, alpha: float, tol: float):
     m = np.asarray(a, dtype=complex)
     # A float: -inf * 0.0 is NaN with no warning.  np.linalg.norm sums the
     # squares of the entries, which over- or underflow far from 1; there it
-    # is taken of A over its largest entry.
+    # is taken of A over its largest entry, each part divided by that real
+    # number, as a complex division would take 1 / big, which overflows
+    # where big is subnormal.
     with np.errstate(over="ignore"):
         scale = float(np.linalg.norm(m))
     big = float(np.abs(m).max())
     if big and not 1e-150 < scale < 1e150:
-        scale = big * float(np.linalg.norm(m / big))
+        scaled = m.copy()
+        scaled.real /= big
+        scaled.imag /= big
+        scale = big * float(np.linalg.norm(scaled))
     for beta in (math.pi / 2 - alpha, alpha - math.pi / 2, 0.0):
         w = complex(math.cos(beta), math.sin(beta))
         h = (w * m + np.conj(w) * m.conj().T) / 2.0

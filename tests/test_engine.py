@@ -410,6 +410,75 @@ class TestNoSecondCertificate:
         assert verdicts == {True, False}
 
 
+class TestNoOperandIsMutated:
+    """No public function mutates its arguments, as the linalg docstring
+    promises, though the Cholesky certificate shifts in place each buffer
+    that is handed to it.  C-contiguous complex128 stacks pass through
+    ``matrix_or_stack`` uncopied, so the calls below see the caller's own
+    memory.  Stacks with a matrix on which a precondition fails make the
+    fallbacks read their operands after a certificate has failed."""
+
+    @staticmethod
+    def assert_unchanged(call, *operands):
+        for m in operands:
+            assert m.dtype == np.complex128 and m.flags.c_contiguous
+        before = [m.tobytes() for m in operands]
+        try:
+            call()
+        except (s.SectoriaError, ValueError):
+            pass
+        assert [m.tobytes() for m in operands] == before
+
+    @pytest.mark.parametrize("n", [2, 6])
+    def test_checks(self, n):
+        c = TrialConfig(seed=0, n=n, alpha=ALPHA, trials=4)
+        for name, check in CHECKS.items():
+            if check.family == "sequence":
+                continue
+            a, b = FAMILIES[check.family](c, 0, 4)
+            operands = [a] if b is None else [a, b]
+            self.assert_unchanged(lambda: check.evaluate(a, b, ALPHA, None, 1e-8), *operands)
+            # The same with a last trial that fails the precondition.
+            for m in operands:
+                m[-1] = leave_sector(m[-1])
+            self.assert_unchanged(lambda: check.evaluate(a, b, ALPHA, None, 1e-8), *operands)
+        pair = FAMILIES["sequence"](c, 0, 4)[0]
+        before = pair.a.tobytes(), pair.b.tobytes()
+        s.check_claim2(pair)
+        assert (pair.a.tobytes(), pair.b.tobytes()) == before
+
+    @pytest.mark.parametrize("n", [1, 2, 6, 16])
+    def test_sector_and_linalg(self, n):
+        c = TrialConfig(seed=1, n=n, alpha=ALPHA, trials=4)
+        stack = FAMILIES["single"](c, 0, 4)[0]
+        mixed = stack.copy()
+        mixed[1] = leave_sector(mixed[1])
+        calls = [
+            lambda m: s.in_sector(m, ALPHA),
+            lambda m: s.sector.sectorial_thetas(m),
+            lambda m: s.sectorial_decompose(m),
+            lambda m: s.sector_angle(m),
+            lambda m: s.sector_angle_bisect(m[0]),
+            lambda m: s.numerical_range_boundary(m[0], 7),
+            lambda m: s.linalg.accretive_parts(m),
+            lambda m: s.solve(m[0], m[-1]),
+        ]
+        if n > 1:
+            calls += [
+                lambda m: s.schur_complement(m, n // 2),
+                lambda m: s.inverse_block_identity(m[0], n // 2),
+                lambda m: s.cartesian_schur_identity(m[0], n // 2),
+                lambda m: s.real_inverse_identity(m[0]),
+            ]
+        for m in (stack, mixed, -stack):
+            for call in calls:
+                self.assert_unchanged(lambda: call(m), m)
+        # The one public stack function that takes Hermitian stacks as given.
+        h = FAMILIES["pd_pair"](c, 0, 4)[0]
+        for m in (h, -h):
+            self.assert_unchanged(lambda: s.linalg.positive_definite_stack(m, s.linalg.frobenius_stack(m)), m)
+
+
 def test_falsifier_keeps_the_lowest_index_on_ties(monkeypatch):
     c = TrialConfig(seed=0, n=4, alpha=ALPHA, trials=6)
     original = FAMILIES["single"]

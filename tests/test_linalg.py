@@ -1,5 +1,6 @@
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -42,6 +43,42 @@ class TestFrobenius:
         # The finite rows keep the bits that they have without the others.
         assert stacked[1:-1].tobytes() == sectoria.linalg.frobenius_stack(rows[1:-1]).tobytes()
         assert stacked[1:-1].tolist() == [frobenius(m) for m in finite]
+
+    @pytest.mark.parametrize("exponent", [-322, -320, -315, -310, -308, -305, -300])
+    def test_subnormal_largest_entry_without_a_warning(self, exponent):
+        # The rescaling divides each part of a complex matrix by the real
+        # scale: a complex division would take 1 / scale, which overflows
+        # where the largest entry is subnormal, and give NaN.  The norm is
+        # within a few eps, or one subnormal step, of the exact norm of the
+        # stored entries, as a real matrix's is.  The exact norm is taken
+        # of the squares' exact sum scaled by 4^1100, then scaled back.
+        c = 10.0 ** exponent
+        real = c * np.array([[1.0, -3.0], [0.5, 2.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for a in (real, real.astype(complex), 1j * real, real + 1j * real[::-1]):
+                squares = sum(Fraction(x) ** 2 for x in np.concatenate([a.real, a.imag]).ravel())
+                exact = math.ldexp(math.sqrt(squares * 4**1100), -1100)
+                assert exact > 0.0
+                assert abs(frobenius(a) - exact) <= 4 * np.finfo(float).eps * exact + np.finfo(float).smallest_subnormal
+            assert s.in_sector(c * np.eye(2), 0.5)
+            assert not s.in_sector(-c * np.eye(2), 0.5)
+
+    def test_direct_norms_keep_their_bits(self):
+        # Norms inside _DIRECT_NORMS are summed as they are, and complex
+        # norms just outside keep each part's division by the real scale.
+        low, high = sectoria.linalg._DIRECT_NORMS
+        rng = np.random.default_rng(5)
+        x = rng.normal(size=(64, 4, 4)) + 1j * rng.normal(size=(64, 4, 4))
+        for c in (2 * low, 1.0, high / 20):
+            f = sectoria.linalg.frobenius_stack(c * x)
+            assert f.tolist() == [float(np.linalg.norm(m)) for m in c * x]
+        for c in (low / 20, 2 * high):
+            v = (c * x).reshape(64, -1)
+            big = np.abs(v).max(axis=-1)
+            re, im = v.real / big[:, None], v.imag / big[:, None]
+            expected = big * np.sqrt(np.vecdot(re, re) + np.vecdot(im, im))
+            np.testing.assert_allclose(sectoria.linalg.frobenius_stack(c * x), expected, rtol=2 * np.finfo(float).eps)
 
 
 class TestCartesianSplit:
@@ -143,13 +180,14 @@ class TestCholeskyCertificate:
                 scale = sectoria.linalg.frobenius_stack(stack)
                 expected = eigvalsh_clears(stack, scale)
                 for h, norm, passes in zip(stack, scale, expected):
-                    if sectoria.linalg._cholesky_clears(h[None], PD_RTOL * norm, norm):
+                    # The certificate shifts the buffer it is handed: a copy.
+                    if sectoria.linalg._cholesky_clears(h[None].copy(), PD_RTOL * norm, norm):
                         assert passes
                         cleared += 1
                 assert positive_definite_stack(stack, scale) == expected.all()
                 assert positive_definite_stack(stack[expected], scale[expected])
                 # A planted gap of 1e3 PD_RTOL clears at every order.
-                assert sectoria.linalg._cholesky_clears(stack[-1:], PD_RTOL * scale[-1:], scale[-1:])
+                assert sectoria.linalg._cholesky_clears(stack[-1:].copy(), PD_RTOL * scale[-1:], scale[-1:])
         assert cleared >= 9 * (1 if n == 1 else 3)
 
     @given(n=st.integers(2, 24), seed=st.integers(0, 2**32 - 1),
@@ -158,7 +196,7 @@ class TestCholeskyCertificate:
     def test_never_clears_what_eigvalsh_rejects_at_any_scale(self, n, seed, delta, exponent):
         h = planted_hermitian(n, delta, seed, 10.0 ** exponent)[None]
         scale = sectoria.linalg.frobenius_stack(h)
-        if sectoria.linalg._cholesky_clears(h, PD_RTOL * scale, scale):
+        if sectoria.linalg._cholesky_clears(h.copy(), PD_RTOL * scale, scale):
             assert eigvalsh_clears(h, scale)[0]
 
     def test_a_non_finite_pivot_clears_nothing(self):
@@ -166,8 +204,28 @@ class TestCholeskyCertificate:
         # rejects it, and an infinite floor or norm, all the same.
         h = np.eye(3, dtype=complex)[None]
         for floor, norm in ((math.nan, 1.0), (-math.inf, 1.0), (0.0, math.inf), (0.0, math.nan)):
-            assert not sectoria.linalg._cholesky_clears(h, floor, norm)
-        assert sectoria.linalg._cholesky_clears(h, 0.5, math.sqrt(3))
+            assert not sectoria.linalg._cholesky_clears(h.copy(), floor, norm)
+        assert sectoria.linalg._cholesky_clears(h.copy(), 0.5, math.sqrt(3))
+
+    @pytest.mark.parametrize("n", [2, 3, 6])
+    def test_shifts_what_it_is_handed_and_copies_only_a_strided_stack(self, n):
+        # I clears a floor of 0.5 and fails one of 1: only the shift tells
+        # them apart, so a certificate that dropped the shift would clear
+        # both.  A C-contiguous stack is shifted in place; any other is
+        # shifted in a contiguous copy and left as it was.
+        norm = math.sqrt(n)
+        stack = np.stack([np.eye(n, dtype=complex)] * 6)
+        assert sectoria.linalg._cholesky_clears(stack.copy(), 0.5, norm)
+        buffer = stack.copy()
+        assert not sectoria.linalg._cholesky_clears(buffer, 1.0, norm)
+        assert (np.diagonal(buffer, axis1=1, axis2=2).real < 0).all()
+        views = [stack[::2], stack.swapaxes(1, 2), np.stack([stack, stack], axis=1)[:, 0]]
+        for view in views:
+            assert not view.flags.c_contiguous
+            before = view.tobytes()
+            assert not sectoria.linalg._cholesky_clears(view, 1.0, norm)
+            assert view.tobytes() == before
+            assert sectoria.linalg._cholesky_clears(view.copy(), 0.5, norm)
 
 
 class TestInverse:

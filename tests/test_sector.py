@@ -28,7 +28,7 @@ from sectoria.inequalities import check_weak_log_majorization
 from sectoria import linalg, sector
 from sectoria.cli import FAMILIES, main, write_matrix
 from sectoria.generators import TrialConfig, stream_key, trial_addresses
-from sectoria.linalg import PD_RTOL, adjoint, frobenius_stack
+from sectoria.linalg import PD_RTOL, frobenius_stack
 from sectoria.sector import BISECT_ITERS, BISECT_TOL, MEMBERSHIP_TOL, sectorial_thetas
 from oracles import in_sector_reference, numerical_range_samples
 
@@ -187,11 +187,11 @@ class TestInSector:
         assert all(in_sector(stack, 0.785))
         assert calls == [("cholesky", (128, 6, 6))]
         # One matrix outside the sector sends the stack to the three-part
-        # route: a certificate and then one eigensolve of all 3T parts.
+        # route: one eigensolve of all 3T parts, and no second certificate.
         calls.clear()
         stack[5] = stack[5].conj() * np.exp(0.5j)
         assert [bool(r) for r in in_sector(stack, 0.785)] == [k != 5 for k in range(64)]
-        assert calls == [("cholesky", (128, 6, 6)), ("cholesky", (192, 6, 6)), ("eigvalsh", (192, 6, 6))]
+        assert calls == [("cholesky", (128, 6, 6)), ("eigvalsh", (192, 6, 6))]
 
     @pytest.mark.parametrize("tol", [0.0, 1e-13, MEMBERSHIP_TOL, -1e-3, math.inf, math.nan])
     def test_certificate_keeps_every_verdict_and_witness(self, tol):
@@ -382,21 +382,30 @@ class TestEdgeCertificate:
     @pytest.mark.parametrize("t", [1, 5])
     def test_edge_parts_have_the_bits_of_the_rotated_parts(self, monkeypatch, n, t):
         certified = []
-        shifted_cholesky_clears = linalg._shifted_cholesky_clears
+        cholesky_clears = linalg._cholesky_clears
 
         def spy(m, floor, norm):
-            certified.append((m.copy(), floor))
-            return shifted_cholesky_clears(m, floor, norm)
+            certified.append((m.copy(), floor))  # before the certificate shifts it
+            return cholesky_clears(m, floor, norm)
 
-        monkeypatch.setattr(linalg, "_shifted_cholesky_clears", spy)
+        def expression(a, beta):  # as tests/oracles.py writes it
+            w = complex(math.cos(beta), math.sin(beta))
+            return (w * a + np.conj(w) * a.conj().swapaxes(-1, -2)) / 2.0
+
+        monkeypatch.setattr(linalg, "_cholesky_clears", spy)
         stack = gen_sectorial(n, 0.3, trial_addresses(stream_key(n, 1), 0, t))
         for alpha in (0.3, 0.785, 1.3):
             beta = math.pi / 2 - alpha
             certified.clear()
             assert all(in_sector(stack, alpha))
             [(parts, _)] = certified
-            expected = np.stack([sector._rotated_real_part(stack, adjoint(stack), b) for b in (beta, -beta)])
+            expected = np.stack([expression(stack, b) for b in (beta, -beta)])
             assert parts.tobytes() == expected.tobytes()
+            # The fallback's three parts, beta = 0 among them, and the
+            # boundary's rotations come from the same builder.
+            rotations = [*sector._rotations(alpha), *(-2.0 * math.pi * k / 7 for k in range(7))]
+            expected = np.stack([expression(stack, b) for b in rotations])
+            assert sector._rotated_parts(stack, rotations).tobytes() == expected.tobytes()
             # Both parts and R-'s floor take one cos(beta): the edge parts
             # of the identity are cos(beta) I, and the floor adds twice it.
             certified.clear()
@@ -412,8 +421,8 @@ class TestEdgeCertificate:
         # gives its bits.
         shapes = []
         for name in ("cholesky", "eigvalsh"):
-            def spy(h, _f=getattr(np.linalg, name)):
-                shapes.append(h.shape)
+            def spy(h, _name=name, _f=getattr(np.linalg, name)):
+                shapes.append((_name, h.shape))
                 return _f(h)
             monkeypatch.setattr(np.linalg, name, spy)
         matrices = [gen_sectorial(4, 0.6, 3), planted_real_part(6, 0.785, 3, 1, True),
@@ -421,7 +430,9 @@ class TestEdgeCertificate:
         for a in matrices:
             shapes.clear()
             angle = sector_angle_bisect(a)
-            assert shapes and {shape[0] for shape in shapes} == {3}
+            # One eigvalsh per probe, and no Cholesky certificate.
+            assert shapes and {name for name, _ in shapes} == {"eigvalsh"}
+            assert {shape[0] for _, shape in shapes} == {3}
             lo, hi = 0.0, math.pi / 2 - 1e-12
             if not in_sector_reference(a, lo, BISECT_TOL)[0]:
                 for _ in range(BISECT_ITERS):
@@ -677,6 +688,25 @@ class TestNumericalRangeBoundary:
         samples = numerical_range_samples(a, 20000, seed=11)
         assert np.abs(samples).max() <= 1.0 + 1e-12
         assert np.abs(samples).max() > 0.95
+
+    @pytest.mark.parametrize("n", [1, 2, 16, 40, 128])
+    def test_chunks_keep_the_bits_of_one_eigh_per_point(self, monkeypatch, n):
+        # The stacked eigensolves give each point the bits of its own eigh
+        # of (w A + conj(w) A*)/2, and none takes more than 2**14 entries.
+        a = complex_gaussian(n, rng_stream(n))
+        sizes = []
+        eigh = np.linalg.eigh
+        for m_points in (3, 7, 360):
+            expected = []
+            for t in range(m_points):
+                w = complex(math.cos(-2.0 * math.pi * t / m_points), math.sin(-2.0 * math.pi * t / m_points))
+                top = eigh((w * a + np.conj(w) * a.conj().T) / 2.0)[1][:, -1]
+                expected.append(top.conj() @ a @ top)
+            monkeypatch.setattr(np.linalg, "eigh", lambda h: sizes.append(len(h)) or eigh(h))
+            assert numerical_range_boundary(a, m_points).tobytes() == np.array(expected).tobytes()
+            monkeypatch.undo()
+        assert max(sizes) <= max(1, 2**14 // n**2)
+        assert len(sizes) == sum(-(-m // max(1, 2**14 // n**2)) for m in (3, 7, 360))
 
     def test_requires_three_points(self):
         with pytest.raises(ValueError):
