@@ -19,8 +19,8 @@ import numpy as np
 
 from sectoria.cli import FAMILIES, chunk_size
 from sectoria.generators import ALPHA_GUARD, TrialConfig
-from sectoria.inequalities import log_minor_ratios, log_ratio_sum_rhs_stack
-from sectoria.linalg import cartesian_split, log_abs_determinant
+from sectoria.inequalities import _real_schur_terms, log_minor_ratios, log_ratio_sum_rhs_stack
+from sectoria.linalg import log_abs_determinant
 from sectoria.schur import schur_complement
 from sectoria.sector import sectorial_thetas
 
@@ -35,11 +35,7 @@ def needed_loewner_exponents(a, b, alpha, p):
     """Per pair of stacked operands: the smallest c with sec^c L >= R, so
     that sec^c covers the top generalized eigenvalue of (R, L).  That
     eigenvalue is tan of the largest congruence angle of L + iR."""
-
-    def re_schur(m):
-        return cartesian_split(schur_complement(m, p)).re
-
-    lhs, rhs = re_schur(a + b), re_schur(a) + re_schur(b)
+    lhs, rhs = _real_schur_terms(a, b, p, schur_complement)
     tops = np.tan(sectorial_thetas(lhs + 1j * rhs)[:, 0])
     return [math.log(top) / math.log(1.0 / math.cos(alpha)) if top > 0.0 else -math.inf
             for top in tops.tolist()]

@@ -22,16 +22,18 @@ class NotPositiveDefiniteError(SectoriaError):
     """A Hermitian positive definite operand was expected."""
 
 
-class NotAccretiveError(SectoriaError):
-    """The real part of the operand is not positive definite."""
+class NotSectorialError(SectoriaError):
+    """The numerical range of the operand is not inside the required sector."""
+
+
+class NotAccretiveError(NotSectorialError):
+    """The real part of the operand is not positive definite, so its
+    numerical range lies in no sector of half-angle below pi/2.  Raised by
+    ``linalg.accretive_parts`` alone."""
 
 
 class NotAccretiveDissipativeError(SectoriaError):
     """Real or imaginary part of the operand is not positive definite."""
-
-
-class NotSectorialError(SectoriaError):
-    """The numerical range of the operand is not inside the required sector."""
 
 
 class OmegaPrimeEmptyError(SectoriaError):

@@ -265,9 +265,7 @@ def check_schur_pd(a, b, p: int, tol: float = DEFAULT_TOL) -> Reports:
 @linalg.matrix_or_stack(1)
 def check_inverse_real_part(a, tol: float = DEFAULT_TOL) -> Reports:
     """(Re A)^{-1} >= Re(A^{-1}) when Re A is positive definite."""
-    re, _ = linalg.accretive_parts(a)
-    inv_re = np.linalg.inv(re)
-    lhs = (inv_re + linalg.adjoint(inv_re)) / 2.0
+    lhs = linalg.cartesian_split(np.linalg.inv(linalg.accretive_parts(a).re)).re
     rhs = linalg.cartesian_split(np.linalg.inv(a)).re
     return loewner_reports("lemma-2-4", lhs, rhs, tol)
 
@@ -275,16 +273,18 @@ def check_inverse_real_part(a, tol: float = DEFAULT_TOL) -> Reports:
 @linalg.matrix_or_stack(1)
 def check_schur_real_part(a, p: int, tol: float = DEFAULT_TOL) -> Reports:
     """Re(A/A11) >= (Re A)/(Re A11) when Re A is positive definite."""
-    lhs, rhs = _real_part_schur_terms(a, linalg.accretive_parts(a).re, p)
+    re = linalg.accretive_parts(a).re
+    lhs, rhs = _real_schur(a, p), _real_schur(re, p)
     return loewner_reports("lemma-2-5", lhs, rhs, tol)
 
 
 @linalg.matrix_or_stack(1)
 def check_ostrowski_taussky_complement(a, tol: float = DEFAULT_TOL) -> Reports:
     """sec^n(alpha) det(Re A) >= |det A| with alpha the sector angle of A."""
-    alphas = sector.sector_angle(a)
+    parts = linalg.accretive_parts(a)
+    alphas = sector.half_angle(sector._congruence(parts)[2]).tolist()
     n = a.shape[-1]
-    log_det_re = linalg.log_abs_determinant(linalg.cartesian_split(a).re)
+    log_det_re = linalg.log_abs_determinant(parts.re)
     log_det_a = linalg.log_abs_determinant(a)
     return [
         scalar_report("lemma-2-6", -n * math.log(math.cos(alpha)) + float(lre), float(la), tol,
@@ -318,30 +318,24 @@ def check_weak_log_majorization(a, tol: float = DEFAULT_TOL) -> Reports:
 def check_claim1(a, p: int, tol: float = DEFAULT_TOL) -> Reports:
     """sec^2(alpha) (Re A)/(Re A11) >= Re(A/A11) with alpha the sector angle of A."""
     parts = linalg.accretive_parts(a)
-    rhs, lhs = _real_part_schur_terms(a, parts.re, p)
-    alphas = sector.half_angle(sector._congruence_of_parts(*parts)[2]).tolist()
+    rhs, lhs = _real_schur(a, p), _real_schur(parts.re, p)
+    alphas = sector.half_angle(sector._congruence(parts)[2]).tolist()
     sec2 = np.array([(1.0 / math.cos(alpha)) ** 2 for alpha in alphas])
     return loewner_reports("claim1", sec2[:, None, None] * lhs, rhs, tol, [f"alpha={alpha:.9f}" for alpha in alphas])
 
 
-def _real_part_schur_terms(a: np.ndarray, re: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
-    """Re(A/A11) and the symmetrized (Re A)/(Re A11), the two sides of
-    Lemma 2.5, for each stacked operand, from its real part ``re``, which
-    ``linalg.accretive_parts`` has shown positive definite."""
-    re_schur = schur._accretive_complement(re, p)
-    return linalg.cartesian_split(schur._accretive_complement(a, p)).re, (re_schur + linalg.adjoint(re_schur)) / 2.0
+def _real_schur(m: np.ndarray, p: int, complement=schur._accretive_complement) -> np.ndarray:
+    """Re(M/M11), the Hermitian part of ``complement(m, p)``, for each
+    matrix of a stack; the default complement, untested, needs Re M shown
+    positive definite, as a precondition shows it for A, A + B, A* and Re A."""
+    return linalg.cartesian_split(complement(m, p)).re
 
 
 def _real_schur_terms(a: np.ndarray, b: np.ndarray, p: int, complement) -> tuple[np.ndarray, np.ndarray]:
     """Re((A+B)/(A11+B11)) and Re(A/A11) + Re(B/B11), the two sides of the
-    uncorrected Schur bound, for each pair of stacked operands whose real
-    parts a precondition has shown positive definite, with the Schur
-    complements of ``complement(m, p)``."""
-
-    def re_schur(m):
-        return linalg.cartesian_split(complement(m, p)).re
-
-    return re_schur(a + b), re_schur(a) + re_schur(b)
+    uncorrected Schur bound, for each pair of stacked operands, with the
+    Schur complements of ``complement(m, p)``."""
+    return _real_schur(a + b, p, complement), _real_schur(a, p, complement) + _real_schur(b, p, complement)
 
 
 @linalg.matrix_or_stack(2)

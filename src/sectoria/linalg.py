@@ -223,11 +223,17 @@ def positive_definite_stack(h: np.ndarray, scale: np.ndarray) -> bool:
 
 @matrix_or_stack(1)
 def accretive_parts(m) -> CartesianPair:
-    """The Cartesian parts (Re A, Im A), after checking that Re A is
-    positive definite."""
+    """The Cartesian parts (Re A, Im A), after the package's one test that
+    Re A is positive definite, its least eigenvalue above ``PD_RTOL *
+    ||A||_F``.  On failure, one ``eigvalsh`` of the real parts names the
+    least eigenvalue of the first failing matrix in a
+    :class:`NotAccretiveError`."""
     parts = cartesian_split(m)
-    if not positive_definite_stack(parts.re, frobenius_stack(m)):
-        raise NotAccretiveError("real part of A is not positive definite")
+    scale = frobenius_stack(m)
+    if not positive_definite_stack(parts.re, scale):
+        lowest = np.linalg.eigvalsh(parts.re)[:, 0]
+        fails = ~(lowest > PD_RTOL * scale)
+        raise NotAccretiveError(f"real part is not positive definite (min eigenvalue {lowest[np.argmax(fails)]:.3e})")
     return parts
 
 

@@ -184,33 +184,19 @@ class SectorialDecomposition(NamedTuple):
         return (self.x * np.exp(1j * self.thetas)[..., None, :]) @ linalg.adjoint(self.x)
 
 
-def _congruence(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _congruence(parts: linalg.CartesianPair) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The Cholesky factor L of H = Re A, C = L^{-1} K L^{-*} with K = Im A,
     and the angles theta = atan(eig C), sorted descending, of each matrix of
-    a validated stack.
+    a stack, from its Cartesian parts as ``linalg.accretive_parts`` returns
+    them, H shown positive definite; nothing is tested here.
 
-    H must be positive definite, its least eigenvalue above ``PD_RTOL *
-    ||A||_F``.  A = L (I + iC) L*, and C = U diag(tan theta) U* is Hermitian
-    by construction; only rounding breaks its symmetry, so it is symmetrized
+    A = L (I + iC) L*, and C = U diag(tan theta) U* is Hermitian by
+    construction; only rounding breaks its symmetry, so it is symmetrized
     rather than tested.  The angles take ``eigvalsh`` alone.
     """
-    re, im = linalg.cartesian_split(m)
-    scale = linalg.frobenius_stack(m)
-    if not linalg.positive_definite_stack(re, scale):
-        lowest = np.linalg.eigvalsh(re)[:, 0]
-        fails = ~(lowest > linalg.PD_RTOL * scale)
-        raise NotSectorialError(
-            f"real part is not positive definite (min eigenvalue {lowest[np.argmax(fails)]:.3e})"
-        )
-    return _congruence_of_parts(re, im)
-
-
-def _congruence_of_parts(re: np.ndarray, im: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``_congruence`` from the Cartesian parts of a stack whose real part
-    has been shown positive definite, as ``linalg.accretive_parts`` shows it."""
-    factor = np.linalg.cholesky(re)
+    factor = np.linalg.cholesky(parts.re)
     factor_inv = np.linalg.inv(factor)
-    c = factor_inv @ im @ linalg.adjoint(factor_inv)
+    c = factor_inv @ parts.im @ linalg.adjoint(factor_inv)
     c = (c + linalg.adjoint(c)) / 2.0
     return factor, c, np.arctan(np.linalg.eigvalsh(c))[:, ::-1].copy()
 
@@ -218,22 +204,24 @@ def _congruence_of_parts(re: np.ndarray, im: np.ndarray) -> tuple[np.ndarray, np
 @linalg.matrix_or_stack(1)
 def sectorial_thetas(m) -> np.ndarray:
     """The angles theta_j of A = X diag(e^{i theta_j}) X*, sorted
-    descending, without X: shape (n,) for a matrix, (T, n) for a stack."""
-    return _congruence(m)[2]
+    descending, without X: shape (n,) for a matrix, (T, n) for a stack.
+    Re A must pass ``linalg.accretive_parts``, whose
+    :class:`NotAccretiveError` is a :class:`NotSectorialError`."""
+    return _congruence(linalg.accretive_parts(m))[2]
 
 
 @linalg.matrix_or_stack(1)
 def sectorial_decompose(m) -> SectorialDecomposition:
     """Canonical congruence diagonalization A = X diag(e^{i theta_j}) X*.
 
-    With Re A = L L* (required positive definite) and C = L^{-1} Im(A)
-    L^{-*} = U diag(tan theta) U*, the angles are those of
-    ``sectorial_thetas`` and X = L U diag(cos theta)^{-1/2}: the diagonal
+    With Re A = L L*, shown positive definite by ``linalg.accretive_parts``,
+    and C = L^{-1} Im(A) L^{-*} = U diag(tan theta) U*, the angles are those
+    of ``sectorial_thetas`` and X = L U diag(cos theta)^{-1/2}: the diagonal
     unitary carries all the phase and X Z X* reproduces A.  The ``eigh`` of
     C gives U only; its columns, in ascending order of eigenvalue, are
     reversed to match the thetas.
     """
-    factor, c, thetas = _congruence(m)
+    factor, c, thetas = _congruence(linalg.accretive_parts(m))
     u = np.linalg.eigh(c)[1][:, :, ::-1]
     return SectorialDecomposition((factor @ u) / np.sqrt(np.cos(thetas))[:, None, :], thetas)
 

@@ -674,3 +674,49 @@ def test_suites_print_the_same_bits_under_one_and_two_blas_threads():
         outputs.append(proc.stdout)
     assert len(outputs[0].splitlines()) == 4
     assert outputs[0] == outputs[1]
+
+
+class TestOneAccretiveTest:
+    """``linalg.accretive_parts`` is the one test that Re A is positive
+    definite.  Every function that needs Re A positive definite, and every
+    command over them, reports a failure in its words: a NotAccretiveError,
+    which is a NotSectorialError, that names the least eigenvalue of the
+    first failing matrix."""
+
+    A = np.diag([-0.5, 1.0])
+    MESSAGE = "real part is not positive definite (min eigenvalue -5.000e-01)"
+    CALLS = {
+        "lemma-2-4": s.check_inverse_real_part,
+        "lemma-2-5": lambda a: s.check_schur_real_part(a, 1),
+        "lemma-2-6": s.check_ostrowski_taussky_complement,
+        "claim1": lambda a: s.check_claim1(a, 1),
+        "weak-log-major": s.check_weak_log_majorization,
+        "schur-wrongsec": lambda a: s.check_schur_wrongsec(a, 1),
+        "sectorial_thetas": s.sector.sectorial_thetas,
+        "sectorial_decompose": s.sectorial_decompose,
+        "sector_angle": s.sector_angle,
+        "cartesian_schur_identity": lambda a: s.cartesian_schur_identity(a, 1),
+        "real_inverse_identity": s.real_inverse_identity,
+    }
+    # The block identities take one matrix, not a stack.
+    STACKED = [name for name in CALLS if not name.endswith("_identity")]
+
+    @pytest.mark.parametrize("name", list(CALLS))
+    def test_library(self, name):
+        with pytest.raises(s.NotAccretiveError) as info:
+            self.CALLS[name](self.A)
+        assert isinstance(info.value, s.NotSectorialError)
+        assert str(info.value) == self.MESSAGE
+
+    @pytest.mark.parametrize("name", STACKED)
+    def test_a_stack_names_its_first_failing_matrix(self, name):
+        stack = np.stack([np.eye(2), self.A, np.diag([-3.0, 1.0])]).astype(complex)
+        with pytest.raises(s.NotAccretiveError, match=re.escape(self.MESSAGE) + "$"):
+            self.CALLS[name](stack)
+
+    @pytest.mark.parametrize("argv", [["angle"]] + [["check", name] for name in STACKED if name in CHECKS], ids=" ".join)
+    def test_commands_exit_2(self, argv, tmp_path, capsys):
+        path = str(tmp_path / "a.json")
+        write_matrix(path, self.A)
+        assert main([*argv, path]) == 2
+        assert capsys.readouterr() == ("", f"error: {self.MESSAGE}\n")

@@ -336,8 +336,8 @@ class TestNoSecondCertificate:
     """A check's preconditions prove every leading block it solves
     invertible: lambda_min(Re A) > PD_RTOL ||A||_F gives sigma_min(A11) >=
     lambda_min(Re A11) > PD_RTOL ||A11||_F, ten times PIVOT_RTOL, so no check
-    but main1 runs the solve's own test, and claim1 shows Re A positive
-    definite once.  main1 keeps the public, tested ``schur_complement``, the
+    but main1 runs the solve's own test, and the checks that take angles
+    split A and show Re A positive definite once.  main1 keeps the public, tested ``schur_complement``, the
     call that perfbench's tracer test pins inside it."""
 
     @pytest.mark.parametrize("n", [2, 6, 40])
@@ -368,6 +368,31 @@ class TestNoSecondCertificate:
         calls.clear()
         s.schur_complement(s.gen_sectorial(n, ALPHA, 0), n // 2)
         assert calls == ["invertible"]
+
+    @pytest.mark.parametrize("trials", [1, 3])
+    @pytest.mark.parametrize("name", ["lemma-2-6", "claim1", "weak-log-major"])
+    def test_the_angle_checks_split_a_and_test_re_a_once(self, name, trials, monkeypatch):
+        # The Schur complements whose real parts claim1 compares are of
+        # order n - p, so only the splits of order n are of A.
+        n = 6
+        a, _ = FAMILIES["single"](TrialConfig(seed=0, n=n, alpha=ALPHA, trials=trials), 0, trials)
+        calls = []
+        split = s.linalg.cartesian_split
+        positive_definite = s.linalg.positive_definite_stack
+
+        def counted_split(m):
+            if m.shape[-1] == n:
+                calls.append("split")
+            return split(m)
+
+        def counted_positive_definite(h, scale):
+            calls.append("positive definite")
+            return positive_definite(h, scale)
+
+        monkeypatch.setattr(s.linalg, "cartesian_split", counted_split)
+        monkeypatch.setattr(s.linalg, "positive_definite_stack", counted_positive_definite)
+        assert len(CHECKS[name].evaluate(a, None, ALPHA, None, s.DEFAULT_TOL)) == trials
+        assert calls == ["split", "positive definite"]
 
     @staticmethod
     def planted(n, delta, seed, c, alpha):
